@@ -7,48 +7,70 @@ Run from the repository root. No build step: the package is imported from
 
     python3 perfbench/run.py                        # every workload, table
     python3 perfbench/run.py --trace 1              # traced run of every workload
-    python3 perfbench/run.py --workload grid-25x250 --seed 3 --seconds 25
+    python3 perfbench/run.py --workload grid-25x250 --seed 3 --seconds 45
     python3 perfbench/run.py --workload wide-4x2000 --trace 1   # traced run only
     python3 perfbench/run.py --record               # re-record report digests
 
 With ``--workload`` the last line of standard output is one JSON object
-``{"correct", "attempted", "failed", "metrics"}``; the lines above it give
-the environment, the instance statistics and a table of the metrics. Each
-result, with the environment, is also written to ``perfbench/out/``.
+``{"correct", "attempted", "failed", "metrics"}`` with the metrics that
+BENCHMARK.json lists; the lines above it give the environment, the
+instance statistics and a table of every metric. Each result, with the
+environment, is also written to ``perfbench/out/``.
 
-Workloads (closed batches from one process). The seed picks one of 64
-cases (seed % 64), which is the Monte Carlo seed:
+Workloads (closed batches from one process). Seed n runs the batch for
+the Monte Carlo seeds ("cases") 8n .. 8n+7 mod 64 in turn; the traced
+run uses the first of them:
 
     fixture-pmf    bundled 7-node CSTR fixture, PMF-sampled attacker,
                    1000 episodes, serial
     fixture-jobs   the same batch with one worker process per CPU
     grid-25x250    generated 25 nodes in 5 layers / 203 edges / 250
-                   actions, static profile, 30 episodes capped at 16 steps
+                   actions, static profile, 120 episodes capped at 16 steps
     wide-4x2000    generated 4-node chain / 2000 broad actions, static
                    profile, 4 episodes capped at 16 steps
+
+BENCHMARK.json lists grid-25x250 and wide-4x2000, which load opposite
+layers. The fixture workloads run here and in the smoke test but carry no
+bounds: their run_monte_carlo times were as steady as the others', but
+their 4 ms export is mostly file creation, which the calibration does
+not track, and it varied by 22-28% between runs.
 
 The generated instances come from ``instances.py`` with a fixed instance
 seed and are written as JSON before any timing. A batch is what
 ``attacksim simulate --out`` does: ``run_monte_carlo``, then export of
 report.json, report.csv and the first 10 traces as JSON and DOT. A run
-repeats the batch for ``--seconds`` (at least three times).
+repeats batches for ``--seconds`` (at least three).
 
-End-to-end metrics (``--trace 0``). Times come from the fastest batch of
-the run, as every batch does the same work; set-up is the median of one
-timing before each batch:
+Steadiness. On a shared 2-core VM the same batch ran up to twice as slow
+in phases lasting from seconds to minutes, in user CPU time as well as
+wall time, so the fastest or the median wall time of a run moved by
+20-35% from run to run. Each timed part is therefore measured against a
+fixed calibration loop timed just before and after it (see
+``measure``), which slows down with the machine; across such phases the
+calibrated time of one batch stayed within +-2%. The benchmark also
+runs itself with a fixed PYTHONHASHSEED (HASH_SEED), because dict and set
+layout follow the hash seed and moved one batch's time by +-5%.
 
-    episodes_per_s   1/s    episodes / wall time of run_monte_carlo
-    decisions_per_s  1/s    report.total_decisions / the same wall time
+End-to-end metrics (``--trace 0``). Times are the median, over the
+run's batches, of the wall time divided by the calibration loop's time
+next to it, times REFERENCE_LOOP_S: the wall time on an undisturbed
+CPU of the VM the bounds were set on. The wall-clock medians are printed
+as well.
+
+    episodes_per_s   1/s    episodes / calibrated time of run_monte_carlo
+    decisions_per_s  1/s    report.total_decisions / the same time
     setup_s          s      load_profiles + load_system + load_action_db
-                            on the workload's JSON files
+                            on the workload's JSON files (timed three
+                            times before each batch)
     export_s         s      writing what simulate --out writes by default
     peak_rss_mb      MB     peak resident memory of the run, plus its
                             largest worker for fixture-jobs
 
 A batch fails if it raises or if its report.json digest differs from the
-one recorded in ``perfbench/digests.json``; failed_frac (failed /
-attempted) is printed with the table and is the ``failed`` and
-``attempted`` of the JSON line.
+one recorded for its case in ``perfbench/digests.json``; failed_frac
+(failed / attempted) is printed with the table and is the ``failed`` and
+``attempted`` of the JSON line. If every batch fails, the JSON line has
+``"correct": false`` and no metrics, and the exit status is 1.
 
 Per-layer metrics (``--trace 1``). For every traced stage S the run gives
 ``S.calls`` (count), ``S.s`` (inclusive seconds) and ``S.self_s`` (seconds
@@ -71,12 +93,14 @@ one set-up and one export. Layer -> the end-to-end metric it should move
     model.reveal_on_compromise.{calls,s}
                              episodes_per_s   fixture-pmf
     profiles.sample_profile.{calls,s}  episodes_per_s  fixture-* only
+                             (calls reads 0 and s is left out for
+                             static-profile workloads)
     harness.aggregate.s, harness.run_monte_carlo.self_s
                              episodes_per_s   fixture-pmf
     harness.trace_bytes_per_episode  episodes_per_s fixture-jobs, peak_rss_mb
                              wide-4x2000 (pickled size of the traces)
     harness.parallel_speedup  serial / parallel run_monte_carlo time
-                             fixture-jobs (1 elsewhere)
+                             fixture-jobs (reported there only)
     harness.export_report.s, harness.save_trace.s, harness.export_trace_dot.s,
     harness.trace_json_bytes  export_s  wide-4x2000
     model.load_system.s, actions.load_action_db.s, profiles.load_profiles.s
@@ -91,8 +115,8 @@ there. A stage missing from the package is listed as absent and reads 0.
 Spans of the fastest traced batch are written to
 ``perfbench/out/spans-<workload>.json``.
 
-Tests: ``python -m pytest -q perfbench/test_smoke.py`` runs the benchmark
-at tiny sizes.
+Tests: ``python -m pytest -q perfbench/test_smoke.py`` runs the workloads
+for three batches each (``--seconds 0``) against the recorded digests.
 """
 
 from __future__ import annotations
@@ -110,7 +134,7 @@ import statistics
 import subprocess
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -121,13 +145,30 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
 DIGESTS = HERE / "digests.json"
+# The JSON result line carries the metrics BENCHMARK.json lists, by
+# section; the printed table and the result file carry every metric.
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+LISTED = {section: [m["name"] for m in SPEC[section]]
+          for section in ("end_to_end", "per_layer")}
 
-CASES = 64          # the workload seed picks case seed % CASES
+CASES = 64          # Monte Carlo seeds with a recorded report digest
+# A timed run cycles through CASES_PER_RUN cases, so that the cost and
+# trace sizes of one seed's episodes (+-5% and more for the exported
+# traces of grid-25x250) weigh less; seed n runs cases 8n .. 8n+7 mod 64.
+CASES_PER_RUN = 8
 # Generated workloads run one fixed instance per shape and take the case as
 # the Monte Carlo seed: per-decision cost differed up to 1.7x between
 # random 25-node instances, more than a change under test would move it.
 INSTANCE_SEED = 0
 MIN_BATCHES = 3
+SETUPS_PER_BATCH = 3  # set-up is cheap next to a batch; more samples
+# Fastest time of calibration_loop() on the 2-core VM (Python 3.11.7) the
+# bounds in BENCHMARK.json were set on; it turns calibrated ratios into
+# seconds. Changing it rescales every time the benchmark reports.
+REFERENCE_LOOP_S = 0.0182
+# String hashing, and with it the layout of every dict and set, follows
+# the hash seed; one grid-25x250 batch varied by +-5% across hash seeds.
+HASH_SEED = "0"
 EXPORT_TRACES = 10  # simulate --out default --traces
 
 
@@ -144,17 +185,19 @@ class Workload:
         return self.shape or "fixture"
 
 
-# A batch takes well under a second of simulation, so a run repeats it
-# often enough for its fastest repeat to be stable. The generated
-# workloads cap episodes: uncapped, grid-25x250 episodes last 6 to 40
-# decisions and wide-4x2000 ones take a geometric number of attempts per
-# node, so the work in a batch, its traces and its memory would follow
+# A batch takes about a second of simulation or less, so a run repeats it
+# often enough for the median of its calibrated times to be stable. The
+# generated workloads cap episodes: uncapped, grid-25x250 episodes last 6
+# to 40 decisions and wide-4x2000 ones take a geometric number of attempts
+# per node, so the work in a batch, its traces and its memory would follow
 # the seed. Capped, 85% of grid-25x250 and nearly all wide-4x2000
-# episodes run to the cap.
+# episodes run to the cap. The cost of a grid-25x250 decision still
+# follows its episode's path, and a batch of 30 episodes varied by about
+# +-5% from one seed to the next; 120 episodes average that out.
 WORKLOADS = {
     "fixture-pmf": Workload(None, 1000, None),
     "fixture-jobs": Workload(None, 1000, None, parallel=True),
-    "grid-25x250": Workload("grid", 30, "attacker", max_steps=16),
+    "grid-25x250": Workload("grid", 120, "attacker", max_steps=16),
     "wide-4x2000": Workload("wide", 4, "attacker", max_steps=16),
 }
 
@@ -227,18 +270,23 @@ def environment(attacksim) -> dict:
     }
 
 
+def calibration_loop() -> float:
+    """Wall time of a fixed pure-Python loop (dict stores, small lists,
+    str()), about 18 ms on an undisturbed CPU."""
+    start = perf_counter()
+    d = {}
+    for i in range(120_000):
+        d[i % 977] = [i, str(i)]
+    return perf_counter() - start
+
+
 class Bench:
     """One workload: its inputs, loaded once, and its batches."""
 
     def __init__(self, name: str, wl: Workload, work: Path):
         from attacksim.data import fixture_path
         self.name, self.wl, self.work = name, wl, work
-        # Every batch, and every run of the workload, rewrites the same
-        # files, as repeated runs of simulate --out into one --out
-        # directory do. Creating files costs 0.6 to 3 ms more or less from
-        # one moment to the next on a shared disk, which would swamp the
-        # 3 ms export of the fixture; overwriting them varies a few percent.
-        self.export_dir = OUT / f"export-{name}"
+        self.export_dir = work / "export"
         if wl.shape is None:
             self.inputs = {key: fixture_path(f"cstr_{key}.json")
                            for key in ("system", "actions", "profiles")}
@@ -273,9 +321,15 @@ class Bench:
         """One simulate --out: run, export, digest of report.json."""
         from attacksim import harness
         parallel = self.wl.parallel if parallel is None else parallel
+        # Export into an emptied directory, as simulate --out into a new
+        # directory does. Rewriting the files in place instead made the
+        # fixture's export about twice as slow and much less steady on
+        # ext4, which starts write-back when a truncated file is closed.
         out = self.export_dir
-        out.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir(parents=True)
         gc.collect()
+        calibration = [calibration_loop()]
         if tracer is None:
             call = lambda name, fn, *args: fn(*args)
             profiles, system, db = self.profiles, self.system, self.db
@@ -295,6 +349,8 @@ class Bench:
                 run_s = perf_counter() - start
         trace_files = [out / f"trace_{t.index}.json"
                        for t in traces[:EXPORT_TRACES]]
+        gc.collect()
+        calibration.append(calibration_loop())
         start = perf_counter()
         call("harness.export_report", harness.export_report, report,
              out / "report.json", "json")
@@ -306,9 +362,11 @@ class Bench:
                 call("harness.export_trace_dot", harness.export_trace_dot,
                      trace, system), encoding="utf-8")
         export_s = perf_counter() - start
+        calibration.append(calibration_loop())
         result = {
             "run_s": run_s,
             "export_s": export_s,
+            "calibration_s": calibration,
             "report": report,
             "traces": traces,
             "digest": hashlib.sha256(
@@ -326,32 +384,29 @@ def describe(bench: Bench, traces) -> str:
 
 
 class Gate:
-    """Counts attempted and failed batches against the expected digest of
-    report.json.
+    """Counts attempted and failed batches against the recorded digests of
+    report.json, one per case."""
 
-    Without a recorded digest (a non-default episode count) every batch
-    must reproduce the first one's digest.
-    """
-
-    def __init__(self, expected: str | None):
+    def __init__(self, expected: list[str]):
         self.expected = expected
+        self.checked: dict[int, str] = {}  # case -> digest it matched
         self.attempted = 0
         self.failed = 0
         self.problems: list[str] = []
 
-    def run(self, bench: Bench, seed: int, **kwargs) -> dict | None:
+    def run(self, bench: Bench, case: int, **kwargs) -> dict | None:
         self.attempted += 1
         try:
-            batch = bench.batch(seed, **kwargs)
+            batch = bench.batch(case, **kwargs)
         except Exception:
             traceback.print_exc()
             self.failed += 1
             return None
-        if self.expected is None:
-            self.expected = batch["digest"]
-        elif batch["digest"] != self.expected:
-            self.fail(f"report digest {batch['digest']} != {self.expected}")
+        if batch["digest"] != self.expected[case]:
+            self.fail(f"case {case}: report digest {batch['digest']} != "
+                      f"{self.expected[case]}")
             return None
+        self.checked[case] = batch["digest"]
         return batch
 
     def fail(self, problem: str):
@@ -367,37 +422,50 @@ def peak_rss_mb(parallel: bool) -> float:
     return kib / 1024.0
 
 
-def measure(bench: Bench, gate: Gate, seed: int, seconds: float) -> dict:
+def measure(bench: Bench, gate: Gate, cases: list[int],
+            seconds: float) -> dict:
     """End-to-end metrics of batches repeated for `seconds`.
 
-    Every batch does the same work, so the fastest one is the program's
-    cost with the least interference from the rest of the machine: on a
-    shared machine the median follows its slow phases, which last seconds.
-    One set-up is timed before each batch.
+    Each timed part of a batch (set-up, run_monte_carlo, export) is
+    divided by the mean of calibration_loop() timed just before and just
+    after it; the median of these ratios over the run, times
+    REFERENCE_LOOP_S, is the reported time (see "Steadiness" in the
+    module docstring). Set-up is timed several times before each batch.
+    The batches take the cases in turn.
     """
     deadline = perf_counter() + seconds
-    run_s, export_s, setup = [], [], []
+    run_r, decisions_r, export_r, setup_r, wall = [], [], [], [], []
     last = 0.0
     while gate.attempted < MIN_BATCHES or perf_counter() + last < deadline:
         start = perf_counter()
-        setup.append(bench.setup_time())
-        batch = gate.run(bench, seed)
+        before = calibration_loop()
+        setup = [bench.setup_time() for _ in range(SETUPS_PER_BATCH)]
+        batch = gate.run(bench, cases[gate.attempted % len(cases)])
         last = perf_counter() - start
         if batch is None:
             continue
-        if not run_s:
+        if not run_r:
             print("instance:", describe(bench, batch["traces"]))
-            decisions = batch["report"].total_decisions
-        run_s.append(batch["run_s"])
-        export_s.append(batch["export_s"])
+        c0, c1, c2 = batch["calibration_s"]
+        setup_r.extend(s / ((before + c0) / 2) for s in setup)
+        run_r.append(batch["run_s"] / ((c0 + c1) / 2))
+        decisions_r.append(batch["report"].total_decisions / run_r[-1])
+        export_r.append(batch["export_s"] / ((c1 + c2) / 2))
+        wall.append((batch["run_s"], batch["export_s"], before, c0, c1, c2))
         del batch
-    if not run_s:
+    if not run_r:
         return {}
+    run_s = statistics.median(run_r) * REFERENCE_LOOP_S
+    print("wall-clock medians: run_monte_carlo {:.6g} s, export {:.6g} s, "
+          "calibration loop {:.6g} s".format(
+              statistics.median(w[0] for w in wall),
+              statistics.median(w[1] for w in wall),
+              statistics.median(c for w in wall for c in w[2:])))
     return {
-        "episodes_per_s": bench.wl.episodes / min(run_s),
-        "decisions_per_s": decisions / min(run_s),
-        "setup_s": statistics.median(setup),
-        "export_s": min(export_s),
+        "episodes_per_s": bench.wl.episodes / run_s,
+        "decisions_per_s": statistics.median(decisions_r) / REFERENCE_LOOP_S,
+        "setup_s": statistics.median(setup_r) * REFERENCE_LOOP_S,
+        "export_s": statistics.median(export_r) * REFERENCE_LOOP_S,
         "peak_rss_mb": peak_rss_mb(bench.wl.parallel),
     }
 
@@ -414,6 +482,9 @@ def layer_metrics(bench: Bench, tracer, batch: dict) -> dict[str, float]:
             out[name] = {"calls": calls, "s": total, "self_s": own}[field]
         else:
             out[name] = 0
+    if bench.wl.profile is not None:  # a static profile skips the PMF:
+        for field in ("s", "self_s"):   # 0 calls, and no time to report
+            del out[f"profiles.sample_profile.{field}"]
     report, traces = batch["report"], batch["traces"]
     decisions = max(1, report.total_decisions)
     fv_calls = out["engine.filter_valid.calls"]
@@ -432,26 +503,26 @@ def layer_metrics(bench: Bench, tracer, batch: dict) -> dict[str, float]:
     return out
 
 
-def measure_traced(bench: Bench, gate: Gate, seed: int,
+def measure_traced(bench: Bench, gate: Gate, case: int,
                    seconds: float) -> dict:
-    """Per-layer metrics of the fastest traced batch; untraced (and, for
-    a parallel workload, serial) batches alternate with the traced ones
-    for the overhead and the speed-up."""
+    """Per-layer metrics of the fastest traced batch of one case; untraced
+    (and, for a parallel workload, serial) batches alternate with the
+    traced ones for the overhead and the speed-up."""
     deadline = perf_counter() + seconds
     untraced, serial, best, counts = [], [], None, None
     rounds, last = 0, 0.0
     while rounds < MIN_BATCHES or perf_counter() + last < deadline:
         rounds += 1
         start = perf_counter()
-        batch = gate.run(bench, seed)
+        batch = gate.run(bench, case)
         if batch is not None:
             untraced.append(batch["run_s"])
         if bench.wl.parallel:
-            batch = gate.run(bench, seed, parallel=False)
+            batch = gate.run(bench, case, parallel=False)
             if batch is not None:
                 serial.append(batch["run_s"])
         tracer = tracing.Tracer()
-        batch = gate.run(bench, seed, tracer=tracer)
+        batch = gate.run(bench, case, tracer=tracer)
         last = perf_counter() - start
         if batch is None:
             continue
@@ -477,8 +548,10 @@ def measure_traced(bench: Bench, gate: Gate, seed: int,
         print("worker-side stages not traced: only harness.run_monte_carlo "
               "and harness.aggregate are recorded")
     tracer.write(OUT / f"spans-{bench.name}.json")
-    out["harness.parallel_speedup"] = (
-        min(serial) / min(untraced) if serial else 1.0)
+    if serial:
+        out["harness.parallel_speedup"] = min(serial) / min(untraced)
+    else:
+        del out["harness.parallel_speedup"]
     out["trace.overhead_frac"] = traced_s / min(untraced) - 1.0
     return out
 
@@ -492,48 +565,47 @@ def run_one(args) -> int:
     attacksim = import_package()
     env = environment(attacksim)
     wl = WORKLOADS[args.workload]
-    case = args.seed % CASES
-    if args.episodes is None:
-        expected = json.loads(DIGESTS.read_text())[wl.digest_key][case]
-    else:
-        wl, expected = replace(wl, episodes=args.episodes), None
+    cases = [(args.seed * CASES_PER_RUN + k) % CASES
+             for k in range(CASES_PER_RUN)]
+    gate = Gate(json.loads(DIGESTS.read_text())[wl.digest_key])
     OUT.mkdir(exist_ok=True)
     work = OUT / f"work-{os.getpid()}"
-    gate = Gate(expected)
     try:
         bench = Bench(args.workload, wl, work)
         if args.trace:
-            metrics = measure_traced(bench, gate, case, args.seconds)
-            units = PER_LAYER
+            metrics = measure_traced(bench, gate, cases[0], args.seconds)
+            units, listed = PER_LAYER, LISTED["per_layer"]
         else:
-            metrics = measure(bench, gate, case, args.seconds)
-            units = END_TO_END
+            metrics = measure(bench, gate, cases, args.seconds)
+            units, listed = END_TO_END, LISTED["end_to_end"]
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    if not metrics:
-        print(f"error: no complete measurement of {args.workload}",
-              file=sys.stderr)
-        return 1
     print("env:", json.dumps(env, sort_keys=True))
-    print(f"workload={args.workload} seed={args.seed} case={case} "
-          f"episodes={wl.episodes} digest={gate.expected} "
+    print(f"workload={args.workload} seed={args.seed} "
+          f"cases={','.join(map(str, sorted(gate.checked)))} "
+          f"episodes={wl.episodes} "
           f"failed_frac={gate.failed / gate.attempted:.6g} "
           f"({gate.failed}/{gate.attempted})")
-    print(table(metrics, units))
+    if metrics:
+        print(table(metrics, units))
+    else:
+        print(f"error: every batch of {args.workload} failed", file=sys.stderr)
     result = {
-        "correct": gate.failed == 0,
+        "correct": gate.failed == 0 and bool(metrics),
         "attempted": gate.attempted,
         "failed": gate.failed,
-        "metrics": {k: {"value": metrics[k], "unit": units[k]} for k in units},
+        "metrics": {k: {"value": metrics[k], "unit": units[k]}
+                    for k in listed if k in metrics},
     }
     (OUT / f"result-{args.workload}-seed{args.seed}-trace{args.trace}.json"
      ).write_text(json.dumps({"env": env, "workload": args.workload,
-                              "seed": args.seed, "case": case,
-                              "digest": gate.expected,
+                              "seed": args.seed,
+                              "digests": gate.checked,
                               "problems": gate.problems,
-                              **result}, indent=1), encoding="utf-8")
+                              **result, "all_metrics": metrics},
+                             indent=1), encoding="utf-8")
     print(json.dumps(result))
-    return 0
+    return 0 if metrics else 1
 
 
 def run_all(args) -> int:
@@ -592,11 +664,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=list(WORKLOADS),
                         help="run one workload; default: all, as a table")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--episodes", type=int, default=None,
-                        help="episodes per batch instead of the workload's "
-                             "(no recorded digests then; for the smoke test)")
     parser.add_argument("--record", action="store_true",
                         help="re-record perfbench/digests.json")
     args = parser.parse_args(argv)
@@ -608,4 +677,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        # The hash seed is read at interpreter start: run again with it.
+        os.environ["PYTHONHASHSEED"] = HASH_SEED
+        os.execv(sys.executable, [sys.executable, *sys.argv])
     raise SystemExit(main())

@@ -1,5 +1,6 @@
-"""Smoke test of the benchmark at tiny sizes (a few episodes, the minimum
-number of rounds). Run with: python -m pytest -q perfbench/test_smoke.py"""
+"""Smoke test of the benchmark: each workload for the minimum number of
+batches (``--seconds 0``), checked against the recorded report digests.
+Run with: python -m pytest -q perfbench/test_smoke.py"""
 
 import json
 import subprocess
@@ -11,16 +12,16 @@ import pytest
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+DIGESTS = json.loads((HERE / "digests.json").read_text())
 
 REQUIRED_METRICS = {"episodes_per_s", "decisions_per_s", "setup_s", "export_s",
                  "peak_rss_mb"}
 
 
-def bench(workload, seed, trace, episodes):
+def bench(workload, seed, trace):
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", "0", "--trace", str(trace),
-         "--episodes", str(episodes)],
+         "--seed", str(seed), "--seconds", "0", "--trace", str(trace)],
         capture_output=True, text=True, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -35,28 +36,35 @@ def bench(workload, seed, trace, episodes):
     for key in ("python", "kernel_backend", "nproc", "attacksim_version",
                 "git_commit"):
         assert key in saved["env"]
-    return result, saved["digest"]
+    return result, saved["digests"]
 
 
 def units(section):
     return {m["name"]: m["unit"] for m in SPEC[section]}
 
 
-def test_repeated_invocations_give_equal_digests():
-    _, first = bench("fixture-pmf", 5, 0, 20)
-    _, second = bench("fixture-pmf", 5, 0, 20)
-    assert first == second and first
+def recorded(key, seed):
+    """The recorded digests of the cases a --seconds 0 run of `seed`
+    covers: its first three."""
+    return {str(case): DIGESTS[key][case]
+            for case in range(seed * 8, seed * 8 + 3)}
+
+
+def test_repeated_invocations_give_the_recorded_digests():
+    _, first = bench("fixture-pmf", 5, 0)
+    _, second = bench("fixture-pmf", 5, 0)
+    assert first == second == recorded("fixture", 5)
 
 
 def test_jobs_reproduce_the_serial_report():
-    _, serial = bench("fixture-pmf", 6, 0, 20)
-    _, jobs = bench("fixture-jobs", 6, 0, 20)
-    assert jobs == serial
+    _, serial = bench("fixture-pmf", 6, 0)
+    _, jobs = bench("fixture-jobs", 6, 0)
+    assert jobs == serial == recorded("fixture", 6)
 
 
-@pytest.mark.parametrize("workload", ["grid-25x250", "fixture-pmf"])
+@pytest.mark.parametrize("workload", ["grid-25x250", "wide-4x2000"])
 def test_end_to_end_metrics_have_names_and_units(workload):
-    result, _ = bench(workload, 1, 0, 2)
+    result, _ = bench(workload, 1, 0)
     got = {k: m["unit"] for k, m in result["metrics"].items()}
     assert got == units("end_to_end")
     assert REQUIRED_METRICS <= set(got)
@@ -64,7 +72,7 @@ def test_end_to_end_metrics_have_names_and_units(workload):
 
 
 def test_traced_run_spans_nest_and_metrics_have_units():
-    result, _ = bench("grid-25x250", 2, 1, 2)
+    result, _ = bench("grid-25x250", 2, 1)
     got = {k: m["unit"] for k, m in result["metrics"].items()}
     assert got == units("per_layer")
     assert result["metrics"]["engine.filter_valid.calls"]["value"] > 0
@@ -95,3 +103,18 @@ def test_missing_stage_is_reported_absent(monkeypatch):
         assert attacksim.engine.viable_edges is not original
     assert attacksim.engine.viable_edges is original
     assert tracer.absent == {"engine.no_such_stage", "gone.f"}
+
+
+def test_wrong_digest_fails_every_batch(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(HERE))
+    import run
+
+    wrong = dict(DIGESTS, fixture=["0" * 64] * DIGESTS["cases"])
+    monkeypatch.setattr(run, "DIGESTS", tmp_path / "digests.json")
+    run.DIGESTS.write_text(json.dumps(wrong))
+    status = run.main(["--workload", "fixture-pmf", "--seed", "3",
+                       "--seconds", "0"])
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert status == 1
+    assert result["correct"] is False and result["metrics"] == {}
+    assert result["failed"] == result["attempted"] >= 1
