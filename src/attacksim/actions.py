@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from attacksim.errors import ValidationFailure
+from attacksim.errors import ValidationFailure, string_list
 from attacksim.model import Node
 from attacksim.profiles import (
     UNBOUNDED_RANGE,
@@ -159,7 +159,10 @@ def scaled_action_profiles(db: ActionDatabase) -> dict[str, ScaledProfile]:
     new action inside the existing [min, max] leaves other actions' scaled
     values untouched.
     """
-    pops = db.unbounded_populations()
+    # scale_unbounded reads only a population's extremes: reduce each one
+    # to them once instead of rescanning it for every action
+    pops = {name: (min(vals), max(vals)) if vals else ()
+            for name, vals in db.unbounded_populations().items()}
     out: dict[str, ScaledProfile] = {}
     for a in db.actions:
         try:
@@ -197,11 +200,15 @@ def _action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
         id=aid,
         name=str(ad.get("name", "")),
         description=str(ad.get("description", "")),
-        references=tuple(str(r) for r in ad.get("references", [])),
+        references=tuple(string_list(
+            ad.get("references", []), f"action {aid!r}: references", errors)),
         profile=profile,
         target_criteria=criteria,
-        channels=frozenset(str(c) for c in ad.get("channels", [])),
-        prerequisites=frozenset(str(p) for p in ad.get("prerequisites", [])),
+        channels=frozenset(string_list(
+            ad.get("channels", []), f"action {aid!r}: channels", errors)),
+        prerequisites=frozenset(string_list(
+            ad.get("prerequisites", []), f"action {aid!r}: prerequisites",
+            errors)),
         success_probability=success,
         effect=str(ad.get("effect", EFFECT_COMPROMISE)),
     )

@@ -10,6 +10,13 @@ or the external origin, sharing a channel with the action).
 Scoring maps each candidate's profile distance d_i to a score
 s_i = 1 - d_i / sum(d) and selection probability P_i = s_i / sum(s), so
 nearer profiles are proportionally more likely without nonlinear weighting.
+
+Everything that does not depend on the episode's dynamic state (knowledge,
+attempted and succeeded actions) is computed once per run in
+DecisionContext: which actions' target criteria match each node, the
+channel sets as int bitmasks, the validated starting knowledge, and each
+attacker profile's distance to every action. A decision then only checks
+the dynamic predicates and gathers precomputed distances.
 """
 
 from __future__ import annotations
@@ -59,14 +66,25 @@ class DecisionRecord:
 class DecisionContext:
     """Static decision inputs shared by every episode of a run.
 
-    Holds the scaled action profiles and their kernel encoding (a flat
-    m*n float matrix in canonical action order), plus per-attacker scaled
-    vectors cached by profile name. Immutable after construction.
+    Computed once per run:
+
+    - the scaled action profiles and their kernel encoding (a flat m*n
+      float matrix in canonical action order);
+    - the starting knowledge, so the system is validated once per run;
+    - per node, the actions whose target criteria match it, in canonical
+      id order, as ``(id, channel bitmask, prerequisites)`` rows;
+    - per node, the attack-vector edges into it, in canonical id order, as
+      ``(id, source node, channel bitmask)`` rows;
+    - per attacker profile (on first use, cached by name), the scaled
+      vector and its distance to every action row.
+
+    Immutable after construction apart from that profile cache.
     """
 
     def __init__(self, system: CpsSystem, db: ActionDatabase):
         self.system = system
         self.db = db
+        self.initial_knowledge = initial_knowledge(system)
         self.action_profiles = scaled_action_profiles(db)
         schema = db.schema
         n = len(schema)
@@ -83,6 +101,22 @@ class DecisionContext:
         self.gamma_matrix = matrix
         self._thetas: dict[str, tuple[ScaledProfile, array]] = {}
 
+        names = sorted({c for e in system.edges for c in e.channels}
+                       | {c for a in db.actions for c in a.channels})
+        bit = {c: 1 << i for i, c in enumerate(names)}
+        self.action_mask = {
+            a.id: sum(bit[c] for c in a.channels) for a in db.actions}
+        self.actions_for = {
+            node.id: tuple((a.id, self.action_mask[a.id], a.prerequisites)
+                           for a in db.actions
+                           if criteria_match(a.target_criteria, node))
+            for node in system.nodes}
+        self.vectors_into = {
+            node.id: tuple((e.id, e.from_node, sum(bit[c] for c in e.channels))
+                           for e in system.edges_into(node.id)
+                           if e.is_attack_vector)
+            for node in system.nodes}
+
     def _encode_into(self, scaled: ScaledProfile, buf: array, base: int):
         for j, (prop, v) in enumerate(zip(self.db.schema, scaled.values)):
             if prop.kind == UNORDERED_SET:
@@ -91,7 +125,8 @@ class DecisionContext:
                 buf[base + j] = v
 
     def attacker_theta(self, attacker: AttackerProfile) -> tuple[ScaledProfile, array]:
-        """Scale (and cache) an attacker profile.
+        """Scale an attacker profile and measure its distance to every
+        action row; cached by profile name.
 
         Unbounded properties scale against the database population extended
         with the attacker's own value, clamping it onto the action scale.
@@ -108,8 +143,13 @@ class DecisionContext:
                               include_own_value=True)
         buf = array("d", bytes(8 * len(self.db.schema)))
         self._encode_into(theta, buf, 0)
-        self._thetas[attacker.name] = (theta, buf)
-        return theta, buf
+        m = len(self.db)
+        dist = array("d", bytes(8 * m))
+        _kernels.profile_distances(buf, self.gamma_matrix,
+                                   array("l", range(m)), self.inv_beta_sq,
+                                   self.unordered_mask, dist)
+        self._thetas[attacker.name] = (theta, dist)
+        return theta, dist
 
 
 class AttackState:
@@ -119,8 +159,8 @@ class AttackState:
     def __init__(self, ctx: DecisionContext, attacker: AttackerProfile):
         self.ctx = ctx
         self.attacker_name = attacker.name
-        self.theta, self._theta_arr = ctx.attacker_theta(attacker)
-        self.knowledge: CpsKnowledge = initial_knowledge(ctx.system)
+        self.theta, self._distances = ctx.attacker_theta(attacker)
+        self.knowledge: CpsKnowledge = ctx.initial_knowledge
         self.attempted: dict[str, set[str]] = {}
         self.succeeded: dict[str, set[str]] = {}
         self.current_target: str | None = None
@@ -140,6 +180,30 @@ def initial_state(system: CpsSystem, db: ActionDatabase,
     return AttackState(DecisionContext(system, db), attacker)
 
 
+def _candidates(state: AttackState, target: str):
+    """Yield the target's candidate action ids in canonical id order.
+
+    Only the dynamic predicates are checked here; criteria matching was
+    done once per run in the context. The target must be known and not
+    compromised.
+    """
+    k = state.knowledge
+    ctx = state.ctx
+    origin = ctx.system.external_origin
+    live = 0
+    for eid, source, mask in ctx.vectors_into[target]:
+        if eid in k.known_edges and (source == origin
+                                     or source in k.compromised_nodes):
+            live |= mask
+    if not live:
+        return
+    attempted = state.attempted.get(target, ())
+    succeeded = state.succeeded.get(target, frozenset())
+    for aid, mask, prereqs in ctx.actions_for[target]:
+        if mask & live and aid not in attempted and prereqs <= succeeded:
+            yield aid
+
+
 def filter_valid(state: AttackState, target: str) -> list[str]:
     """Candidate actions for the target, in canonical id order.
 
@@ -152,37 +216,22 @@ def filter_valid(state: AttackState, target: str) -> list[str]:
         raise ValueError(f"target {target!r} is not known to the attacker")
     if target in k.compromised_nodes:
         raise ValueError(f"target {target!r} is already compromised")
-    node = state.system.node_by_id[target]
-    attempted = state.attempted.get(target, set())
-    succeeded = state.succeeded.get(target, set())
-    live_channels: set[str] = set()
-    for e in state.system.edges_into(target):
-        if e.id in k.known_edges and e.is_attack_vector and (
-                e.from_node == state.system.external_origin
-                or e.from_node in k.compromised_nodes):
-            live_channels |= e.channels
-    out: list[str] = []
-    for a in state.db.actions:
-        if (a.id not in attempted
-                and criteria_match(a.target_criteria, node)
-                and a.prerequisites <= succeeded
-                and a.channels & live_channels):
-            out.append(a.id)
-    return out
+    return list(_candidates(state, target))
+
+
+def _has_candidate(state: AttackState, target: str) -> bool:
+    return next(_candidates(state, target), None) is not None
 
 
 def viable_edges(state: AttackState, target: str, action_id: str) -> tuple[str, ...]:
     """Known attack-vector edges that could carry the action into the target."""
-    action = state.db.by_id[action_id]
+    action_mask = state.ctx.action_mask[action_id]
     k = state.knowledge
-    out = []
-    for e in state.system.edges_into(target):
-        if (e.id in k.known_edges and e.is_attack_vector
-                and (e.from_node == state.system.external_origin
-                     or e.from_node in k.compromised_nodes)
-                and e.channels & action.channels):
-            out.append(e.id)
-    return tuple(out)
+    origin = state.system.external_origin
+    return tuple(
+        eid for eid, source, mask in state.ctx.vectors_into[target]
+        if eid in k.known_edges and mask & action_mask
+        and (source == origin or source in k.compromised_nodes))
 
 
 def select_target(state: AttackState, rng) -> str | None:
@@ -196,11 +245,11 @@ def select_target(state: AttackState, rng) -> str | None:
     k = state.knowledge
     cur = state.current_target
     if (cur is not None and cur in k.known_nodes
-            and cur not in k.compromised_nodes and filter_valid(state, cur)):
+            and cur not in k.compromised_nodes and _has_candidate(state, cur)):
         return cur
     candidates = [nid for nid in sorted(k.known_nodes)
                   if nid not in k.compromised_nodes
-                  and filter_valid(state, nid)]
+                  and _has_candidate(state, nid)]
     if not candidates:
         return None
     return candidates[rng.randrange(len(candidates))]
@@ -282,13 +331,10 @@ def sample_action(candidates: Sequence[str], probs: Sequence[float], rng) -> str
 
 def _assess(state: AttackState, cand_ids: list[str]):
     m = len(cand_ids)
-    ctx = state.ctx
-    rows = array("l", (ctx.row_of[a] for a in cand_ids))
-    d = array("d", bytes(8 * m))
+    row_of, dist = state.ctx.row_of, state._distances
+    d = array("d", [dist[row_of[a]] for a in cand_ids])
     s = array("d", bytes(8 * m))
     p = array("d", bytes(8 * m))
-    _kernels.profile_distances(state._theta_arr, ctx.gamma_matrix, rows,
-                               ctx.inv_beta_sq, ctx.unordered_mask, d)
     _kernels.scores_from_distances(d, s)
     _kernels.probabilities_from_scores(s, p)
     return d, s, p

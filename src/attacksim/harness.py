@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -156,7 +157,7 @@ def run_monte_carlo(system: CpsSystem, db: ActionDatabase,
         raise ValidationFailure("invalid simulation config", errs)
     mode = _resolve_mode(profiles, config)
     n = config.episode_count
-    jobs = min(config.parallelism, n)
+    jobs = min(config.parallelism, n, os.cpu_count() or 1)
     if jobs <= 1:
         traces = _episode_batch(system, db, mode, config, 0, n)
     else:

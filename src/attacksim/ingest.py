@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from attacksim.actions import Action, ActionDatabase, TargetCriteria, action_to_dict
-from attacksim.errors import ValidationFailure
+from attacksim.errors import ValidationFailure, string_list
 from attacksim.profiles import ProfileSchema
 
 CAPEC_NS = "http://capec.mitre.org/capec-3"
@@ -292,8 +292,12 @@ def merge_annotations(skeletons: Iterable[ActionSkeleton],
             references=sk.references,
             profile=profile,
             target_criteria=criteria,
-            channels=frozenset(str(c) for c in ann.get("channels", [])),
-            prerequisites=frozenset(str(p) for p in ann.get("prerequisites", [])),
+            channels=frozenset(string_list(
+                ann.get("channels", []), f"annotation {sk.id!r}: channels",
+                errors)),
+            prerequisites=frozenset(string_list(
+                ann.get("prerequisites", []),
+                f"annotation {sk.id!r}: prerequisites", errors)),
             success_probability=float(ann.get("success_probability", 1.0)),
             effect=str(ann.get("effect", "compromise")),
         ))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from attacksim.errors import ValidationFailure
+from attacksim.errors import ValidationFailure, string_list
 
 EXTERNAL_ORIGIN = "@external"
 
@@ -223,7 +223,9 @@ def system_from_dict(doc: dict) -> CpsSystem:
             id=str(ed["id"]),
             from_node=str(ed["from"]),
             to_node=str(ed["to"]),
-            channels=frozenset(str(c) for c in ed.get("channels", [])),
+            channels=frozenset(string_list(
+                ed.get("channels", []), f"edge {ed['id']!r} channels",
+                errors)),
             is_attack_vector=bool(ed.get("attack_vector", entry)),
             is_entry_point=entry,
         ))

@@ -48,6 +48,37 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "success_probability" in out and "Tools" in out
 
+    def test_string_edge_channels_exit_one(self, cstr_args, tmp_path,
+                                           capsys):
+        # a bare string would otherwise parse as its characters
+        doc = json.loads(Path(cstr_args[0]).read_text())
+        entry = next(e for e in doc["edges"] if e.get("entry_point"))
+        entry["channels"] = "usb"
+        bad = tmp_path / "sys.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", bad, cstr_args[1], cstr_args[2]) == 1
+        assert run_cli("simulate", bad, cstr_args[1], cstr_args[2],
+                       "--episodes", 5, "--seed", 1,
+                       "--out", tmp_path / "r") == 1
+        out = capsys.readouterr().out
+        assert (f"edge {entry['id']!r} channels must be a list of "
+                "strings") in out
+
+    def test_string_action_channels_exit_one(self, cstr_args, tmp_path,
+                                             capsys):
+        doc = json.loads(Path(cstr_args[1]).read_text())
+        action = doc["actions"][0]
+        action["channels"] = "usb"
+        bad = tmp_path / "actions.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", cstr_args[0], bad, cstr_args[2]) == 1
+        assert run_cli("simulate", cstr_args[0], bad, cstr_args[2],
+                       "--episodes", 5, "--seed", 1,
+                       "--out", tmp_path / "r") == 1
+        out = capsys.readouterr().out
+        assert (f"action {action['id']!r}: channels must be a list of "
+                "strings") in out
+
 
 class TestSimulate:
     def test_identical_seeds_identical_artifacts(self, cstr_args, tmp_path,

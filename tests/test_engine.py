@@ -185,6 +185,27 @@ class TestSelectTarget:
         state.attempted["G"] = {"ax", "ay"}
         assert select_target(state, Random(0)) is None
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), sticky=st.integers(-1, 7))
+    def test_matches_brute_force_reference(self, seed, sticky):
+        rng = Random(seed)
+        system, db, prof = random_instance(rng)
+        state = random_state(rng, system, db, prof)
+        open_nodes = sorted(state.knowledge.known_nodes
+                            - state.knowledge.compromised_nodes)
+        if 0 <= sticky < len(open_nodes):
+            state.current_target = open_nodes[sticky]
+        cur = state.current_target
+        valid = [n for n in open_nodes if brute_force_valid(state, n)]
+        if cur in valid:
+            expected = cur
+        elif valid:
+            ref_rng = Random(seed)
+            expected = valid[ref_rng.randrange(len(valid))]
+        else:
+            expected = None
+        assert select_target(state, Random(seed)) == expected
+
 
 class TestDistance:
     def test_identical_profiles_zero(self):

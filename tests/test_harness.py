@@ -1,8 +1,10 @@
 import json
+from concurrent.futures import Future
 from random import Random
 
 import pytest
 
+from attacksim import _kernels, harness, model
 from attacksim.actions import Action, ActionDatabase, TargetCriteria, load_action_db
 from attacksim.engine import (
     distance,
@@ -196,6 +198,57 @@ class TestRunMonteCarlo:
         system, db, ps = one_shot_fixture()
         with pytest.raises(ValidationFailure, match="episode_count"):
             run_monte_carlo(system, db, ps, SimConfig(0, 0, profile="solo"))
+
+    def test_workers_capped_at_cpu_count(self, cstr_paths, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Runs each batch in this process; records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        system, db, profiles = load_cstr(cstr_paths)
+        wide = run_monte_carlo(system, db, profiles,
+                               SimConfig(60, seed=5, parallelism=5000))
+        assert sizes == [3]
+        serial = run_monte_carlo(system, db, profiles, SimConfig(60, seed=5))
+        assert report_to_dict(wide[0]) == report_to_dict(serial[0])
+
+    def test_system_validated_once_per_run(self, cstr_paths, monkeypatch):
+        system, db, profiles = load_cstr(cstr_paths)
+        calls = []
+        real = model.validate_system
+        monkeypatch.setattr(model, "validate_system",
+                            lambda s: calls.append(s) or real(s))
+        run_monte_carlo(system, db, profiles, SimConfig(50, seed=2))
+        assert calls == [system]
+
+    def test_distances_computed_once_per_profile(self, cstr_paths,
+                                                 monkeypatch):
+        system, db, profiles = load_cstr(cstr_paths)
+        calls = []
+        real = _kernels.profile_distances
+        monkeypatch.setattr(_kernels, "profile_distances",
+                            lambda *a: calls.append(a) or real(*a))
+        report, _ = run_monte_carlo(system, db, profiles,
+                                    SimConfig(200, seed=2))
+        sampled = [name for name, n in report.profile_counts.items() if n]
+        assert len(sampled) > 1
+        assert len(calls) == len(sampled)
 
     def test_trace_knowledge_replays_from_decisions(self, cstr_paths):
         system, db, profiles = load_cstr(cstr_paths)

@@ -136,6 +136,14 @@ class TestMergeAnnotations:
                 skeletons, {"CAPEC-457": annotation(knowledge=99)},
                 ANNOTATION_SCHEMA)
 
+    def test_string_channels_rejected(self):
+        skeletons = import_capec(DATA / "capec_sample.xml")
+        with pytest.raises(ValidationFailure,
+                           match="channels must be a list of strings"):
+            merge_annotations(
+                skeletons, {"CAPEC-457": annotation(channels="usb")},
+                ANNOTATION_SCHEMA)
+
     def test_unknown_skeleton_id_rejected(self):
         skeletons = import_capec(DATA / "capec_sample.xml")
         with pytest.raises(ValidationFailure, match="CAPEC-999"):
