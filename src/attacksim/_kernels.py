@@ -1,17 +1,15 @@
-"""Pure-Python decision-math kernels.
+"""Decision-math kernels.
 
-Reference implementation of the hot inner loop: profile distances, score
-and probability normalization, and cumulative weighted selection. The
-compiled twin in ``_c.pyx`` mirrors these loops operation-for-operation so
-both backends produce bit-identical floats.
+The inner loops of the decision cycle: profile distances, score and
+probability normalization, and cumulative weighted selection. Their
+summation order is part of the determinism contract: seeded reports and
+traces depend on these exact floats.
 
 All functions assume validated inputs; argument checking lives in the
 engine layer.
 """
 
 from math import sqrt
-
-BACKEND = "python"
 
 
 def profile_distances(theta, gammas, rows, inv_beta_sq, unordered, out):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from attacksim.errors import ValidationFailure, string_list
+from attacksim.errors import ValidationFailure, number, string_list
 from attacksim.model import Node
 from attacksim.profiles import (
     UNBOUNDED_RANGE,
@@ -189,13 +189,11 @@ def _action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
         str(k): frozenset(str(x) for x in (v if isinstance(v, list) else [v]))
         for k, v in criteria_raw.items()
     })
-    profile = {str(k): (v if isinstance(v, str) else float(v))
+    profile = {str(k): (v if isinstance(v, str) else number(
+                   v, 0.0, errors, "action {!r}: property {!r}", aid, k))
                for k, v in ad.get("profile", {}).items()}
-    try:
-        success = float(ad.get("success_probability", 1.0))
-    except (TypeError, ValueError):
-        errors.append(f"action {aid!r}: success_probability must be a number")
-        success = 1.0
+    success = number(ad.get("success_probability", 1.0), 1.0, errors,
+                     "action {!r}: success_probability", aid)
     return Action(
         id=aid,
         name=str(ad.get("name", "")),

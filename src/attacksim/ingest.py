@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from attacksim.actions import Action, ActionDatabase, TargetCriteria, action_to_dict
-from attacksim.errors import ValidationFailure, string_list
+from attacksim.errors import ValidationFailure, number, string_list
 from attacksim.profiles import ProfileSchema
 
 CAPEC_NS = "http://capec.mitre.org/capec-3"
@@ -283,7 +283,9 @@ def merge_annotations(skeletons: Iterable[ActionSkeleton],
             str(k): frozenset(str(x) for x in (v if isinstance(v, list) else [v]))
             for k, v in criteria_raw.items()
         })
-        profile = {str(k): (v if isinstance(v, str) else float(v))
+        profile = {str(k): (v if isinstance(v, str) else number(
+                       v, 0.0, errors, "annotation {!r}: property {!r}",
+                       sk.id, k))
                    for k, v in ann.get("profile", {}).items()}
         actions.append(Action(
             id=sk.id,
@@ -298,7 +300,9 @@ def merge_annotations(skeletons: Iterable[ActionSkeleton],
             prerequisites=frozenset(string_list(
                 ann.get("prerequisites", []),
                 f"annotation {sk.id!r}: prerequisites", errors)),
-            success_probability=float(ann.get("success_probability", 1.0)),
+            success_probability=number(
+                ann.get("success_probability", 1.0), 1.0, errors,
+                "annotation {!r}: success_probability", sk.id),
             effect=str(ann.get("effect", "compromise")),
         ))
     if actions:

@@ -198,6 +198,10 @@ def system_from_dict(doc: dict) -> CpsSystem:
         if not isinstance(attrs, dict):
             errors.append(f"node {nd['id']!r} attributes must be an object")
             attrs = {}
+        for a, b in attrs.items():
+            if not isinstance(b, str):
+                errors.append(f"node {nd['id']!r} attribute {a!r} must be a "
+                              "string")
         nodes.append(Node(
             id=str(nd["id"]),
             name=str(nd.get("name", "")),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from attacksim.errors import ValidationFailure
+from attacksim.errors import ValidationFailure, number
 
 UNORDERED_SET = "unordered-set"
 ORDERED_SET = "ordered-set"
@@ -205,8 +205,11 @@ def validate_profile(schema: ProfileSchema,
         else:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 v.append(f"{owner}: property {prop.name!r} needs a number")
-            elif prop.kind == BOUNDED_RANGE and not (
-                    prop.lower <= val <= prop.upper):
+            # a bounded-range property without both bounds is reported by
+            # the schema's own validation
+            elif (prop.kind == BOUNDED_RANGE and prop.lower is not None
+                  and prop.upper is not None
+                  and not prop.lower <= val <= prop.upper):
                 v.append(f"{owner}: property {prop.name!r} value {val} "
                          f"outside bounds [{prop.lower}, {prop.upper}]")
     return v
@@ -275,13 +278,18 @@ def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
         if not isinstance(pd, dict) or "name" not in pd or "kind" not in pd:
             errors.append(f"schema entry #{i} needs 'name' and 'kind'")
             continue
+        name = str(pd["name"])
+        lower, upper = pd.get("lower"), pd.get("upper")
         props.append(PropertySchema(
-            name=str(pd["name"]),
+            name=name,
             kind=str(pd["kind"]),
             allowed_values=tuple(str(x) for x in pd.get("allowed_values", [])),
-            lower=pd.get("lower"),
-            upper=pd.get("upper"),
-            criticality=float(pd.get("criticality", 1.0)),
+            lower=None if lower is None else number(
+                lower, None, errors, "property {!r}: lower", name),
+            upper=None if upper is None else number(
+                upper, None, errors, "property {!r}: upper", name),
+            criticality=number(pd.get("criticality", 1.0), 1.0, errors,
+                               "property {!r}: criticality", name),
         ))
     schema = ProfileSchema(props)
     errors.extend(schema.validate())
@@ -314,7 +322,8 @@ def profile_set_from_dict(doc: dict) -> ProfileSet:
         name = str(pd["name"])
         if name in profiles:
             errors.append(f"duplicate profile name {name!r}")
-        values = {str(k): (v if isinstance(v, str) else float(v))
+        values = {str(k): (v if isinstance(v, str) else number(
+                      v, 0.0, errors, "profile {!r}: property {!r}", name, k))
                   for k, v in pd.get("values", {}).items()}
         errors.extend(validate_profile(schema, values, owner=f"profile {name!r}"))
         profiles[name] = AttackerProfile(name=name, values=values)
@@ -332,7 +341,9 @@ def profile_set_from_dict(doc: dict) -> ProfileSet:
             if pname not in profiles:
                 errors.append(f"pmf references unknown profile {pname!r}")
                 continue
-            entries.append((profiles[pname], float(entry.get("likelihood", 0.0))))
+            entries.append((profiles[pname], number(
+                entry.get("likelihood", 0.0), 0.0, errors,
+                "pmf likelihood for {!r}", pname)))
         pmf = ProfilePmf(tuple(entries))
         errors.extend(pmf.validate())
 

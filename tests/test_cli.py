@@ -4,14 +4,43 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from attacksim.cli import main
 
 DATA = Path(__file__).parent / "data"
 
+# (document index in cstr_args, key path) of each field parsed by
+# errors.number, plus a node attribute, which must be a string
+TYPED_FIELDS = {
+    "criticality": (2, ("schema", 0, "criticality")),
+    "lower": (2, ("schema", 2, "lower")),
+    "upper": (2, ("schema", 2, "upper")),
+    "profile-value": (2, ("profiles", 0, "values", "Finances")),
+    "likelihood": (2, ("pmf", 0, "likelihood")),
+    "action-profile-value": (1, ("actions", 0, "profile", "Finances")),
+    "success-probability": (1, ("actions", 0, "success_probability")),
+    "node-attribute": (0, ("nodes", 0, "attributes", "os")),
+}
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def with_field(cstr_args, tmp_path, field, value):
+    """cstr_args with one TYPED_FIELDS field set to `value`."""
+    index, keys = TYPED_FIELDS[field]
+    doc = json.loads(Path(cstr_args[index]).read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    bad = tmp_path / Path(cstr_args[index]).name
+    bad.write_text(json.dumps(doc))
+    args = list(cstr_args)
+    args[index] = str(bad)
+    return args
 
 
 @pytest.fixture()
@@ -78,6 +107,52 @@ class TestValidate:
         out = capsys.readouterr().out
         assert (f"action {action['id']!r}: channels must be a list of "
                 "strings") in out
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("criticality", "high",
+                     "property 'Access': criticality must be a finite number",
+                     id="criticality-string"),
+        pytest.param("criticality", None,
+                     "property 'Access': criticality must be a finite number",
+                     id="criticality-null"),
+        pytest.param("lower", "x",
+                     "property 'Knowledge': lower must be a finite number",
+                     id="lower-string"),
+        pytest.param("profile-value", [1],
+                     "profile 'Basic User': property 'Finances' must be a "
+                     "finite number", id="profile-value-list"),
+        pytest.param("profile-value", float("nan"),
+                     "profile 'Basic User': property 'Finances' must be a "
+                     "finite number", id="profile-value-nan"),
+        pytest.param("profile-value", 10 ** 400,
+                     "profile 'Basic User': property 'Finances' must be a "
+                     "finite number", id="profile-value-int-beyond-float"),
+        pytest.param("likelihood", "x",
+                     "pmf likelihood for 'Basic User' must be a finite number",
+                     id="likelihood-string"),
+        pytest.param("likelihood", True,
+                     "pmf likelihood for 'Basic User' must be a finite number",
+                     id="likelihood-bool"),
+        pytest.param("action-profile-value", float("inf"),
+                     "action 'usb-drop': property 'Finances' must be a finite "
+                     "number", id="action-profile-value-inf"),
+        pytest.param("success-probability", True,
+                     "action 'usb-drop': success_probability must be a finite "
+                     "number", id="success-probability-bool"),
+        pytest.param("node-attribute", [1],
+                     "node 'N1' attribute 'os' must be a string",
+                     id="node-attribute-list"),
+    ])
+    def test_malformed_field_exits_one(self, cstr_args, tmp_path, capsys,
+                                       field, value, message):
+        args = with_field(cstr_args, tmp_path, field, value)
+        assert run_cli("validate", *args) == 1
+        assert run_cli("simulate", *args, "--episodes", 5, "--seed", 1,
+                       "--out", tmp_path / "r") == 1
+        captured = capsys.readouterr()
+        assert captured.out.count(message) == 1
+        assert captured.err.count(message) == 1
+        assert not (tmp_path / "r").exists()
 
 
 class TestSimulate:
@@ -271,3 +346,19 @@ class TestExitCodeContract:
                 bad = tmp_path / "garbage.json"
                 bad.write_text("{" * rng.randint(1, 5))
                 assert run_cli("trace", bad) == 1
+
+    # any JSON value: nested containers, null, bools, ints, floats
+    # including NaN and +-Infinity, and text
+    @given(field=st.sampled_from(sorted(TYPED_FIELDS)),
+           value=st.recursive(
+               st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(),
+               lambda inner: st.lists(inner, max_size=3)
+               | st.dictionaries(st.text(), inner, max_size=3),
+               max_leaves=8))
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_json_value_in_a_typed_field(self, cstr_args, tmp_path,
+                                             field, value):
+        args = with_field(cstr_args, tmp_path, field, value)
+        assert run_cli("validate", *args) in (0, 1)

@@ -144,6 +144,18 @@ class TestMergeAnnotations:
                 skeletons, {"CAPEC-457": annotation(channels="usb")},
                 ANNOTATION_SCHEMA)
 
+    @pytest.mark.parametrize("ann, match", [
+        (annotation(knowledge=[5]),
+         "annotation 'CAPEC-457': property 'Knowledge' must be a finite"),
+        (annotation(success_probability="x"),
+         "annotation 'CAPEC-457': success_probability must be a finite"),
+    ])
+    def test_non_numeric_value_rejected(self, ann, match):
+        skeletons = import_capec(DATA / "capec_sample.xml")
+        with pytest.raises(ValidationFailure, match=match):
+            merge_annotations(skeletons, {"CAPEC-457": ann},
+                              ANNOTATION_SCHEMA)
+
     def test_unknown_skeleton_id_rejected(self):
         skeletons = import_capec(DATA / "capec_sample.xml")
         with pytest.raises(ValidationFailure, match="CAPEC-999"):

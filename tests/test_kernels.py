@@ -1,106 +1,48 @@
-"""Backend parity: the compiled kernels must reproduce the pure-Python
-reference bit for bit."""
+"""Reference cases for the decision-math kernels."""
 
 from array import array
-from random import Random
 
-import pytest
-from hypothesis import given, strategies as st
-
-from attacksim._kernels import _py
-
-try:
-    from attacksim._kernels import _c
-except ImportError:
-    _c = None
-
-needs_compiled = pytest.mark.skipif(_c is None, reason="compiled kernels absent")
-
-BACKENDS = [_py] if _c is None else [_py, _c]
+from attacksim import _kernels
 
 
-def _distances(impl, theta, gammas, rows, inv_beta_sq, unordered):
+def _distances(theta, gammas, rows, inv_beta_sq, unordered):
     out = array("d", bytes(8 * len(rows)))
-    impl.profile_distances(array("d", theta), array("d", gammas),
-                           array("l", rows), array("d", inv_beta_sq),
-                           array("B", unordered), out)
+    _kernels.profile_distances(array("d", theta), array("d", gammas),
+                               array("l", rows), array("d", inv_beta_sq),
+                               array("B", unordered), out)
     return list(out)
 
 
-def _scores(impl, d):
+def _scores(d):
     out = array("d", bytes(8 * len(d)))
-    impl.scores_from_distances(array("d", d), out)
+    _kernels.scores_from_distances(array("d", d), out)
     return list(out)
 
 
-def _probs(impl, s):
-    out = array("d", bytes(8 * len(s)))
-    impl.probabilities_from_scores(array("d", s), out)
-    return list(out)
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_distances_basic(impl):
+def test_distances_basic():
     # single row, 3-4-5 triangle
-    got = _distances(impl, [0.0, 0.0], [0.6, 0.8], [0], [1.0, 1.0], [0, 0])
+    got = _distances([0.0, 0.0], [0.6, 0.8], [0], [1.0, 1.0], [0, 0])
     assert got == [1.0]
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_unordered_slots_compare_by_code(impl):
+def test_unordered_slots_compare_by_code():
     theta = [2.0, 0.5]
     gammas = [2.0, 0.5, 1.0, 0.5]  # row 0 matches code, row 1 does not
-    got = _distances(impl, theta, gammas, [0, 1], [1.0, 1.0], [1, 0])
+    got = _distances(theta, gammas, [0, 1], [1.0, 1.0], [1, 0])
     assert got == [0.0, 1.0]
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_scores_degenerate_cases(impl):
-    assert _scores(impl, [7.5]) == [1.0]
-    assert _scores(impl, [0.0, 0.0]) == [1.0, 1.0]
-    assert _scores(impl, [0.2, 0.3, 0.5]) == [0.8, 0.7, 0.5]
+def test_scores_degenerate_cases():
+    assert _scores([7.5]) == [1.0]
+    assert _scores([0.0, 0.0]) == [1.0, 1.0]
+    assert _scores([0.2, 0.3, 0.5]) == [0.8, 0.7, 0.5]
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_weighted_index_cumulative_walk(impl):
+def test_weighted_index_cumulative_walk():
     p = array("d", [0.25, 0.25, 0.5])
-    assert impl.weighted_index(p, 0.0) == 0
-    assert impl.weighted_index(p, 0.24) == 0
-    assert impl.weighted_index(p, 0.25) == 1
-    assert impl.weighted_index(p, 0.49) == 1
-    assert impl.weighted_index(p, 0.5) == 2
-    assert impl.weighted_index(p, 0.999999) == 2
-
-
-@needs_compiled
-def test_backend_parity_randomized():
-    rng = Random(99)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        m = rng.randint(1, 8)
-        theta = [rng.uniform(0, 3) for _ in range(n)]
-        gammas = [rng.uniform(0, 3) for _ in range(m * n)]
-        rows = list(range(m))
-        ibs = [1.0 / rng.choice((1.0, 0.5, 0.25)) ** 2 for _ in range(n)]
-        mask = [rng.randint(0, 1) for _ in range(n)]
-        d_py = _distances(_py, theta, gammas, rows, ibs, mask)
-        d_c = _distances(_c, theta, gammas, rows, ibs, mask)
-        assert d_py == d_c
-        s_py, s_c = _scores(_py, d_py), _scores(_c, d_c)
-        assert s_py == s_c
-        assert _probs(_py, s_py) == _probs(_c, s_c)
-        u = rng.random()
-        p = array("d", _probs(_py, s_py))
-        assert _py.weighted_index(p, u) == _c.weighted_index(p, u)
-
-
-@needs_compiled
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=12))
-def test_backend_parity_scores_property(d):
-    assert _scores(_py, d) == _scores(_c, d)
-
-
-def test_selected_backend_exports():
-    from attacksim import _kernels
-    assert _kernels.BACKEND in ("compiled", "python")
-    assert callable(_kernels.profile_distances)
+    assert _kernels.weighted_index(p, 0.0) == 0
+    assert _kernels.weighted_index(p, 0.24) == 0
+    assert _kernels.weighted_index(p, 0.25) == 1
+    assert _kernels.weighted_index(p, 0.49) == 1
+    assert _kernels.weighted_index(p, 0.5) == 2
+    assert _kernels.weighted_index(p, 0.999999) == 2
