@@ -5,36 +5,40 @@ probability normalization, and cumulative weighted selection. Their
 summation order is part of the determinism contract: seeded reports and
 traces depend on these exact floats.
 
-All functions assume validated inputs; argument checking lives in the
-engine layer.
+Arguments are plain sequences and results are new lists. All functions
+assume validated inputs; argument checking lives in the engine layer.
 """
 
 from math import sqrt
 
 
-def profile_distances(theta, gammas, rows, inv_beta_sq, unordered, out):
-    """Weighted n-dimensional distance from `theta` to selected rows of a
-    flattened m*n scaled-profile matrix.
+def profile_distances(theta, inv_beta_sq, gammas, unordered):
+    """Weighted n-dimensional distance from `theta` to each profile in
+    `gammas`, one float per profile, in order.
 
-    Slots flagged in `unordered` compare by code equality and contribute a
-    0/1 difference term; the rest contribute theta[j] - gamma[j].
+    `theta` and each entry of `gammas` hold n slot values in schema order
+    (the `values` of a ScaledProfile); `inv_beta_sq[j]` is the slot's
+    1 / criticality^2. Slots flagged in `unordered` hold labels, which
+    compare by equality and contribute a 0/1 difference term; the rest
+    contribute theta[j] - gamma[j].
     """
     n = len(theta)
-    for k in range(len(rows)):
-        base = rows[k] * n
+    out = []
+    for gamma in gammas:
         acc = 0.0
         for j in range(n):
             t = theta[j]
-            g = gammas[base + j]
+            g = gamma[j]
             if unordered[j]:
                 diff = 0.0 if t == g else 1.0
             else:
                 diff = t - g
             acc += inv_beta_sq[j] * diff * diff
-        out[k] = sqrt(acc)
+        out.append(sqrt(acc))
+    return out
 
 
-def scores_from_distances(d, out):
+def scores_from_distances(d):
     """Inverse-distance scores: s_i = 1 - d_i / sum(d).
 
     A single candidate scores 1; an all-zero distance vector scores 1
@@ -42,27 +46,21 @@ def scores_from_distances(d, out):
     """
     m = len(d)
     if m == 1:
-        out[0] = 1.0
-        return
+        return [1.0]
     total = 0.0
-    for i in range(m):
-        total += d[i]
+    for x in d:
+        total += x
     if total == 0.0:
-        for i in range(m):
-            out[i] = 1.0
-        return
-    for i in range(m):
-        out[i] = 1.0 - d[i] / total
+        return [1.0] * m
+    return [1.0 - x / total for x in d]
 
 
-def probabilities_from_scores(s, out):
+def probabilities_from_scores(s):
     """Normalize scores into a probability vector: P_i = s_i / sum(s)."""
     total = 0.0
-    m = len(s)
-    for i in range(m):
-        total += s[i]
-    for i in range(m):
-        out[i] = s[i] / total
+    for x in s:
+        total += x
+    return [x / total for x in s]
 
 
 def weighted_index(p, u):

@@ -7,12 +7,17 @@ per database and shared by every episode.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from attacksim.errors import ValidationFailure, number, string_list
+from attacksim.errors import (
+    ValidationFailure,
+    container,
+    number,
+    read_json,
+    string_list,
+)
 from attacksim.model import Node
 from attacksim.profiles import (
     UNBOUNDED_RANGE,
@@ -172,6 +177,19 @@ def scaled_action_profiles(db: ActionDatabase) -> dict[str, ScaledProfile]:
     return out
 
 
+def criteria_from_dict(raw, owner: str, errors: list[str]) -> TargetCriteria:
+    """Target criteria from their document form: an object mapping each
+    attribute to one accepted string or a list of them. Anything else is
+    collected as an error."""
+    requirements = {}
+    for key, v in container(raw, dict, f"{owner}: target_criteria",
+                            errors).items():
+        accepted = [v] if isinstance(v, str) else string_list(
+            v, f"{owner}: target_criteria {key!r}", errors)
+        requirements[str(key)] = frozenset(accepted)
+    return TargetCriteria(requirements)
+
+
 def _action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
     if not isinstance(ad, dict) or "id" not in ad:
         errors.append(f"action #{index} is not an object with an 'id'")
@@ -181,17 +199,12 @@ def _action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
     if extra:
         errors.append(f"action {aid!r} has unknown keys: "
                       + ", ".join(sorted(extra)))
-    criteria_raw = ad.get("target_criteria", {})
-    if not isinstance(criteria_raw, dict):
-        errors.append(f"action {aid!r}: target_criteria must be an object")
-        criteria_raw = {}
-    criteria = TargetCriteria({
-        str(k): frozenset(str(x) for x in (v if isinstance(v, list) else [v]))
-        for k, v in criteria_raw.items()
-    })
+    owner = f"action {aid!r}"
+    criteria = criteria_from_dict(ad.get("target_criteria", {}), owner, errors)
     profile = {str(k): (v if isinstance(v, str) else number(
                    v, 0.0, errors, "action {!r}: property {!r}", aid, k))
-               for k, v in ad.get("profile", {}).items()}
+               for k, v in container(ad.get("profile", {}), dict,
+                                     f"{owner}: profile", errors).items()}
     success = number(ad.get("success_probability", 1.0), 1.0, errors,
                      "action {!r}: success_probability", aid)
     return Action(
@@ -199,14 +212,13 @@ def _action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
         name=str(ad.get("name", "")),
         description=str(ad.get("description", "")),
         references=tuple(string_list(
-            ad.get("references", []), f"action {aid!r}: references", errors)),
+            ad.get("references", []), f"{owner}: references", errors)),
         profile=profile,
         target_criteria=criteria,
         channels=frozenset(string_list(
-            ad.get("channels", []), f"action {aid!r}: channels", errors)),
+            ad.get("channels", []), f"{owner}: channels", errors)),
         prerequisites=frozenset(string_list(
-            ad.get("prerequisites", []), f"action {aid!r}: prerequisites",
-            errors)),
+            ad.get("prerequisites", []), f"{owner}: prerequisites", errors)),
         success_probability=success,
         effect=str(ad.get("effect", EFFECT_COMPROMISE)),
     )
@@ -220,7 +232,8 @@ def action_db_from_dict(doc: dict, schema: ProfileSchema) -> ActionDatabase:
     if unknown:
         errors.append("unknown top-level keys: " + ", ".join(sorted(unknown)))
     actions: list[Action] = []
-    for i, ad in enumerate(doc.get("actions", [])):
+    for i, ad in enumerate(container(doc.get("actions", []), list,
+                                     "actions", errors)):
         action = _action_from_dict(ad, errors, i)
         if action is not None:
             actions.append(action)
@@ -238,12 +251,7 @@ def load_action_db(path: str | Path, schema: ProfileSchema) -> ActionDatabase:
     itself carries only the actions. All validation failures are collected
     and reported together.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"cannot parse {path}: {exc}") from exc
-    return action_db_from_dict(doc, schema)
+    return action_db_from_dict(read_json(path), schema)
 
 
 def action_to_dict(a: Action) -> dict:

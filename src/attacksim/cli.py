@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from attacksim.actions import load_action_db
-from attacksim.errors import ValidationFailure
+from attacksim.errors import ValidationFailure, read_json
 from attacksim.harness import (
     SimConfig,
     export_report,
@@ -188,14 +188,8 @@ def cmd_ingest(args) -> int:
     skeletons = dedupe_skeletons(skeletons)
 
     if args.annotations:
-        with open(args.annotations, encoding="utf-8") as fh:
-            try:
-                ann_doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(f"error: cannot parse {args.annotations}: {exc}",
-                      file=sys.stderr)
-                return EXIT_INVALID
         try:
+            ann_doc = read_json(args.annotations)
             schema = schema_from_list(ann_doc.get("schema", []))
             actions, unannotated = merge_annotations(
                 skeletons, ann_doc.get("annotations", {}), schema)

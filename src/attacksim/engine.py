@@ -15,13 +15,13 @@ Everything that does not depend on the episode's dynamic state (knowledge,
 attempted and succeeded actions) is computed once per run in
 DecisionContext: which actions' target criteria match each node, the
 channel sets as int bitmasks, the validated starting knowledge, and each
-attacker profile's distance to every action. A decision then only checks
-the dynamic predicates and gathers precomputed distances.
+attacker profile's distance to every action, keyed by action id. A
+decision then only checks the dynamic predicates and looks up its
+candidates' distances.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -68,15 +68,15 @@ class DecisionContext:
 
     Computed once per run:
 
-    - the scaled action profiles and their kernel encoding (a flat m*n
-      float matrix in canonical action order);
+    - the scaled action profiles, by action id in canonical order, and
+      the per-slot distance weights 1 / criticality^2;
     - the starting knowledge, so the system is validated once per run;
     - per node, the actions whose target criteria match it, in canonical
       id order, as ``(id, channel bitmask, prerequisites)`` rows;
     - per node, the attack-vector edges into it, in canonical id order, as
       ``(id, source node, channel bitmask)`` rows;
     - per attacker profile (on first use, cached by name), the scaled
-      vector and its distance to every action row.
+      vector and its distance to every action, by action id.
 
     Immutable after construction apart from that profile cache.
     """
@@ -86,20 +86,10 @@ class DecisionContext:
         self.db = db
         self.initial_knowledge = initial_knowledge(system)
         self.action_profiles = scaled_action_profiles(db)
-        schema = db.schema
-        n = len(schema)
-        self.inv_beta_sq = array(
-            "d", (1.0 / (p.criticality * p.criticality) for p in schema))
-        self.unordered_mask = array(
-            "B", (1 if p.kind == UNORDERED_SET else 0 for p in schema))
-        self.row_of: dict[str, int] = {
-            a.id: i for i, a in enumerate(db.actions)}
-        matrix = array("d", bytes(8 * n * len(db)))
-        for a in db.actions:
-            self._encode_into(self.action_profiles[a.id],
-                              matrix, self.row_of[a.id] * n)
-        self.gamma_matrix = matrix
-        self._thetas: dict[str, tuple[ScaledProfile, array]] = {}
+        self.inv_beta_sq = [1.0 / (p.criticality * p.criticality)
+                            for p in db.schema]
+        self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
+        self._thetas: dict[str, tuple[ScaledProfile, dict[str, float]]] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
@@ -117,16 +107,10 @@ class DecisionContext:
                            if e.is_attack_vector)
             for node in system.nodes}
 
-    def _encode_into(self, scaled: ScaledProfile, buf: array, base: int):
-        for j, (prop, v) in enumerate(zip(self.db.schema, scaled.values)):
-            if prop.kind == UNORDERED_SET:
-                buf[base + j] = float(prop.allowed_values.index(v))
-            else:
-                buf[base + j] = v
-
-    def attacker_theta(self, attacker: AttackerProfile) -> tuple[ScaledProfile, array]:
+    def attacker_theta(self, attacker: AttackerProfile
+                       ) -> tuple[ScaledProfile, dict[str, float]]:
         """Scale an attacker profile and measure its distance to every
-        action row; cached by profile name.
+        action, keyed by action id; cached by profile name.
 
         Unbounded properties scale against the database population extended
         with the attacker's own value, clamping it onto the action scale.
@@ -141,13 +125,10 @@ class DecisionContext:
         theta = scale_profile(self.db.schema, attacker.values,
                               self.db.unbounded_populations(),
                               include_own_value=True)
-        buf = array("d", bytes(8 * len(self.db.schema)))
-        self._encode_into(theta, buf, 0)
-        m = len(self.db)
-        dist = array("d", bytes(8 * m))
-        _kernels.profile_distances(buf, self.gamma_matrix,
-                                   array("l", range(m)), self.inv_beta_sq,
-                                   self.unordered_mask, dist)
+        profiles = self.action_profiles
+        dist = dict(zip(profiles, _kernels.profile_distances(
+            theta.values, self.inv_beta_sq,
+            [g.values for g in profiles.values()], self.unordered_mask)))
         self._thetas[attacker.name] = (theta, dist)
         return theta, dist
 
@@ -262,50 +243,34 @@ def distance(theta, gamma, beta: Sequence[float]) -> float:
     gvals = gamma.values if isinstance(gamma, ScaledProfile) else tuple(gamma)
     if len(tvals) != len(gvals) or len(tvals) != len(beta):
         raise ValueError("profile and criticality dimensions must match")
-    n = len(tvals)
-    t_arr = array("d", bytes(8 * n))
-    g_arr = array("d", bytes(8 * n))
-    mask = array("B", bytes(n))
-    inv_beta_sq = array("d", bytes(8 * n))
+    inv_beta_sq = []
+    unordered = []
     for j, (t, g, b) in enumerate(zip(tvals, gvals, beta)):
         if not 0.0 < b <= 1.0:
             raise ValueError(f"criticality for slot {j} must be in (0, 1]")
-        inv_beta_sq[j] = 1.0 / (b * b)
-        t_str, g_str = isinstance(t, str), isinstance(g, str)
-        if t_str != g_str:
+        inv_beta_sq.append(1.0 / (b * b))
+        t_str = isinstance(t, str)
+        if t_str != isinstance(g, str):
             raise ValueError(f"slot {j}: cannot compare label with number")
-        if t_str:
-            mask[j] = 1
-            t_arr[j] = 0.0
-            g_arr[j] = 0.0 if t == g else 1.0
-        else:
-            t_arr[j] = t
-            g_arr[j] = g
-    out = array("d", bytes(8))
-    _kernels.profile_distances(t_arr, g_arr, array("l", [0]),
-                               inv_beta_sq, mask, out)
-    return out[0]
+        unordered.append(t_str)
+    return _kernels.profile_distances(tvals, inv_beta_sq, [gvals],
+                                      unordered)[0]
 
 
 def scores(distances: Sequence[float]) -> list[float]:
     """Scores from distances. Degenerate cases: a lone candidate scores 1,
     and an all-zero distance vector scores uniformly."""
-    m = len(distances)
-    if m == 0:
+    if len(distances) == 0:
         raise ValueError("empty distance vector")
     for d in distances:
         if d < 0:
             raise ValueError(f"negative distance {d}")
-    buf = array("d", distances)
-    out = array("d", bytes(8 * m))
-    _kernels.scores_from_distances(buf, out)
-    return list(out)
+    return _kernels.scores_from_distances(distances)
 
 
 def probabilities(score_values: Sequence[float]) -> list[float]:
     """Selection probabilities from scores."""
-    m = len(score_values)
-    if m == 0:
+    if len(score_values) == 0:
         raise ValueError("empty score vector")
     total = 0.0
     for s in score_values:
@@ -314,10 +279,7 @@ def probabilities(score_values: Sequence[float]) -> list[float]:
         total += s
     if total == 0.0:
         raise ValueError("scores sum to zero")
-    buf = array("d", score_values)
-    out = array("d", bytes(8 * m))
-    _kernels.probabilities_from_scores(buf, out)
-    return list(out)
+    return _kernels.probabilities_from_scores(score_values)
 
 
 def sample_action(candidates: Sequence[str], probs: Sequence[float], rng) -> str:
@@ -326,18 +288,14 @@ def sample_action(candidates: Sequence[str], probs: Sequence[float], rng) -> str
         raise ValueError("cannot sample from an empty candidate set")
     if len(candidates) != len(probs):
         raise ValueError("candidates and probabilities must align")
-    return candidates[_kernels.weighted_index(array("d", probs), rng.random())]
+    return candidates[_kernels.weighted_index(probs, rng.random())]
 
 
 def _assess(state: AttackState, cand_ids: list[str]):
-    m = len(cand_ids)
-    row_of, dist = state.ctx.row_of, state._distances
-    d = array("d", [dist[row_of[a]] for a in cand_ids])
-    s = array("d", bytes(8 * m))
-    p = array("d", bytes(8 * m))
-    _kernels.scores_from_distances(d, s)
-    _kernels.probabilities_from_scores(s, p)
-    return d, s, p
+    dist = state._distances
+    d = [dist[a] for a in cand_ids]
+    s = _kernels.scores_from_distances(d)
+    return d, s, _kernels.probabilities_from_scores(s)
 
 
 def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:

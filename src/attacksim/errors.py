@@ -1,5 +1,6 @@
 """Shared validation types and helpers."""
 
+import json
 from math import isfinite
 
 
@@ -15,6 +16,33 @@ class ValidationFailure(Exception):
         if self.errors:
             message = message + ":\n" + "\n".join(f"  - {e}" for e in self.errors)
         super().__init__(message)
+
+
+def read_json(path):
+    """Parse the JSON document in the file at `path`.
+
+    Anything that is not a readable UTF-8 JSON document raises
+    ValidationFailure: a syntax error, a non-UTF-8 byte or an integer
+    literal past the interpreter's digit limit (all ValueErrors), or
+    nesting deeper than the recursion limit.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationFailure(f"cannot parse {path}: {exc}") from exc
+
+
+def container(value, cls: type, owner: str, errors: list[str]):
+    """A document field that must be a JSON array (`cls` list) or object
+    (`cls` dict).
+
+    Anything else is collected as an error and read as an empty `cls`.
+    """
+    if isinstance(value, cls):
+        return value
+    errors.append(f"{owner} must be {'a list' if cls is list else 'an object'}")
+    return cls()
 
 
 def string_list(value, owner: str, errors: list[str]) -> list[str]:

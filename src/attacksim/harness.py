@@ -33,7 +33,7 @@ from attacksim.engine import (
     DecisionRecord,
     step,
 )
-from attacksim.errors import ValidationFailure
+from attacksim.errors import ValidationFailure, read_json
 from attacksim.model import EXTERNAL_ORIGIN, CpsKnowledge, CpsSystem
 from attacksim.profiles import AttackerProfile, ProfilePmf, ProfileSet, sample_profile
 
@@ -340,12 +340,7 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
 
 
 def load_trace(path: str | Path) -> EpisodeTrace:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"cannot parse {path}: {exc}") from exc
-    return trace_from_dict(doc)
+    return trace_from_dict(read_json(path))
 
 
 def report_to_dict(report: AggregateReport) -> dict:

@@ -9,15 +9,25 @@ the profile and channels.
 
 from __future__ import annotations
 
-import json
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from attacksim.actions import Action, ActionDatabase, TargetCriteria, action_to_dict
-from attacksim.errors import ValidationFailure, number, string_list
+from attacksim.actions import (
+    Action,
+    ActionDatabase,
+    action_to_dict,
+    criteria_from_dict,
+)
+from attacksim.errors import (
+    ValidationFailure,
+    container,
+    number,
+    read_json,
+    string_list,
+)
 from attacksim.profiles import ProfileSchema
 
 CAPEC_NS = "http://capec.mitre.org/capec-3"
@@ -150,11 +160,7 @@ def import_cve_feed(path: str | Path) -> list[ActionSkeleton]:
     feed merge, keeping every provenance record.
     """
     path = str(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"cannot parse CVE feed {path}: {exc}") from exc
+    doc = read_json(path)
     skeletons: list[ActionSkeleton] = []
     if "CVE_Items" in doc:
         for item in doc["CVE_Items"]:
@@ -277,16 +283,16 @@ def merge_annotations(skeletons: Iterable[ActionSkeleton],
         ann = annotations.get(sk.id)
         if ann is None:
             continue
-        criteria_raw = ann.get("target_criteria",
-                               {k: list(v) for k, v in sk.suggested_criteria.items()})
-        criteria = TargetCriteria({
-            str(k): frozenset(str(x) for x in (v if isinstance(v, list) else [v]))
-            for k, v in criteria_raw.items()
-        })
+        owner = f"annotation {sk.id!r}"
+        criteria = criteria_from_dict(
+            ann.get("target_criteria", {k: list(v) for k, v
+                                        in sk.suggested_criteria.items()}),
+            owner, errors)
         profile = {str(k): (v if isinstance(v, str) else number(
                        v, 0.0, errors, "annotation {!r}: property {!r}",
                        sk.id, k))
-                   for k, v in ann.get("profile", {}).items()}
+                   for k, v in container(ann.get("profile", {}), dict,
+                                         f"{owner}: profile", errors).items()}
         actions.append(Action(
             id=sk.id,
             name=str(ann.get("name", sk.name)),
@@ -295,11 +301,10 @@ def merge_annotations(skeletons: Iterable[ActionSkeleton],
             profile=profile,
             target_criteria=criteria,
             channels=frozenset(string_list(
-                ann.get("channels", []), f"annotation {sk.id!r}: channels",
-                errors)),
+                ann.get("channels", []), f"{owner}: channels", errors)),
             prerequisites=frozenset(string_list(
-                ann.get("prerequisites", []),
-                f"annotation {sk.id!r}: prerequisites", errors)),
+                ann.get("prerequisites", []), f"{owner}: prerequisites",
+                errors)),
             success_probability=number(
                 ann.get("success_probability", 1.0), 1.0, errors,
                 "annotation {!r}: success_probability", sk.id),

@@ -8,12 +8,11 @@ Knowledge is a value: transitions return new instances and never mutate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from attacksim.errors import ValidationFailure, string_list
+from attacksim.errors import ValidationFailure, container, read_json, string_list
 
 EXTERNAL_ORIGIN = "@external"
 
@@ -186,7 +185,8 @@ def system_from_dict(doc: dict) -> CpsSystem:
     if unknown:
         errors.append("unknown top-level keys: " + ", ".join(sorted(unknown)))
     nodes: list[Node] = []
-    for i, nd in enumerate(doc.get("nodes", [])):
+    for i, nd in enumerate(container(doc.get("nodes", []), list, "nodes",
+                                     errors)):
         if not isinstance(nd, dict) or "id" not in nd:
             errors.append(f"node #{i} is not an object with an 'id'")
             continue
@@ -209,7 +209,8 @@ def system_from_dict(doc: dict) -> CpsSystem:
             is_target=bool(nd.get("target", False)),
         ))
     edges: list[Edge] = []
-    for i, ed in enumerate(doc.get("edges", [])):
+    for i, ed in enumerate(container(doc.get("edges", []), list, "edges",
+                                     errors)):
         if not isinstance(ed, dict) or "id" not in ed:
             errors.append(f"edge #{i} is not an object with an 'id'")
             continue
@@ -240,12 +241,7 @@ def system_from_dict(doc: dict) -> CpsSystem:
 
 def load_system(path: str | Path) -> CpsSystem:
     """Load and fully validate a system description file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"cannot parse {path}: {exc}") from exc
-    sys_ = system_from_dict(doc)
+    sys_ = system_from_dict(read_json(path))
     report = validate_system(sys_)
     if not report.ok:
         raise ValidationFailure(f"invalid system in {path}", report.violations)

@@ -15,12 +15,17 @@ four kinds and each kind has its own rule for mapping raw values into the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from attacksim.errors import ValidationFailure, number
+from attacksim.errors import (
+    ValidationFailure,
+    container,
+    number,
+    read_json,
+    string_list,
+)
 
 UNORDERED_SET = "unordered-set"
 ORDERED_SET = "ordered-set"
@@ -274,7 +279,7 @@ class ProfileSet:
 
 def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
     props: list[PropertySchema] = []
-    for i, pd in enumerate(raw):
+    for i, pd in enumerate(container(raw, list, "schema", errors)):
         if not isinstance(pd, dict) or "name" not in pd or "kind" not in pd:
             errors.append(f"schema entry #{i} needs 'name' and 'kind'")
             continue
@@ -283,7 +288,9 @@ def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
         props.append(PropertySchema(
             name=name,
             kind=str(pd["kind"]),
-            allowed_values=tuple(str(x) for x in pd.get("allowed_values", [])),
+            allowed_values=tuple(string_list(
+                pd.get("allowed_values", []),
+                f"property {name!r}: allowed_values", errors)),
             lower=None if lower is None else number(
                 lower, None, errors, "property {!r}: lower", name),
             upper=None if upper is None else number(
@@ -315,7 +322,8 @@ def profile_set_from_dict(doc: dict) -> ProfileSet:
     schema = _schema_from_list(doc.get("schema", []), errors)
 
     profiles: dict[str, AttackerProfile] = {}
-    for i, pd in enumerate(doc.get("profiles", [])):
+    for i, pd in enumerate(container(doc.get("profiles", []), list,
+                                     "profiles", errors)):
         if not isinstance(pd, dict) or "name" not in pd:
             errors.append(f"profile #{i} needs a 'name'")
             continue
@@ -324,7 +332,9 @@ def profile_set_from_dict(doc: dict) -> ProfileSet:
             errors.append(f"duplicate profile name {name!r}")
         values = {str(k): (v if isinstance(v, str) else number(
                       v, 0.0, errors, "profile {!r}: property {!r}", name, k))
-                  for k, v in pd.get("values", {}).items()}
+                  for k, v in container(pd.get("values", {}), dict,
+                                        f"profile {name!r}: values",
+                                        errors).items()}
         errors.extend(validate_profile(schema, values, owner=f"profile {name!r}"))
         profiles[name] = AttackerProfile(name=name, values=values)
     if not profiles:
@@ -333,7 +343,8 @@ def profile_set_from_dict(doc: dict) -> ProfileSet:
     pmf = None
     if "pmf" in doc:
         entries: list[tuple[AttackerProfile, float]] = []
-        for i, entry in enumerate(doc["pmf"]):
+        for i, entry in enumerate(container(doc["pmf"], list, "pmf",
+                                            errors)):
             if not isinstance(entry, dict) or "profile" not in entry:
                 errors.append(f"pmf entry #{i} needs a 'profile'")
                 continue
@@ -354,9 +365,4 @@ def profile_set_from_dict(doc: dict) -> ProfileSet:
 
 def load_profiles(path: str | Path) -> ProfileSet:
     """Load and fully validate a profiles document."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"cannot parse {path}: {exc}") from exc
-    return profile_set_from_dict(doc)
+    return profile_set_from_dict(read_json(path))

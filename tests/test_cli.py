@@ -21,6 +21,25 @@ TYPED_FIELDS = {
     "action-profile-value": (1, ("actions", 0, "profile", "Finances")),
     "success-probability": (1, ("actions", 0, "success_probability")),
     "node-attribute": (0, ("nodes", 0, "attributes", "os")),
+    "target-criteria": (1, ("actions", 0, "target_criteria", "role")),
+    # containers
+    "nodes": (0, ("nodes",)),
+    "edges": (0, ("edges",)),
+    "actions": (1, ("actions",)),
+    "action-profile": (1, ("actions", 0, "profile")),
+    "schema": (2, ("schema",)),
+    "allowed-values": (2, ("schema", 0, "allowed_values")),
+    "profiles": (2, ("profiles",)),
+    "profile-values": (2, ("profiles", 0, "values")),
+    "pmf": (2, ("pmf",)),
+}
+
+# not a JSON document: a byte that is not UTF-8, an integer literal past
+# the interpreter's 4300-digit limit, and nesting past the recursion limit
+UNPARSABLE = {
+    "non-utf8": b'\xff{"nodes": []}',
+    "int-over-digit-limit": b'{"episode": ' + b"1" * 5000 + b"}",
+    "nesting-over-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -142,6 +161,9 @@ class TestValidate:
         pytest.param("node-attribute", [1],
                      "node 'N1' attribute 'os' must be a string",
                      id="node-attribute-list"),
+        pytest.param("target-criteria", [1, {"x": None}],
+                     "action 'usb-drop': target_criteria 'role' must be a "
+                     "list of strings", id="target-criteria-mixed-list"),
     ])
     def test_malformed_field_exits_one(self, cstr_args, tmp_path, capsys,
                                        field, value, message):
@@ -346,6 +368,17 @@ class TestExitCodeContract:
                 bad = tmp_path / "garbage.json"
                 bad.write_text("{" * rng.randint(1, 5))
                 assert run_cli("trace", bad) == 1
+
+    @pytest.mark.parametrize("content", UNPARSABLE.values(), ids=UNPARSABLE)
+    def test_unparsable_file_exits_one(self, cstr_args, tmp_path, capsys,
+                                       content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run_cli("validate", bad, *cstr_args[1:]) == 1
+        assert run_cli("trace", bad) == 1
+        captured = capsys.readouterr()
+        assert f"cannot parse {bad}" in captured.out
+        assert f"cannot parse {bad}" in captured.err
 
     # any JSON value: nested containers, null, bools, ints, floats
     # including NaN and +-Infinity, and text
