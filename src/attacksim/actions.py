@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from attacksim.errors import (
     ValidationFailure,
@@ -190,7 +190,7 @@ def criteria_from_dict(raw, owner: str, errors: list[str]) -> TargetCriteria:
     return TargetCriteria(requirements)
 
 
-def _action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
+def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
     if not isinstance(ad, dict) or "id" not in ad:
         errors.append(f"action #{index} is not an object with an 'id'")
         return None
@@ -234,7 +234,7 @@ def action_db_from_dict(doc: dict, schema: ProfileSchema) -> ActionDatabase:
     actions: list[Action] = []
     for i, ad in enumerate(container(doc.get("actions", []), list,
                                      "actions", errors)):
-        action = _action_from_dict(ad, errors, i)
+        action = action_from_dict(ad, errors, i)
         if action is not None:
             actions.append(action)
     db = ActionDatabase(actions, schema)

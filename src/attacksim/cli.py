@@ -190,6 +190,13 @@ def cmd_ingest(args) -> int:
     if args.annotations:
         try:
             ann_doc = read_json(args.annotations)
+            if not isinstance(ann_doc, dict):
+                raise ValidationFailure(
+                    "annotations document must be a JSON object")
+            unknown = set(ann_doc) - {"schema", "annotations"}
+            if unknown:
+                raise ValidationFailure("invalid annotations document", [
+                    "unknown top-level keys: " + ", ".join(sorted(unknown))])
             schema = schema_from_list(ann_doc.get("schema", []))
             actions, unannotated = merge_annotations(
                 skeletons, ann_doc.get("annotations", {}), schema)

@@ -45,6 +45,17 @@ def container(value, cls: type, owner: str, errors: list[str]):
     return cls()
 
 
+def string(value, owner: str, errors: list[str]) -> str:
+    """A document field that must be a string.
+
+    Anything else is collected as an error and read as the empty string.
+    """
+    if isinstance(value, str):
+        return value
+    errors.append(f"{owner} must be a string")
+    return ""
+
+
 def string_list(value, owner: str, errors: list[str]) -> list[str]:
     """A document field that must be a list of strings.
 

@@ -33,7 +33,14 @@ from attacksim.engine import (
     DecisionRecord,
     step,
 )
-from attacksim.errors import ValidationFailure, read_json
+from attacksim.errors import (
+    ValidationFailure,
+    container,
+    number,
+    read_json,
+    string,
+    string_list,
+)
 from attacksim.model import EXTERNAL_ORIGIN, CpsKnowledge, CpsSystem
 from attacksim.profiles import AttackerProfile, ProfilePmf, ProfileSet, sample_profile
 
@@ -300,38 +307,62 @@ def trace_to_dict(trace: EpisodeTrace) -> dict:
 
 
 def trace_from_dict(doc: dict) -> EpisodeTrace:
-    try:
-        records = tuple(
-            DecisionRecord(
-                target=r["target"],
-                candidates=tuple(
-                    CandidateScore(c["action"], c["distance"], c["score"],
-                                   c["probability"])
-                    for c in r["candidates"]
-                ),
-                chosen=r["chosen"],
-                chosen_name=r.get("chosen_name", r["chosen"]),
-                probability=r["probability"],
-                outcome=r["outcome"],
-                source=r.get("source", ""),
-                via_edges=tuple(r.get("via_edges", ())),
-            )
-            for r in doc["decisions"]
-        )
-        knowledge = CpsKnowledge(
-            known_nodes=frozenset(doc["knowledge"]["known_nodes"]),
-            known_edges=frozenset(doc["knowledge"]["known_edges"]),
-            compromised_nodes=frozenset(doc["knowledge"]["compromised_nodes"]),
-        )
-        return EpisodeTrace(
-            index=int(doc["episode"]),
-            profile=str(doc["profile"]),
-            records=records,
-            status=str(doc["status"]),
-            knowledge=knowledge,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationFailure(f"corrupt trace document: {exc}") from exc
+    """Rebuild a trace from its document form.
+
+    A missing or mistyped field is collected; any raises
+    ValidationFailure("corrupt trace document", errors).
+    """
+    if not isinstance(doc, dict):
+        raise ValidationFailure("trace document must be a JSON object")
+    errors: list[str] = []
+    index = doc.get("episode")
+    if isinstance(index, bool) or not isinstance(index, int):
+        errors.append("episode must be an integer")
+        index = 0
+    profile = string(doc.get("profile"), "profile", errors)
+    status = string(doc.get("status"), "status", errors)
+    records = []
+    for i, r in enumerate(container(doc.get("decisions"), list, "decisions",
+                                    errors)):
+        owner = f"decision #{i}"
+        if not isinstance(r, dict):
+            errors.append(f"{owner} must be an object")
+            continue
+        candidates = []
+        for j, c in enumerate(container(r.get("candidates"), list,
+                                        f"{owner}: candidates", errors)):
+            if not isinstance(c, dict):
+                errors.append(f"{owner}: candidate #{j} must be an object")
+                continue
+            candidates.append(CandidateScore(
+                string(c.get("action"), f"{owner}: candidate #{j}: action",
+                       errors),
+                *(number(c.get(key), 0.0, errors, "{}: candidate #{}: {}",
+                         owner, j, key)
+                  for key in ("distance", "score", "probability"))))
+        chosen = string(r.get("chosen"), f"{owner}: chosen", errors)
+        records.append(DecisionRecord(
+            target=string(r.get("target"), f"{owner}: target", errors),
+            candidates=tuple(candidates),
+            chosen=chosen,
+            chosen_name=string(r.get("chosen_name", chosen),
+                               f"{owner}: chosen_name", errors),
+            probability=number(r.get("probability"), 0.0, errors,
+                               "{}: probability", owner),
+            outcome=string(r.get("outcome"), f"{owner}: outcome", errors),
+            source=string(r.get("source", ""), f"{owner}: source", errors),
+            via_edges=tuple(string_list(r.get("via_edges", []),
+                                        f"{owner}: via_edges", errors)),
+        ))
+    known = container(doc.get("knowledge"), dict, "knowledge", errors)
+    knowledge = CpsKnowledge(**{
+        key: frozenset(string_list(known.get(key), f"knowledge: {key}",
+                                   errors))
+        for key in ("known_nodes", "known_edges", "compromised_nodes")})
+    if errors:
+        raise ValidationFailure("corrupt trace document", errors)
+    return EpisodeTrace(index=index, profile=profile, records=tuple(records),
+                        status=status, knowledge=knowledge)
 
 
 def save_trace(trace: EpisodeTrace, path: str | Path):

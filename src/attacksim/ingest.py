@@ -18,16 +18,10 @@ from typing import Iterable, Mapping
 from attacksim.actions import (
     Action,
     ActionDatabase,
+    action_from_dict,
     action_to_dict,
-    criteria_from_dict,
 )
-from attacksim.errors import (
-    ValidationFailure,
-    container,
-    number,
-    read_json,
-    string_list,
-)
+from attacksim.errors import ValidationFailure, container, read_json, string
 from attacksim.profiles import ProfileSchema
 
 CAPEC_NS = "http://capec.mitre.org/capec-3"
@@ -43,8 +37,8 @@ class Provenance:
 class ActionSkeleton:
     """An unannotated action candidate extracted from a catalog record.
 
-    The profile is explicitly absent (annotated is always False for a
-    skeleton); merge_annotations turns it into a full action.
+    The profile is explicitly absent; merge_annotations turns a skeleton
+    plus its annotation into a full action.
     """
 
     id: str
@@ -53,10 +47,6 @@ class ActionSkeleton:
     references: tuple[str, ...] = ()
     suggested_criteria: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     provenance: tuple[Provenance, ...] = ()
-
-    @property
-    def annotated(self) -> bool:
-        return False
 
 
 def _element_text(elem) -> str:
@@ -112,15 +102,44 @@ def _cpe_vendor_product(cpe_uri: str) -> tuple[str, str] | None:
     return parts[3], parts[4]
 
 
-def _walk_cpe_nodes(nodes: Iterable[dict]) -> list[str]:
+def _object(obj: dict, key: str, owner: str, errors: list[str]) -> dict:
+    """`obj[key]` as an object (empty when absent); another type is
+    collected as an error and read as empty."""
+    return container(obj.get(key, {}), dict, f"{owner}: {key}", errors)
+
+
+def _objects(obj: dict, key: str, owner: str, errors: list[str]) -> list[dict]:
+    """The list `obj[key]` (empty when absent), each entry an object.
+
+    A value or entry of another type is collected as an error and read as
+    empty.
+    """
+    label = f"{owner}: {key}" if owner else key
+    return [container(x, dict, f"{label} #{i}", errors)
+            for i, x in enumerate(container(obj.get(key, []), list, label,
+                                            errors))]
+
+
+def _walk_cpe_nodes(nodes: list[dict], owner: str,
+                    errors: list[str]) -> list[str]:
     uris: list[str] = []
     for node in nodes:
-        for match in node.get("cpe_match", []):
-            uri = match.get("cpe23Uri")
+        for match in _objects(node, "cpe_match", owner, errors):
+            uri = string(match.get("cpe23Uri", ""), f"{owner}: cpe23Uri",
+                         errors)
             if uri:
                 uris.append(uri)
-        uris.extend(_walk_cpe_nodes(node.get("children", [])))
+        uris.extend(_walk_cpe_nodes(_objects(node, "children", owner, errors),
+                                    owner, errors))
     return uris
+
+
+def _english(descriptions: list[dict], owner: str, errors: list[str]) -> str:
+    for dd in descriptions:
+        if dd.get("lang") == "en":
+            return string(dd.get("value", ""), f"{owner}: description value",
+                          errors)
+    return ""
 
 
 def _skeleton_from_cve(cve_id: str, description: str, cwe_ids: list[str],
@@ -157,55 +176,67 @@ def import_cve_feed(path: str | Path) -> list[ActionSkeleton]:
     Understands the classic 1.1 feed layout (CVE_Items) and, best-effort,
     the 2.0 API layout (vulnerabilities). CPE applicability strings become
     vendor/product target-criteria suggestions; duplicate ids within the
-    feed merge, keeping every provenance record.
+    feed merge, keeping every provenance record. Every field read of the
+    wrong type (an item that is not an object, an id, description, CWE or
+    CPE that is not a string) is collected, and any raises.
     """
     path = str(path)
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationFailure(f"{path}: CVE feed must be a JSON object")
+    errors: list[str] = []
     skeletons: list[ActionSkeleton] = []
     if "CVE_Items" in doc:
-        for item in doc["CVE_Items"]:
-            cve = item.get("cve", {})
-            cve_id = cve.get("CVE_data_meta", {}).get("ID")
+        for i, item in enumerate(_objects(doc, "CVE_Items", "", errors)):
+            owner = f"CVE_Items #{i}"
+            cve = _object(item, "cve", owner, errors)
+            meta = _object(cve, "CVE_data_meta", owner, errors)
+            cve_id = string(meta.get("ID", ""), f"{owner}: ID", errors)
             if not cve_id:
                 continue
-            description = ""
-            for dd in cve.get("description", {}).get("description_data", []):
-                if dd.get("lang") == "en":
-                    description = dd.get("value", "")
-                    break
-            cwes = [
-                desc.get("value")
-                for pt in cve.get("problemtype", {}).get("problemtype_data", [])
-                for desc in pt.get("description", [])
-                if desc.get("value", "").startswith("CWE-")
-            ]
-            uris = _walk_cpe_nodes(item.get("configurations", {}).get("nodes", []))
+            description = _english(_objects(
+                _object(cve, "description", owner, errors),
+                "description_data", owner, errors), owner, errors)
+            cwes = []
+            problems = _object(cve, "problemtype", owner, errors)
+            for pt in _objects(problems, "problemtype_data", owner, errors):
+                for desc in _objects(pt, "description", owner, errors):
+                    value = string(desc.get("value", ""),
+                                   f"{owner}: CWE value", errors)
+                    if value.startswith("CWE-"):
+                        cwes.append(value)
+            configurations = _object(item, "configurations", owner, errors)
+            uris = _walk_cpe_nodes(
+                _objects(configurations, "nodes", owner, errors),
+                owner, errors)
             skeletons.append(_skeleton_from_cve(cve_id, description, cwes,
                                                 uris, path))
     elif "vulnerabilities" in doc:
         warnings.warn(f"{path}: NVD 2.0 layout detected; best-effort extraction")
-        for item in doc["vulnerabilities"]:
-            cve = item.get("cve", {})
-            cve_id = cve.get("id")
+        for i, item in enumerate(_objects(doc, "vulnerabilities", "",
+                                          errors)):
+            owner = f"vulnerabilities #{i}"
+            cve = _object(item, "cve", owner, errors)
+            cve_id = string(cve.get("id", ""), f"{owner}: id", errors)
             if not cve_id:
                 continue
-            description = ""
-            for dd in cve.get("descriptions", []):
-                if dd.get("lang") == "en":
-                    description = dd.get("value", "")
-                    break
+            description = _english(
+                _objects(cve, "descriptions", owner, errors), owner, errors)
             uris = [
-                match.get("criteria")
-                for conf in cve.get("configurations", [])
-                for node in conf.get("nodes", [])
-                for match in node.get("cpeMatch", [])
-                if match.get("criteria")
+                uri
+                for conf in _objects(cve, "configurations", owner, errors)
+                for node in _objects(conf, "nodes", owner, errors)
+                for match in _objects(node, "cpeMatch", owner, errors)
+                if (uri := string(match.get("criteria", ""),
+                                  f"{owner}: criteria", errors))
             ]
             skeletons.append(_skeleton_from_cve(cve_id, description, [],
                                                 uris, path))
     else:
         raise ValidationFailure(
             f"{path}: not a recognized NVD CVE feed (no CVE_Items)")
+    if errors:
+        raise ValidationFailure(f"invalid CVE feed {path}", errors)
     return dedupe_skeletons(skeletons)
 
 
@@ -248,68 +279,46 @@ def skeletons_to_dict(skeletons: Iterable[ActionSkeleton]) -> dict:
     }
 
 
-def skeletons_from_dict(doc: dict) -> list[ActionSkeleton]:
-    out = []
-    for sd in doc.get("skeletons", []):
-        out.append(ActionSkeleton(
-            id=str(sd["id"]),
-            name=str(sd.get("name", "")),
-            description=str(sd.get("description", "")),
-            references=tuple(str(r) for r in sd.get("references", [])),
-            suggested_criteria={str(k): tuple(str(x) for x in v)
-                                for k, v in sd.get("suggested_criteria", {}).items()},
-            provenance=tuple(Provenance(str(p.get("source", "")),
-                                        str(p.get("record", "")))
-                             for p in sd.get("provenance", [])),
-        ))
-    return out
-
-
 def merge_annotations(skeletons: Iterable[ActionSkeleton],
                       annotations: Mapping[str, dict],
                       schema: ProfileSchema,
                       ) -> tuple[list[Action], list[str]]:
-    """Join annotator-supplied profiles onto skeletons.
+    """Join annotator-supplied annotations onto skeletons.
 
-    Returns the fully validated actions plus the ids of skeletons left
-    unannotated (reported, never emitted). Raises on annotations that
-    reference unknown skeletons or fail database validation.
+    An annotation is an action document without `id` and `references`,
+    which come from the catalog; its name, description and target criteria
+    default to the skeleton's. The action loader parses it
+    (`actions.action_from_dict`), so the same keys, types and messages
+    apply. Returns the fully validated actions plus the ids of skeletons
+    left unannotated (reported, never emitted). Raises on annotations that
+    are not objects, set `id` or `references`, reference unknown skeletons
+    or fail database validation.
     """
+    errors: list[str] = []
+    annotations = container(annotations, dict, "annotations", errors)
     by_id = {sk.id: sk for sk in skeletons}
-    errors = [f"annotation references unknown skeleton {aid!r}"
-              for aid in sorted(set(annotations) - set(by_id))]
+    errors += [f"annotation references unknown skeleton {aid!r}"
+               for aid in sorted(set(annotations) - set(by_id))]
     actions: list[Action] = []
-    for sk in by_id.values():
-        ann = annotations.get(sk.id)
-        if ann is None:
+    for i, sk in enumerate(by_id.values()):
+        if sk.id not in annotations:
             continue
-        owner = f"annotation {sk.id!r}"
-        criteria = criteria_from_dict(
-            ann.get("target_criteria", {k: list(v) for k, v
-                                        in sk.suggested_criteria.items()}),
-            owner, errors)
-        profile = {str(k): (v if isinstance(v, str) else number(
-                       v, 0.0, errors, "annotation {!r}: property {!r}",
-                       sk.id, k))
-                   for k, v in container(ann.get("profile", {}), dict,
-                                         f"{owner}: profile", errors).items()}
-        actions.append(Action(
-            id=sk.id,
-            name=str(ann.get("name", sk.name)),
-            description=str(ann.get("description", sk.description)),
-            references=sk.references,
-            profile=profile,
-            target_criteria=criteria,
-            channels=frozenset(string_list(
-                ann.get("channels", []), f"{owner}: channels", errors)),
-            prerequisites=frozenset(string_list(
-                ann.get("prerequisites", []), f"{owner}: prerequisites",
-                errors)),
-            success_probability=number(
-                ann.get("success_probability", 1.0), 1.0, errors,
-                "annotation {!r}: success_probability", sk.id),
-            effect=str(ann.get("effect", "compromise")),
-        ))
+        ann = annotations[sk.id]
+        if not isinstance(ann, dict):
+            errors.append(f"annotation {sk.id!r} must be an object")
+            continue
+        for key in sorted({"id", "references"} & set(ann)):
+            errors.append(f"annotation {sk.id!r} sets {key!r}, which comes "
+                          "from the catalog")
+        actions.append(action_from_dict({
+            "name": sk.name,
+            "description": sk.description,
+            "target_criteria": {k: list(v)
+                                for k, v in sk.suggested_criteria.items()},
+            **ann,
+            "id": sk.id,
+            "references": list(sk.references),
+        }, errors, i))
     if actions:
         errors.extend(ActionDatabase(actions, schema).validate())
     if errors:

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from pathlib import Path
@@ -34,6 +35,98 @@ TYPED_FIELDS = {
     "pmf": (2, ("pmf",)),
 }
 
+# (document, key path) of fields read by `trace` and `ingest`: a trace
+# saved by `simulate` on the fixture, an annotations document and a 1.1 NVD
+# feed; the empty key path stands for the whole document
+DECISION = ("decisions", 0)
+CANDIDATE = DECISION + ("candidates", 0)
+ANNOTATION = ("annotations", "CAPEC-457")
+ITEM = ("CVE_Items", 0)
+DOCUMENT_FIELDS = {
+    "trace": ("trace", ()),
+    "trace-episode": ("trace", ("episode",)),
+    "trace-profile": ("trace", ("profile",)),
+    "trace-status": ("trace", ("status",)),
+    "trace-decisions": ("trace", ("decisions",)),
+    "trace-decision": ("trace", DECISION),
+    "trace-target": ("trace", DECISION + ("target",)),
+    "trace-candidates": ("trace", DECISION + ("candidates",)),
+    "trace-candidate": ("trace", CANDIDATE),
+    "trace-candidate-action": ("trace", CANDIDATE + ("action",)),
+    "trace-candidate-distance": ("trace", CANDIDATE + ("distance",)),
+    "trace-candidate-score": ("trace", CANDIDATE + ("score",)),
+    "trace-candidate-probability": ("trace", CANDIDATE + ("probability",)),
+    "trace-chosen": ("trace", DECISION + ("chosen",)),
+    "trace-chosen-name": ("trace", DECISION + ("chosen_name",)),
+    "trace-probability": ("trace", DECISION + ("probability",)),
+    "trace-outcome": ("trace", DECISION + ("outcome",)),
+    "trace-source": ("trace", DECISION + ("source",)),
+    "trace-via-edges": ("trace", DECISION + ("via_edges",)),
+    "trace-knowledge": ("trace", ("knowledge",)),
+    "trace-known-nodes": ("trace", ("knowledge", "known_nodes")),
+    "trace-known-edges": ("trace", ("knowledge", "known_edges")),
+    "trace-compromised-nodes": ("trace", ("knowledge", "compromised_nodes")),
+    "annotations-document": ("annotations", ()),
+    "annotations-schema": ("annotations", ("schema",)),
+    "annotations": ("annotations", ("annotations",)),
+    "annotation": ("annotations", ANNOTATION),
+    "annotation-name": ("annotations", ANNOTATION + ("name",)),
+    "annotation-profile": ("annotations", ANNOTATION + ("profile",)),
+    "annotation-profile-value": ("annotations",
+                                 ANNOTATION + ("profile", "Knowledge")),
+    "annotation-channels": ("annotations", ANNOTATION + ("channels",)),
+    "annotation-target-criteria": ("annotations",
+                                   ANNOTATION + ("target_criteria",)),
+    "annotation-success-probability": ("annotations",
+                                       ANNOTATION + ("success_probability",)),
+    "annotation-references": ("annotations", ANNOTATION + ("references",)),
+    "feed": ("cve", ()),
+    "feed-items": ("cve", ("CVE_Items",)),
+    "feed-item": ("cve", ITEM),
+    "feed-cve": ("cve", ITEM + ("cve",)),
+    "feed-id": ("cve", ITEM + ("cve", "CVE_data_meta", "ID")),
+    "feed-descriptions": ("cve", ITEM + ("cve", "description",
+                                         "description_data")),
+    "feed-description": ("cve", ITEM + ("cve", "description",
+                                        "description_data", 0, "value")),
+    "feed-problemtypes": ("cve", ITEM + ("cve", "problemtype",
+                                         "problemtype_data")),
+    "feed-cwe": ("cve", ITEM + ("cve", "problemtype", "problemtype_data", 0,
+                                "description", 0, "value")),
+    "feed-configurations": ("cve", ITEM + ("configurations",)),
+    "feed-nodes": ("cve", ITEM + ("configurations", "nodes")),
+    "feed-cpe-matches": ("cve", ITEM + ("configurations", "nodes", 0,
+                                        "cpe_match")),
+    "feed-cpe": ("cve", ITEM + ("configurations", "nodes", 0, "cpe_match", 0,
+                                "cpe23Uri")),
+    "feed-children": ("cve", ("CVE_Items", 2, "configurations", "nodes", 0,
+                              "children")),
+}
+
+ANNOTATION_SCHEMA = [
+    {"name": "Access", "kind": "unordered-set",
+     "allowed_values": ["Direct", "Offsite"]},
+    {"name": "Knowledge", "kind": "bounded-range", "lower": 0, "upper": 10},
+]
+SKELETON_IDS = ["CAPEC-457", "CAPEC-94", "CAPEC-125",
+                "CVE-2031-10001", "CVE-2031-10002", "CVE-2031-10003"]
+# every skeleton of the CAPEC and NVD samples annotated
+ANNOTATIONS = {
+    "schema": ANNOTATION_SCHEMA,
+    "annotations": {aid: {
+        "profile": {"Access": "Direct", "Knowledge": 5},
+        "channels": ["net"],
+    } for aid in SKELETON_IDS},
+}
+
+# any JSON value: nested containers, null, bools, ints, floats including
+# NaN and +-Infinity, and text
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
 # not a JSON document: a byte that is not UTF-8, an integer literal past
 # the interpreter's 4300-digit limit, and nesting past the recursion limit
 UNPARSABLE = {
@@ -47,16 +140,45 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def with_field(cstr_args, tmp_path, field, value):
-    """cstr_args with one TYPED_FIELDS field set to `value`."""
-    index, keys = TYPED_FIELDS[field]
-    doc = json.loads(Path(cstr_args[index]).read_text())
+def ingest_annotations(tmp_path, doc):
+    """Exit code of `ingest` of the CAPEC and NVD samples with the
+    annotations document `doc`."""
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps(doc))
+    return run_cli("ingest", "--capec", DATA / "capec_sample.xml",
+                   "--cve", DATA / "nvd_sample.json", "--annotations", path,
+                   "--out", tmp_path / "fragment.json")
+
+
+def reading_commands(document, path, out):
+    """The CLI invocations that read `path` as a DOCUMENT_FIELDS document."""
+    if document == "trace":
+        return [("trace", path), ("trace", path, "--dot")]
+    if document == "annotations":
+        return [("ingest", "--capec", DATA / "capec_sample.xml",
+                 "--cve", DATA / "nvd_sample.json", "--annotations", path,
+                 "--out", out)]
+    return [("ingest", "--cve", path, "--out", out)]
+
+
+def replaced(doc, keys, value):
+    """A copy of `doc` with the value at key path `keys` set to `value`."""
+    if not keys:
+        return value
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in keys[:-1]:
         parent = parent[key]
     parent[keys[-1]] = value
+    return doc
+
+
+def with_field(cstr_args, tmp_path, field, value):
+    """cstr_args with one TYPED_FIELDS field set to `value`."""
+    index, keys = TYPED_FIELDS[field]
+    doc = json.loads(Path(cstr_args[index]).read_text())
     bad = tmp_path / Path(cstr_args[index]).name
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(replaced(doc, keys, value)))
     args = list(cstr_args)
     args[index] = str(bad)
     return args
@@ -262,31 +384,12 @@ class TestIngest:
         assert run_cli("ingest", "--out", tmp_path / "x.json") == 2
 
     def test_annotated_fragment_validates(self, tmp_path, capsys):
-        schema = [
-            {"name": "Access", "kind": "unordered-set",
-             "allowed_values": ["Direct", "Offsite"]},
-            {"name": "Knowledge", "kind": "bounded-range",
-             "lower": 0, "upper": 10},
-        ]
-        ids = ["CAPEC-457", "CAPEC-94", "CAPEC-125",
-               "CVE-2031-10001", "CVE-2031-10002", "CVE-2031-10003"]
-        annotations = {
-            "schema": schema,
-            "annotations": {aid: {
-                "profile": {"Access": "Direct", "Knowledge": 5},
-                "channels": ["net"],
-            } for aid in ids},
-        }
-        ann = tmp_path / "annotations.json"
-        ann.write_text(json.dumps(annotations))
-        fragment = tmp_path / "fragment.json"
-        assert run_cli("ingest", "--capec", DATA / "capec_sample.xml",
-                       "--cve", DATA / "nvd_sample.json",
-                       "--annotations", ann, "--out", fragment) == 0
+        assert ingest_annotations(tmp_path, ANNOTATIONS) == 0
         assert "annotated=6" in capsys.readouterr().out
+        fragment = tmp_path / "fragment.json"
 
         profiles_doc = {
-            "schema": schema,
+            "schema": ANNOTATION_SCHEMA,
             "profiles": [{"name": "tester",
                           "values": {"Access": "Direct", "Knowledge": 5}}],
         }
@@ -301,6 +404,32 @@ class TestIngest:
         system = tmp_path / "system.json"
         system.write_text(json.dumps(system_doc))
         assert run_cli("validate", system, fragment, profiles) == 0
+
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param([1], "annotations document must be a JSON object",
+                     id="document-list"),
+        pytest.param({"schema": ANNOTATION_SCHEMA,
+                      "annotation": ANNOTATIONS["annotations"]},
+                     "unknown top-level keys: annotation",
+                     id="misspelt-annotations-key"),
+        pytest.param(replaced(ANNOTATIONS, ("annotations",), ["CAPEC-457"]),
+                     "annotations must be an object", id="annotations-list"),
+        pytest.param(replaced(ANNOTATIONS, ANNOTATION, None),
+                     "annotation 'CAPEC-457' must be an object",
+                     id="annotation-null"),
+        pytest.param(replaced(ANNOTATIONS, ANNOTATION + ("severity",), 3),
+                     "action 'CAPEC-457' has unknown keys: severity",
+                     id="annotation-unknown-key"),
+        pytest.param(replaced(ANNOTATIONS, ANNOTATION + ("references",),
+                              ["CWE-1"]),
+                     "annotation 'CAPEC-457' sets 'references', which comes "
+                     "from the catalog", id="annotation-references"),
+    ])
+    def test_malformed_annotations_exit_one(self, tmp_path, capsys, doc,
+                                            message):
+        assert ingest_annotations(tmp_path, doc) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fragment.json").exists()
 
     def test_parse_error_exits_one(self, tmp_path):
         bad = tmp_path / "bad.xml"
@@ -349,6 +478,28 @@ class TestTrace:
         path.write_text('{"episode": 1}')
         assert run_cli("trace", path) == 1
 
+    @pytest.mark.parametrize("keys, value, message", [
+        pytest.param(("episode",), "x", "episode must be an integer",
+                     id="episode-string"),
+        pytest.param(DECISION + ("probability",), "high",
+                     "decision #0: probability must be a finite number",
+                     id="probability-string"),
+        pytest.param(DECISION + ("target",), ["N1"],
+                     "decision #0: target must be a string",
+                     id="target-list"),
+    ])
+    @pytest.mark.parametrize("how", ["--summary", "--dot"])
+    def test_mistyped_trace_field_exits_one(self, trace_file, tmp_path,
+                                            capsys, keys, value, message,
+                                            how):
+        doc = json.loads(Path(trace_file).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(replaced(doc, keys, value)))
+        assert run_cli("trace", bad, how) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_missing_trace_exits_three(self):
         assert run_cli("trace", "/none.json") == 3
 
@@ -380,18 +531,33 @@ class TestExitCodeContract:
         assert f"cannot parse {bad}" in captured.out
         assert f"cannot parse {bad}" in captured.err
 
-    # any JSON value: nested containers, null, bools, ints, floats
-    # including NaN and +-Infinity, and text
-    @given(field=st.sampled_from(sorted(TYPED_FIELDS)),
-           value=st.recursive(
-               st.none() | st.booleans() | st.integers() | st.floats()
-               | st.text(),
-               lambda inner: st.lists(inner, max_size=3)
-               | st.dictionaries(st.text(), inner, max_size=3),
-               max_leaves=8))
+    @given(field=st.sampled_from(sorted(TYPED_FIELDS)), value=JSON_VALUES)
     @settings(deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_json_value_in_a_typed_field(self, cstr_args, tmp_path,
                                              field, value):
         args = with_field(cstr_args, tmp_path, field, value)
         assert run_cli("validate", *args) in (0, 1)
+
+    @pytest.fixture()
+    def documents(self, cstr_args, tmp_path):
+        """The unaltered document of each DOCUMENT_FIELDS kind."""
+        out = tmp_path / "r"
+        assert run_cli("simulate", *cstr_args, "--episodes", 3, "--seed", 4,
+                       "--out", out) == 0
+        return {
+            "trace": json.loads((out / "trace_0.json").read_text()),
+            "annotations": ANNOTATIONS,
+            "cve": json.loads((DATA / "nvd_sample.json").read_text()),
+        }
+
+    @given(field=st.sampled_from(sorted(DOCUMENT_FIELDS)), value=JSON_VALUES)
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_json_value_in_a_read_document(self, documents, tmp_path,
+                                               field, value):
+        document, keys = DOCUMENT_FIELDS[field]
+        bad = tmp_path / f"{document}.json"
+        bad.write_text(json.dumps(replaced(documents[document], keys, value)))
+        for argv in reading_commands(document, bad, tmp_path / "out.json"):
+            assert run_cli(*argv) in (0, 1)

@@ -325,6 +325,49 @@ class TestTraceSerialization:
         with pytest.raises(ValidationFailure, match="corrupt"):
             trace_from_dict({"episode": 1})
 
+    @pytest.mark.parametrize("keys, value, message", [
+        (("episode",), "x", "episode must be an integer"),
+        (("episode",), 1.5, "episode must be an integer"),
+        (("episode",), True, "episode must be an integer"),
+        (("profile",), 3, "profile must be a string"),
+        (("decisions",), {}, "decisions must be a list"),
+        (("decisions", 0), [], "decision #0 must be an object"),
+        (("decisions", 0, "target"), ["N1"],
+         "decision #0: target must be a string"),
+        (("decisions", 0, "probability"), "high",
+         "decision #0: probability must be a finite number"),
+        (("decisions", 0, "candidates"), None,
+         "decision #0: candidates must be a list"),
+        (("decisions", 0, "candidates", 0, "score"), None,
+         "decision #0: candidate #0: score must be a finite number"),
+        (("decisions", 0, "via_edges"), "E1",
+         "decision #0: via_edges must be a list of strings"),
+        (("knowledge", "known_nodes"), "N1",
+         "knowledge: known_nodes must be a list of strings"),
+    ])
+    def test_mistyped_field_rejected(self, cstr_paths, keys, value, message):
+        system, db, profiles = load_cstr(cstr_paths)
+        _, traces = run_monte_carlo(system, db, profiles,
+                                    SimConfig(1, seed=21))
+        doc = trace_to_dict(traces[0])
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        with pytest.raises(ValidationFailure, match="corrupt") as exc:
+            trace_from_dict(doc)
+        assert exc.value.errors == [message]
+
+    def test_every_error_collected(self):
+        with pytest.raises(ValidationFailure) as exc:
+            trace_from_dict({"episode": 1})
+        assert exc.value.errors == [
+            "profile must be a string", "status must be a string",
+            "decisions must be a list", "knowledge must be an object",
+            "knowledge: known_nodes must be a list of strings",
+            "knowledge: known_edges must be a list of strings",
+            "knowledge: compromised_nodes must be a list of strings"]
+
 
 class TestReportExport:
     def test_json_round_trip(self, cstr_paths, tmp_path):

@@ -1,9 +1,11 @@
+import contextlib
 import json
 from pathlib import Path
 
 import pytest
 
 from attacksim.actions import action_db_from_dict
+from attacksim.cli import main
 from attacksim.errors import ValidationFailure
 from attacksim.ingest import (
     actions_fragment_to_dict,
@@ -11,7 +13,6 @@ from attacksim.ingest import (
     import_capec,
     import_cve_feed,
     merge_annotations,
-    skeletons_from_dict,
     skeletons_to_dict,
 )
 from attacksim.profiles import ProfileSchema, PropertySchema
@@ -23,6 +24,39 @@ ANNOTATION_SCHEMA = ProfileSchema([
                    allowed_values=("Direct", "Offsite")),
     PropertySchema("Knowledge", "bounded-range", lower=0, upper=10),
 ])
+
+
+# NVD feeds with a value of the wrong type, and the collected message
+WRONG_SHAPE_FEEDS = [
+    pytest.param(5, "CVE feed must be a JSON object", id="document-int"),
+    pytest.param("CVE_Items", "CVE feed must be a JSON object",
+                 id="document-string"),
+    pytest.param({"CVE_Items": [1]}, "CVE_Items #0 must be an object",
+                 id="item-int"),
+    pytest.param({"CVE_Items": [{"cve": {"CVE_data_meta": {"ID": 5}},
+                                 "description": {"description_data": [
+                                     {"lang": "en", "value": ["x"]}]}}]},
+                 "CVE_Items #0: ID must be a string", id="id-int"),
+    pytest.param({"CVE_Items": [{"cve": {
+                     "CVE_data_meta": {"ID": "CVE-1"},
+                     "description": {"description_data": [
+                         {"lang": "en", "value": ["x"]}]}}}]},
+                 "CVE_Items #0: description value must be a string",
+                 id="description-list"),
+    pytest.param({"CVE_Items": [{"cve": {
+                     "CVE_data_meta": {"ID": "CVE-1"},
+                     "problemtype": {"problemtype_data": [
+                         {"description": [{"value": 400}]}]}}}]},
+                 "CVE_Items #0: CWE value must be a string", id="cwe-int"),
+    pytest.param({"CVE_Items": [{"cve": {"CVE_data_meta": {"ID": "CVE-1"}},
+                                 "configurations": {"nodes": [
+                                     {"cpe_match": [{"cpe23Uri": 5}]}]}}]},
+                 "CVE_Items #0: cpe23Uri must be a string", id="cpe-int"),
+    pytest.param({"vulnerabilities": [{"cve": {"id": "CVE-1",
+                                               "descriptions": [1]}}]},
+                 "vulnerabilities #0: descriptions #0 must be an object",
+                 id="2.0-description-int"),
+]
 
 
 def annotation(access="Direct", knowledge=5, **extra):
@@ -114,6 +148,19 @@ class TestImportCveFeed:
         sources = {p.source for p in by_id["CVE-2031-10001"].provenance}
         assert len(sources) == 2
 
+    @pytest.mark.parametrize("feed, message", WRONG_SHAPE_FEEDS)
+    def test_wrong_shape_feed_exits_one(self, tmp_path, capsys, feed,
+                                        message):
+        path = tmp_path / "feed.json"
+        path.write_text(json.dumps(feed))
+        layout_2_0 = isinstance(feed, dict) and "vulnerabilities" in feed
+        with (pytest.warns(UserWarning, match="2.0 layout") if layout_2_0
+              else contextlib.nullcontext()):
+            assert main(["ingest", "--cve", str(path),
+                         "--out", str(tmp_path / "out.json")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_unrecognized_layout_rejected(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"items": []}')
@@ -145,16 +192,40 @@ class TestMergeAnnotations:
                 ANNOTATION_SCHEMA)
 
     @pytest.mark.parametrize("ann, match", [
-        (annotation(knowledge=[5]),
-         "annotation 'CAPEC-457': property 'Knowledge' must be a finite"),
-        (annotation(success_probability="x"),
-         "annotation 'CAPEC-457': success_probability must be a finite"),
+        pytest.param(annotation(knowledge=[5]),
+                     "action 'CAPEC-457': property 'Knowledge' must be a "
+                     "finite", id="knowledge-list"),
+        pytest.param(annotation(success_probability="x"),
+                     "action 'CAPEC-457': success_probability must be a "
+                     "finite", id="success-probability-string"),
     ])
     def test_non_numeric_value_rejected(self, ann, match):
         skeletons = import_capec(DATA / "capec_sample.xml")
         with pytest.raises(ValidationFailure, match=match):
             merge_annotations(skeletons, {"CAPEC-457": ann},
                               ANNOTATION_SCHEMA)
+
+    @pytest.mark.parametrize("annotations, message", [
+        pytest.param(["CAPEC-457"], "annotations must be an object",
+                     id="annotations-list"),
+        pytest.param({"CAPEC-457": None},
+                     "annotation 'CAPEC-457' must be an object",
+                     id="annotation-null"),
+        pytest.param({"CAPEC-457": annotation(severity=3)},
+                     "action 'CAPEC-457' has unknown keys: severity",
+                     id="unknown-key"),
+        pytest.param({"CAPEC-457": annotation(references=["CWE-1"])},
+                     "annotation 'CAPEC-457' sets 'references', which comes "
+                     "from the catalog", id="references"),
+        pytest.param({"CAPEC-457": annotation(id="CAPEC-1")},
+                     "annotation 'CAPEC-457' sets 'id', which comes from the "
+                     "catalog", id="id"),
+    ])
+    def test_malformed_annotation_rejected(self, annotations, message):
+        skeletons = import_capec(DATA / "capec_sample.xml")
+        with pytest.raises(ValidationFailure) as exc:
+            merge_annotations(skeletons, annotations, ANNOTATION_SCHEMA)
+        assert message in exc.value.errors
 
     def test_unknown_skeleton_id_rejected(self):
         skeletons = import_capec(DATA / "capec_sample.xml")
@@ -192,12 +263,6 @@ class TestMergeAnnotations:
 
 
 class TestSkeletonSerialization:
-    def test_round_trip(self):
-        skeletons = (import_capec(DATA / "capec_sample.xml")
-                     + import_cve_feed(DATA / "nvd_sample.json"))
-        doc = skeletons_to_dict(skeletons)
-        assert skeletons_from_dict(json.loads(json.dumps(doc))) == skeletons
-
     def test_profile_explicitly_unannotated(self):
         doc = skeletons_to_dict(import_capec(DATA / "capec_sample.xml"))
         for sd in doc["skeletons"]:
