@@ -44,7 +44,6 @@ from attacksim.model import (
     CpsSystem,
     Edge,
     Node,
-    ValidationReport,
     initial_knowledge,
     load_system,
     reveal_on_compromise,

@@ -14,8 +14,11 @@ from typing import Iterable, Mapping
 from attacksim.errors import (
     ValidationFailure,
     container,
+    document,
+    entry,
     number,
     read_json,
+    string,
     string_list,
 )
 from attacksim.model import Node
@@ -184,33 +187,28 @@ def criteria_from_dict(raw, owner: str, errors: list[str]) -> TargetCriteria:
     requirements = {}
     for key, v in container(raw, dict, f"{owner}: target_criteria",
                             errors).items():
-        accepted = [v] if isinstance(v, str) else string_list(
-            v, f"{owner}: target_criteria {key!r}", errors)
-        requirements[str(key)] = frozenset(accepted)
+        requirements[key] = frozenset(string_list(
+            [v] if isinstance(v, str) else v,
+            f"{owner}: target_criteria {key!r}", errors))
     return TargetCriteria(requirements)
 
 
 def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
-    if not isinstance(ad, dict) or "id" not in ad:
-        errors.append(f"action #{index} is not an object with an 'id'")
+    """The `index`-th action of a document list, or None if `entry`
+    rejects it; every problem is collected in `errors`."""
+    owner = entry(ad, _ACTION_KEYS, "action", errors, index)
+    if owner is None:
         return None
-    aid = str(ad["id"])
-    extra = set(ad) - _ACTION_KEYS
-    if extra:
-        errors.append(f"action {aid!r} has unknown keys: "
-                      + ", ".join(sorted(extra)))
-    owner = f"action {aid!r}"
     criteria = criteria_from_dict(ad.get("target_criteria", {}), owner, errors)
-    profile = {str(k): (v if isinstance(v, str) else number(
-                   v, 0.0, errors, "action {!r}: property {!r}", aid, k))
+    profile = {k: (v if isinstance(v, str) else number(
+                   v, 0.0, errors, "{}: property {!r}", owner, k))
                for k, v in container(ad.get("profile", {}), dict,
                                      f"{owner}: profile", errors).items()}
-    success = number(ad.get("success_probability", 1.0), 1.0, errors,
-                     "action {!r}: success_probability", aid)
     return Action(
-        id=aid,
-        name=str(ad.get("name", "")),
-        description=str(ad.get("description", "")),
+        id=ad["id"],
+        name=string(ad.get("name", ""), "{}: name", errors, owner),
+        description=string(ad.get("description", ""), "{}: description",
+                           errors, owner),
         references=tuple(string_list(
             ad.get("references", []), f"{owner}: references", errors)),
         profile=profile,
@@ -219,18 +217,15 @@ def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
             ad.get("channels", []), f"{owner}: channels", errors)),
         prerequisites=frozenset(string_list(
             ad.get("prerequisites", []), f"{owner}: prerequisites", errors)),
-        success_probability=success,
-        effect=str(ad.get("effect", EFFECT_COMPROMISE)),
+        success_probability=number(ad.get("success_probability", 1.0), 1.0,
+                                   errors, "{}: success_probability", owner),
+        effect=string(ad.get("effect", EFFECT_COMPROMISE), "{}: effect",
+                      errors, owner),
     )
 
 
 def action_db_from_dict(doc: dict, schema: ProfileSchema) -> ActionDatabase:
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        raise ValidationFailure("action document must be a JSON object")
-    unknown = set(doc) - {"actions"}
-    if unknown:
-        errors.append("unknown top-level keys: " + ", ".join(sorted(unknown)))
+    errors = document(doc, {"actions"}, "action document")
     actions: list[Action] = []
     for i, ad in enumerate(container(doc.get("actions", []), list,
                                      "actions", errors)):

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from attacksim.actions import load_action_db
-from attacksim.errors import ValidationFailure, read_json
+from attacksim.errors import ValidationFailure, document, read_json
 from attacksim.harness import (
     SimConfig,
     export_report,
@@ -190,13 +190,10 @@ def cmd_ingest(args) -> int:
     if args.annotations:
         try:
             ann_doc = read_json(args.annotations)
-            if not isinstance(ann_doc, dict):
-                raise ValidationFailure(
-                    "annotations document must be a JSON object")
-            unknown = set(ann_doc) - {"schema", "annotations"}
-            if unknown:
-                raise ValidationFailure("invalid annotations document", [
-                    "unknown top-level keys: " + ", ".join(sorted(unknown))])
+            errors = document(ann_doc, {"schema", "annotations"},
+                              "annotations document")
+            if errors:
+                raise ValidationFailure("invalid annotations document", errors)
             schema = schema_from_list(ann_doc.get("schema", []))
             actions, unannotated = merge_annotations(
                 skeletons, ann_doc.get("annotations", {}), schema)

@@ -1,6 +1,11 @@
-"""Shared validation types and helpers."""
+"""Shared validation types and helpers.
+
+Every input document is read through these helpers. A string in a
+document must be valid Unicode text: one that encodes as UTF-8.
+"""
 
 import json
+import re
 from math import isfinite
 
 
@@ -33,6 +38,50 @@ def read_json(path):
             raise ValidationFailure(f"cannot parse {path}: {exc}") from exc
 
 
+def _unknown(what: str, keys) -> str:
+    """`what` and the sorted key names, any lone surrogate escaped."""
+    names = ", ".join(sorted(keys)).encode("utf-8", "backslashreplace")
+    return f"{what}: {names.decode('utf-8')}"
+
+
+def document(doc, keys: set[str], what: str) -> list[str]:
+    """Check a top-level document: a JSON object (else raise) with no keys
+    outside `keys`. Returns the unknown-key error, if any, as the start of
+    the loader's error list."""
+    if not isinstance(doc, dict):
+        raise ValidationFailure(f"{what} must be a JSON object")
+    extra = doc.keys() - keys
+    return [_unknown("unknown top-level keys", extra)] if extra else []
+
+
+def entry(obj, keys: set[str], kind: str, errors: list[str], index: int,
+          key: str = "id") -> str | None:
+    """Check the `index`-th entry of a document list: an object with a
+    string `key` and no keys outside `keys`. Returns the owner name for its
+    field messages, ``"<kind> '<key>'"``, or collects an error and returns
+    None; unknown keys are collected, but the entry is still read."""
+    if isinstance(obj, dict):
+        name = obj.get(key)
+        if isinstance(name, str) and (name.isascii() or not _surrogate(name)):
+            owner = f"{kind} {name!r}"
+            if not keys.issuperset(obj):
+                errors.append(_unknown(f"{owner} has unknown keys",
+                                       obj.keys() - keys))
+            return owner
+    errors.append(f"{kind} #{index} must be an object with a string {key!r}")
+    return None
+
+
+def entries(value, owner: str, keys: set[str], kind: str,
+            errors: list[str], key: str = "id"):
+    """Yield ``(owner, obj)`` for each entry of the list `value` that
+    passes `entry`; `value` is read through `container`."""
+    for i, obj in enumerate(container(value, list, owner, errors)):
+        name = entry(obj, keys, kind, errors, i, key)
+        if name is not None:
+            yield name, obj
+
+
 def container(value, cls: type, owner: str, errors: list[str]):
     """A document field that must be a JSON array (`cls` list) or object
     (`cls` dict).
@@ -45,15 +94,36 @@ def container(value, cls: type, owner: str, errors: list[str]):
     return cls()
 
 
-def string(value, owner: str, errors: list[str]) -> str:
+# a lone surrogate: JSON escapes can spell one, but UTF-8 cannot encode it
+_surrogate = re.compile("[\ud800-\udfff]").search
+
+
+def string(value, owner: str, errors: list[str], *args) -> str:
     """A document field that must be a string.
 
     Anything else is collected as an error and read as the empty string.
+    With `args` the error names ``owner.format(*args)``, formatted only on
+    the error path, as in `number`.
     """
     if isinstance(value, str):
-        return value
-    errors.append(f"{owner} must be a string")
+        if value.isascii() or not _surrogate(value):
+            return value
+        problem = "is not valid Unicode text"
+    else:
+        problem = "must be a string"
+    errors.append(f"{owner.format(*args) if args else owner} {problem}")
     return ""
+
+
+def boolean(value, owner: str, errors: list[str], *args) -> bool:
+    """A document field that must be JSON true or false, not a string such
+    as "false" or a number; anything else is collected as an error and
+    read as False. `args` as in `string`."""
+    if value is True or value is False:
+        return value
+    errors.append(f"{owner.format(*args) if args else owner} must be true "
+                  "or false")
+    return False
 
 
 def string_list(value, owner: str, errors: list[str]) -> list[str]:
@@ -67,7 +137,7 @@ def string_list(value, owner: str, errors: list[str]) -> list[str]:
     # database about 1 ms (4%) slower
     if isinstance(value, list):
         for x in value:
-            if not isinstance(x, str):
+            if not (isinstance(x, str) and (x.isascii() or not _surrogate(x))):
                 break
         else:
             return value

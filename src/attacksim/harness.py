@@ -19,7 +19,7 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import sqrt
 from pathlib import Path
 from random import Random
@@ -375,41 +375,11 @@ def load_trace(path: str | Path) -> EpisodeTrace:
 
 
 def report_to_dict(report: AggregateReport) -> dict:
-    return {
-        "episodes": report.episodes,
-        "successes": report.successes,
-        "success_rate": report.success_rate,
-        "ci95": list(report.ci95),
-        "total_decisions": report.total_decisions,
-        "action_counts": report.action_counts,
-        "action_frequencies": report.action_frequencies,
-        "node_compromise_counts": report.node_compromise_counts,
-        "node_compromise_frequencies": report.node_compromise_frequencies,
-        "entry_point_counts": report.entry_point_counts,
-        "entry_point_frequencies": report.entry_point_frequencies,
-        "profile_counts": report.profile_counts,
-        "mean_steps_to_success": report.mean_steps_to_success,
-        "median_steps_to_success": report.median_steps_to_success,
-    }
+    return asdict(report)
 
 
 def report_from_dict(doc: dict) -> AggregateReport:
-    return AggregateReport(
-        episodes=doc["episodes"],
-        successes=doc["successes"],
-        success_rate=doc["success_rate"],
-        ci95=tuple(doc["ci95"]),
-        total_decisions=doc["total_decisions"],
-        action_counts=dict(doc["action_counts"]),
-        action_frequencies=dict(doc["action_frequencies"]),
-        node_compromise_counts=dict(doc["node_compromise_counts"]),
-        node_compromise_frequencies=dict(doc["node_compromise_frequencies"]),
-        entry_point_counts=dict(doc["entry_point_counts"]),
-        entry_point_frequencies=dict(doc["entry_point_frequencies"]),
-        profile_counts=dict(doc["profile_counts"]),
-        mean_steps_to_success=doc["mean_steps_to_success"],
-        median_steps_to_success=doc["median_steps_to_success"],
-    )
+    return AggregateReport(**{**doc, "ci95": tuple(doc["ci95"])})
 
 
 REPORT_CSV_HEADER = ["section", "name", "count", "frequency"]

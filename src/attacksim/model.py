@@ -12,7 +12,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from attacksim.errors import ValidationFailure, container, read_json, string_list
+from attacksim.errors import (
+    ValidationFailure,
+    boolean,
+    container,
+    document,
+    entries,
+    read_json,
+    string,
+    string_list,
+)
 
 EXTERNAL_ORIGIN = "@external"
 
@@ -84,17 +93,8 @@ class CpsKnowledge:
     compromised_nodes: frozenset[str] = frozenset()
 
 
-@dataclass(slots=True)
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_system(sys: CpsSystem) -> ValidationReport:
-    """Check every structural invariant; reports, never raises."""
+def validate_system(sys: CpsSystem) -> list[str]:
+    """Every structural invariant the system breaks; reports, never raises."""
     v: list[str] = []
     seen: set[str] = set()
     for n in sys.nodes:
@@ -132,14 +132,14 @@ def validate_system(sys: CpsSystem) -> ValidationReport:
         v.append("no entry point: at least one entry-point edge is required")
     if not any(n.is_target for n in sys.nodes):
         v.append("no target: at least one node must be flagged as the target")
-    return ValidationReport(v)
+    return v
 
 
 def initial_knowledge(sys: CpsSystem) -> CpsKnowledge:
     """Starting knowledge: the entry points and the nodes they lead to."""
-    report = validate_system(sys)
-    if not report.ok:
-        raise ValidationFailure("malformed system", report.violations)
+    violations = validate_system(sys)
+    if violations:
+        raise ValidationFailure("malformed system", violations)
     entries = sys.entry_edges
     return CpsKnowledge(
         known_nodes=frozenset(e.to_node for e in entries),
@@ -173,79 +173,50 @@ def reveal_on_compromise(k: CpsKnowledge, sys: CpsSystem,
 
 
 def system_from_dict(doc: dict) -> CpsSystem:
-    """Build a system from a parsed description document.
+    """Build and fully validate a system from a parsed description document.
 
-    Raises ValidationFailure listing every schema problem; structural
-    invariants are checked separately by validate_system.
+    Raises ValidationFailure listing every problem at once: document shape,
+    field types and the structural invariants of validate_system.
     """
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        raise ValidationFailure("system document must be a JSON object")
-    unknown = set(doc) - {"nodes", "edges"}
-    if unknown:
-        errors.append("unknown top-level keys: " + ", ".join(sorted(unknown)))
+    errors = document(doc, {"nodes", "edges"}, "system document")
     nodes: list[Node] = []
-    for i, nd in enumerate(container(doc.get("nodes", []), list, "nodes",
-                                     errors)):
-        if not isinstance(nd, dict) or "id" not in nd:
-            errors.append(f"node #{i} is not an object with an 'id'")
-            continue
-        extra = set(nd) - _NODE_KEYS
-        if extra:
-            errors.append(f"node {nd['id']!r} has unknown keys: "
-                          + ", ".join(sorted(extra)))
-        attrs = nd.get("attributes", {})
-        if not isinstance(attrs, dict):
-            errors.append(f"node {nd['id']!r} attributes must be an object")
-            attrs = {}
-        for a, b in attrs.items():
-            if not isinstance(b, str):
-                errors.append(f"node {nd['id']!r} attribute {a!r} must be a "
-                              "string")
+    for owner, nd in entries(doc.get("nodes", []), "nodes", _NODE_KEYS,
+                             "node", errors):
+        attrs = container(nd.get("attributes", {}), dict,
+                          f"{owner} attributes", errors)
         nodes.append(Node(
-            id=str(nd["id"]),
-            name=str(nd.get("name", "")),
-            attributes={str(a): str(b) for a, b in attrs.items()},
-            is_target=bool(nd.get("target", False)),
+            id=nd["id"],
+            name=string(nd.get("name", ""), "{} name", errors, owner),
+            attributes={a: string(b, "{} attribute {!r}", errors, owner, a)
+                        for a, b in attrs.items()},
+            is_target=boolean(nd.get("target", False), "{} target", errors,
+                              owner),
         ))
     edges: list[Edge] = []
-    for i, ed in enumerate(container(doc.get("edges", []), list, "edges",
-                                     errors)):
-        if not isinstance(ed, dict) or "id" not in ed:
-            errors.append(f"edge #{i} is not an object with an 'id'")
-            continue
-        extra = set(ed) - _EDGE_KEYS
-        if extra:
-            errors.append(f"edge {ed['id']!r} has unknown keys: "
-                          + ", ".join(sorted(extra)))
-        missing = {"from", "to"} - set(ed)
-        if missing:
-            errors.append(f"edge {ed['id']!r} is missing: "
-                          + ", ".join(sorted(missing)))
-            continue
-        entry = bool(ed.get("entry_point", False))
+    for owner, ed in entries(doc.get("edges", []), "edges", _EDGE_KEYS,
+                             "edge", errors):
+        entry = boolean(ed.get("entry_point", False), "{} entry_point",
+                        errors, owner)
         edges.append(Edge(
-            id=str(ed["id"]),
-            from_node=str(ed["from"]),
-            to_node=str(ed["to"]),
+            id=ed["id"],
+            from_node=string(ed.get("from"), "{} from", errors, owner),
+            to_node=string(ed.get("to"), "{} to", errors, owner),
             channels=frozenset(string_list(
-                ed.get("channels", []), f"edge {ed['id']!r} channels",
-                errors)),
-            is_attack_vector=bool(ed.get("attack_vector", entry)),
+                ed.get("channels", []), f"{owner} channels", errors)),
+            is_attack_vector=boolean(ed.get("attack_vector", entry),
+                                     "{} attack_vector", errors, owner),
             is_entry_point=entry,
         ))
+    system = CpsSystem(nodes, edges)
+    errors.extend(validate_system(system))
     if errors:
         raise ValidationFailure("invalid system document", errors)
-    return CpsSystem(nodes, edges)
+    return system
 
 
 def load_system(path: str | Path) -> CpsSystem:
     """Load and fully validate a system description file."""
-    sys_ = system_from_dict(read_json(path))
-    report = validate_system(sys_)
-    if not report.ok:
-        raise ValidationFailure(f"invalid system in {path}", report.violations)
-    return sys_
+    return system_from_dict(read_json(path))
 
 
 def system_to_dict(sys: CpsSystem) -> dict:

@@ -22,8 +22,11 @@ from typing import Iterator, Mapping, Sequence
 from attacksim.errors import (
     ValidationFailure,
     container,
+    document,
+    entries,
     number,
     read_json,
+    string,
     string_list,
 )
 
@@ -34,6 +37,9 @@ UNBOUNDED_RANGE = "unbounded-range"
 KINDS = (UNORDERED_SET, ORDERED_SET, BOUNDED_RANGE, UNBOUNDED_RANGE)
 
 ProfileValue = str | float
+
+_PROPERTY_KEYS = {"name", "kind", "allowed_values", "lower", "upper",
+                  "criticality"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,9 +69,11 @@ class PropertySchema:
                 v.append(f"property {self.name!r}: bounded-range needs lower and upper")
             elif not self.lower < self.upper:
                 v.append(f"property {self.name!r}: lower must be < upper")
-        # criticality 0 would blow up the 1/criticality^2 distance weight
-        if not 0.0 < self.criticality <= 1.0:
-            v.append(f"property {self.name!r}: criticality must be in (0, 1]")
+        # the distance weight 1/criticality^2 overflows below about 1e-154
+        # (and divides by zero below 1e-162); the floor leaves room to sum
+        if not 1e-150 <= self.criticality <= 1.0:
+            v.append(f"property {self.name!r}: criticality must be in "
+                     "[1e-150, 1]")
         return v
 
 
@@ -279,24 +287,21 @@ class ProfileSet:
 
 def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
     props: list[PropertySchema] = []
-    for i, pd in enumerate(container(raw, list, "schema", errors)):
-        if not isinstance(pd, dict) or "name" not in pd or "kind" not in pd:
-            errors.append(f"schema entry #{i} needs 'name' and 'kind'")
-            continue
-        name = str(pd["name"])
+    for owner, pd in entries(raw, "schema", _PROPERTY_KEYS, "property",
+                             errors, key="name"):
         lower, upper = pd.get("lower"), pd.get("upper")
         props.append(PropertySchema(
-            name=name,
-            kind=str(pd["kind"]),
+            name=pd["name"],
+            kind=string(pd.get("kind"), "{}: kind", errors, owner),
             allowed_values=tuple(string_list(
-                pd.get("allowed_values", []),
-                f"property {name!r}: allowed_values", errors)),
+                pd.get("allowed_values", []), f"{owner}: allowed_values",
+                errors)),
             lower=None if lower is None else number(
-                lower, None, errors, "property {!r}: lower", name),
+                lower, None, errors, "{}: lower", owner),
             upper=None if upper is None else number(
-                upper, None, errors, "property {!r}: upper", name),
+                upper, None, errors, "{}: upper", owner),
             criticality=number(pd.get("criticality", 1.0), 1.0, errors,
-                               "property {!r}: criticality", name),
+                               "{}: criticality", owner),
         ))
     schema = ProfileSchema(props)
     errors.extend(schema.validate())
@@ -313,49 +318,38 @@ def schema_from_list(raw: list) -> ProfileSchema:
 
 
 def profile_set_from_dict(doc: dict) -> ProfileSet:
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        raise ValidationFailure("profiles document must be a JSON object")
-    unknown = set(doc) - {"schema", "profiles", "pmf"}
-    if unknown:
-        errors.append("unknown top-level keys: " + ", ".join(sorted(unknown)))
+    errors = document(doc, {"schema", "profiles", "pmf"},
+                      "profiles document")
     schema = _schema_from_list(doc.get("schema", []), errors)
 
     profiles: dict[str, AttackerProfile] = {}
-    for i, pd in enumerate(container(doc.get("profiles", []), list,
-                                     "profiles", errors)):
-        if not isinstance(pd, dict) or "name" not in pd:
-            errors.append(f"profile #{i} needs a 'name'")
-            continue
-        name = str(pd["name"])
+    for owner, pd in entries(doc.get("profiles", []), "profiles",
+                             {"name", "values"}, "profile", errors, key="name"):
+        name = pd["name"]
         if name in profiles:
             errors.append(f"duplicate profile name {name!r}")
-        values = {str(k): (v if isinstance(v, str) else number(
-                      v, 0.0, errors, "profile {!r}: property {!r}", name, k))
+        values = {k: (v if isinstance(v, str) else number(
+                      v, 0.0, errors, "{}: property {!r}", owner, k))
                   for k, v in container(pd.get("values", {}), dict,
-                                        f"profile {name!r}: values",
-                                        errors).items()}
-        errors.extend(validate_profile(schema, values, owner=f"profile {name!r}"))
+                                        f"{owner}: values", errors).items()}
+        errors.extend(validate_profile(schema, values, owner=owner))
         profiles[name] = AttackerProfile(name=name, values=values)
     if not profiles:
         errors.append("profiles document defines no profiles")
 
     pmf = None
     if "pmf" in doc:
-        entries: list[tuple[AttackerProfile, float]] = []
-        for i, entry in enumerate(container(doc["pmf"], list, "pmf",
-                                            errors)):
-            if not isinstance(entry, dict) or "profile" not in entry:
-                errors.append(f"pmf entry #{i} needs a 'profile'")
-                continue
-            pname = str(entry["profile"])
+        weighted: list[tuple[AttackerProfile, float]] = []
+        for _, pe in entries(doc["pmf"], "pmf", {"profile", "likelihood"},
+                             "pmf entry", errors, key="profile"):
+            pname = pe["profile"]
             if pname not in profiles:
                 errors.append(f"pmf references unknown profile {pname!r}")
                 continue
-            entries.append((profiles[pname], number(
-                entry.get("likelihood", 0.0), 0.0, errors,
+            weighted.append((profiles[pname], number(
+                pe.get("likelihood", 0.0), 0.0, errors,
                 "pmf likelihood for {!r}", pname)))
-        pmf = ProfilePmf(tuple(entries))
+        pmf = ProfilePmf(tuple(weighted))
         errors.extend(pmf.validate())
 
     if errors:

@@ -11,28 +11,65 @@ from attacksim.cli import main
 
 DATA = Path(__file__).parent / "data"
 
-# (document index in cstr_args, key path) of each field parsed by
-# errors.number, plus a node attribute, which must be a string
+# (document index in cstr_args, key path, declared JSON type) of each
+# field the loaders check; the type is None for target criteria, which take
+# a string or a list of strings
 TYPED_FIELDS = {
-    "criticality": (2, ("schema", 0, "criticality")),
-    "lower": (2, ("schema", 2, "lower")),
-    "upper": (2, ("schema", 2, "upper")),
-    "profile-value": (2, ("profiles", 0, "values", "Finances")),
-    "likelihood": (2, ("pmf", 0, "likelihood")),
-    "action-profile-value": (1, ("actions", 0, "profile", "Finances")),
-    "success-probability": (1, ("actions", 0, "success_probability")),
-    "node-attribute": (0, ("nodes", 0, "attributes", "os")),
-    "target-criteria": (1, ("actions", 0, "target_criteria", "role")),
+    "criticality": (2, ("schema", 0, "criticality"), "number"),
+    "lower": (2, ("schema", 2, "lower"), "number"),
+    "upper": (2, ("schema", 2, "upper"), "number"),
+    "profile-value": (2, ("profiles", 0, "values", "Finances"), "number"),
+    "likelihood": (2, ("pmf", 0, "likelihood"), "number"),
+    "action-profile-value": (1, ("actions", 0, "profile", "Finances"),
+                             "number"),
+    "success-probability": (1, ("actions", 0, "success_probability"),
+                            "number"),
+    "node-attribute": (0, ("nodes", 0, "attributes", "os"), "string"),
+    "target-criteria": (1, ("actions", 0, "target_criteria", "role"), None),
+    # strings and booleans
+    "node-name": (0, ("nodes", 0, "name"), "string"),
+    "node-target": (0, ("nodes", 0, "target"), "boolean"),
+    "edge-from": (0, ("edges", 0, "from"), "string"),
+    "edge-to": (0, ("edges", 0, "to"), "string"),
+    "edge-entry-point": (0, ("edges", 0, "entry_point"), "boolean"),
+    "edge-attack-vector": (0, ("edges", 0, "attack_vector"), "boolean"),
+    "action-id": (1, ("actions", 0, "id"), "string"),
+    "action-name": (1, ("actions", 0, "name"), "string"),
+    "action-description": (1, ("actions", 0, "description"), "string"),
+    "action-effect": (1, ("actions", 0, "effect"), "string"),
+    "property-name": (2, ("schema", 0, "name"), "string"),
+    "property-kind": (2, ("schema", 0, "kind"), "string"),
+    "profile-name": (2, ("profiles", 0, "name"), "string"),
+    "pmf-profile": (2, ("pmf", 0, "profile"), "string"),
     # containers
-    "nodes": (0, ("nodes",)),
-    "edges": (0, ("edges",)),
-    "actions": (1, ("actions",)),
-    "action-profile": (1, ("actions", 0, "profile")),
-    "schema": (2, ("schema",)),
-    "allowed-values": (2, ("schema", 0, "allowed_values")),
-    "profiles": (2, ("profiles",)),
-    "profile-values": (2, ("profiles", 0, "values")),
-    "pmf": (2, ("pmf",)),
+    "nodes": (0, ("nodes",), "array"),
+    "edges": (0, ("edges",), "array"),
+    "actions": (1, ("actions",), "array"),
+    "action-profile": (1, ("actions", 0, "profile"), "object"),
+    "schema": (2, ("schema",), "array"),
+    "allowed-values": (2, ("schema", 0, "allowed_values"), "array"),
+    "profiles": (2, ("profiles",), "array"),
+    "profile-values": (2, ("profiles", 0, "values"), "object"),
+    "pmf": (2, ("pmf",), "array"),
+}
+
+# the JSON type each declared type name stands for
+JSON_TYPES = {
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+# (document index in cstr_args, key path) of a key that no loader knows,
+# in each kind of object
+UNKNOWN_KEYS = {
+    "system-key": (0, ("\udc80",)),
+    "property-key": (2, ("schema", 0, "critcality")),
+    "profile-key": (2, ("profiles", 0, "rank")),
+    "pmf-entry-key": (2, ("pmf", 0, "weight")),
 }
 
 # (document, key path) of fields read by `trace` and `ingest`: a trace
@@ -120,11 +157,13 @@ ANNOTATIONS = {
 }
 
 # any JSON value: nested containers, null, bools, ints, floats including
-# NaN and +-Infinity, and text
+# NaN and +-Infinity, and text including lone surrogates, which JSON
+# escapes can spell
+TEXT = st.text(st.characters(codec=None))
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(), inner, max_size=3),
+    | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=8)
 
 # not a JSON document: a byte that is not UTF-8, an integer literal past
@@ -174,8 +213,9 @@ def replaced(doc, keys, value):
 
 
 def with_field(cstr_args, tmp_path, field, value):
-    """cstr_args with one TYPED_FIELDS field set to `value`."""
-    index, keys = TYPED_FIELDS[field]
+    """cstr_args with one TYPED_FIELDS or UNKNOWN_KEYS field set to
+    `value`."""
+    index, keys = (TYPED_FIELDS.get(field) or UNKNOWN_KEYS[field])[:2]
     doc = json.loads(Path(cstr_args[index]).read_text())
     bad = tmp_path / Path(cstr_args[index]).name
     bad.write_text(json.dumps(replaced(doc, keys, value)))
@@ -286,6 +326,56 @@ class TestValidate:
         pytest.param("target-criteria", [1, {"x": None}],
                      "action 'usb-drop': target_criteria 'role' must be a "
                      "list of strings", id="target-criteria-mixed-list"),
+        # a non-boolean flag, an unknown key, a non-string id, name or
+        # description: each is an error, never a value read some other way
+        pytest.param("node-target", "false",
+                     "node 'N1' target must be true or false",
+                     id="node-target-string"),
+        pytest.param("edge-entry-point", "no",
+                     "edge 'E1' entry_point must be true or false",
+                     id="edge-entry-point-string"),
+        pytest.param("edge-attack-vector", 1,
+                     "edge 'E1' attack_vector must be true or false",
+                     id="edge-attack-vector-int"),
+        pytest.param("property-key", 0.5,
+                     "property 'Access' has unknown keys: critcality",
+                     id="property-misspelt-key"),
+        pytest.param("profile-key", 1,
+                     "profile 'Basic User' has unknown keys: rank",
+                     id="profile-unknown-key"),
+        pytest.param("pmf-entry-key", 1,
+                     "pmf entry 'Basic User' has unknown keys: weight",
+                     id="pmf-entry-unknown-key"),
+        pytest.param("action-id", 12,
+                     "action #0 must be an object with a string 'id'",
+                     id="action-id-int"),
+        pytest.param("action-name", None,
+                     "action 'usb-drop': name must be a string",
+                     id="action-name-null"),
+        pytest.param("action-name", 5,
+                     "action 'usb-drop': name must be a string",
+                     id="action-name-int"),
+        pytest.param("action-description", None,
+                     "action 'usb-drop': description must be a string",
+                     id="action-description-null"),
+        pytest.param("action-description", 5,
+                     "action 'usb-drop': description must be a string",
+                     id="action-description-int"),
+        pytest.param("node-name", None, "node 'N1' name must be a string",
+                     id="node-name-null"),
+        pytest.param("node-name", 5, "node 'N1' name must be a string",
+                     id="node-name-int"),
+        # 1e-200 squared is 0, so its distance weight divides by zero
+        pytest.param("criticality", 1e-200,
+                     "property 'Access': criticality must be in [1e-150, 1]",
+                     id="criticality-square-underflows"),
+        # a lone surrogate, which UTF-8 cannot encode
+        pytest.param("node-name", "\udc80",
+                     "node 'N1' name is not valid Unicode text",
+                     id="node-name-surrogate"),
+        pytest.param("system-key", 1,
+                     "unknown top-level keys: \\udc80",
+                     id="system-surrogate-key"),
     ])
     def test_malformed_field_exits_one(self, cstr_args, tmp_path, capsys,
                                        field, value, message):
@@ -487,6 +577,9 @@ class TestTrace:
         pytest.param(DECISION + ("target",), ["N1"],
                      "decision #0: target must be a string",
                      id="target-list"),
+        pytest.param(DECISION + ("target",), "\ud800",
+                     "decision #0: target is not valid Unicode text",
+                     id="target-surrogate"),
     ])
     @pytest.mark.parametrize("how", ["--summary", "--dot"])
     def test_mistyped_trace_field_exits_one(self, trace_file, tmp_path,
@@ -537,7 +630,23 @@ class TestExitCodeContract:
     def test_any_json_value_in_a_typed_field(self, cstr_args, tmp_path,
                                              field, value):
         args = with_field(cstr_args, tmp_path, field, value)
-        assert run_cli("validate", *args) in (0, 1)
+        code = run_cli("validate", *args)
+        assert code in (0, 1)
+        if code == 0:  # what validates must also run
+            assert run_cli("simulate", *args, "--episodes", 2, "--traces", 2,
+                           "--seed", 1, "--out", tmp_path / "r") == 0
+
+    @given(field=st.sampled_from(sorted(
+               name for name, (_, _, kind) in TYPED_FIELDS.items() if kind)),
+           data=st.data())
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_value_of_another_type_exits_one(self, cstr_args, tmp_path,
+                                             field, data):
+        declared = JSON_TYPES[TYPED_FIELDS[field][2]]
+        value = data.draw(JSON_VALUES.filter(lambda v: not declared(v)))
+        args = with_field(cstr_args, tmp_path, field, value)
+        assert run_cli("validate", *args) == 1
 
     @pytest.fixture()
     def documents(self, cstr_args, tmp_path):
