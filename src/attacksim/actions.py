@@ -28,6 +28,7 @@ from attacksim.profiles import (
     ProfileValue,
     ScaledProfile,
     scale_profile,
+    spread_is_finite,
     validate_profile,
 )
 
@@ -112,6 +113,11 @@ class ActionDatabase:
                          "in [0, 1]")
             if a.effect not in EFFECTS:
                 v.append(f"action {a.id!r}: unknown effect {a.effect!r}")
+        for prop in self.schema:
+            if prop.kind == UNBOUNDED_RANGE and not spread_is_finite(
+                    [a.profile.get(prop.name) for a in self.actions]):
+                v.append(f"property {prop.name!r}: max - min of the action "
+                         "values must be finite")
         v.extend(self._find_cycles())
         return v
 

@@ -18,6 +18,10 @@ channel sets as int bitmasks, the validated starting knowledge, and each
 attacker profile's distance to every action, keyed by action id. A
 decision then only checks the dynamic predicates and looks up its
 candidates' distances.
+
+A decision's record keeps its candidates as four columns (ids,
+distances, scores, probabilities), the lists the assessment computed;
+no per-candidate object is built on the decision path.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from attacksim.profiles import (
     AttackerProfile,
     ScaledProfile,
     scale_profile,
+    spread_is_finite,
     validate_profile,
 )
 
@@ -51,16 +56,31 @@ class CandidateScore(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class DecisionRecord:
     """One decision: the candidate set with its full probability breakdown,
-    the sampled action, and the Bernoulli outcome."""
+    the sampled action, and the Bernoulli outcome.
+
+    The candidates are stored as four parallel columns in canonical id
+    order: ``action_ids[i]`` has distance ``distances[i]``, score
+    ``scores[i]`` and selection probability ``probabilities[i]``.
+    ``candidates`` derives the per-candidate view from them.
+    """
 
     target: str
-    candidates: tuple[CandidateScore, ...]
+    action_ids: tuple[str, ...]
+    distances: tuple[float, ...]
+    scores: tuple[float, ...]
+    probabilities: tuple[float, ...]
     chosen: str
     chosen_name: str
     probability: float
     outcome: str
     source: str = ""
     via_edges: tuple[str, ...] = ()
+
+    @property
+    def candidates(self) -> tuple[CandidateScore, ...]:
+        """The columns zipped into one CandidateScore per candidate."""
+        return tuple(map(CandidateScore, self.action_ids, self.distances,
+                         self.scores, self.probabilities))
 
 
 class DecisionContext:
@@ -113,17 +133,24 @@ class DecisionContext:
         action, keyed by action id; cached by profile name.
 
         Unbounded properties scale against the database population extended
-        with the attacker's own value, clamping it onto the action scale.
+        with the attacker's own value, clamping it onto the action scale;
+        a profile whose value makes that population's max - min overflow
+        is rejected like an invalid one.
         """
         cached = self._thetas.get(attacker.name)
         if cached is not None:
             return cached
-        errs = validate_profile(self.db.schema, attacker.values,
-                                owner=f"attacker profile {attacker.name!r}")
+        owner = f"attacker profile {attacker.name!r}"
+        errs = validate_profile(self.db.schema, attacker.values, owner=owner)
+        populations = self.db.unbounded_populations()
+        errs.extend(
+            f"{owner}: max - min of property {name!r} over the action "
+            "values and this profile's value must be finite"
+            for name, pop in populations.items()
+            if not spread_is_finite([*pop, attacker.values.get(name)]))
         if errs:
             raise ValidationFailure("invalid attacker profile", errs)
-        theta = scale_profile(self.db.schema, attacker.values,
-                              self.db.unbounded_populations(),
+        theta = scale_profile(self.db.schema, attacker.values, populations,
                               include_own_value=True)
         profiles = self.action_profiles
         dist = dict(zip(profiles, _kernels.profile_distances(
@@ -326,9 +353,10 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
         state.current_target = target
     record = DecisionRecord(
         target=target,
-        candidates=tuple(
-            CandidateScore(a, d[i], s[i], p[i])
-            for i, a in enumerate(cand_ids)),
+        action_ids=tuple(cand_ids),
+        distances=tuple(d),
+        scores=tuple(s),
+        probabilities=tuple(p),
         chosen=chosen,
         chosen_name=action.name or action.id,
         probability=p[idx],

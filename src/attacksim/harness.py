@@ -20,7 +20,7 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from pathlib import Path
 from random import Random
 
@@ -28,7 +28,6 @@ from attacksim.actions import ActionDatabase
 from attacksim.engine import (
     SUCCESS,
     AttackState,
-    CandidateScore,
     DecisionContext,
     DecisionRecord,
     step,
@@ -328,22 +327,25 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
         if not isinstance(r, dict):
             errors.append(f"{owner} must be an object")
             continue
-        candidates = []
+        ids, d, s, p = [], [], [], []
         for j, c in enumerate(container(r.get("candidates"), list,
                                         f"{owner}: candidates", errors)):
             if not isinstance(c, dict):
                 errors.append(f"{owner}: candidate #{j} must be an object")
                 continue
-            candidates.append(CandidateScore(
-                string(c.get("action"), f"{owner}: candidate #{j}: action",
-                       errors),
-                *(number(c.get(key), 0.0, errors, "{}: candidate #{}: {}",
-                         owner, j, key)
-                  for key in ("distance", "score", "probability"))))
+            ids.append(string(c.get("action"),
+                              f"{owner}: candidate #{j}: action", errors))
+            for key, column in (("distance", d), ("score", s),
+                                ("probability", p)):
+                column.append(number(c.get(key), 0.0, errors,
+                                     "{}: candidate #{}: {}", owner, j, key))
         chosen = string(r.get("chosen"), f"{owner}: chosen", errors)
         records.append(DecisionRecord(
             target=string(r.get("target"), f"{owner}: target", errors),
-            candidates=tuple(candidates),
+            action_ids=tuple(ids),
+            distances=tuple(d),
+            scores=tuple(s),
+            probabilities=tuple(p),
             chosen=chosen,
             chosen_name=string(r.get("chosen_name", chosen),
                                f"{owner}: chosen_name", errors),
@@ -365,9 +367,75 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
                         status=status, knowledge=knowledge)
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C escaper json uses
+
+# the fixed layout json.dumps(trace_to_dict(t), indent=2) gives a trace
+_TRACE_HEAD = ('{\n  "episode": %r,\n  "profile": %s,\n  "status": %s,\n'
+               '  "decisions": ')
+_TRACE_TAIL = (',\n  "knowledge": {\n    "known_nodes": %s,\n'
+               '    "known_edges": %s,\n    "compromised_nodes": %s\n  }\n}')
+_DECISION = ('    {\n      "target": %s,\n      "candidates": %s,\n'
+             '      "chosen": %s,\n      "chosen_name": %s,\n'
+             '      "probability": %r,\n      "outcome": %s,\n'
+             '      "source": %s,\n      "via_edges": %s\n    }')
+_CANDIDATE = ('        {\n          "action": %s,\n          "distance": %r,\n'
+              '          "score": %r,\n          "probability": %r\n        }')
+
+
+def _quoted_list(items, indent: str) -> str:
+    """A list of strings as indent=2 lays it out, closing at `indent`."""
+    if not items:
+        return "[]"
+    return ("[\n  " + indent + (",\n  " + indent).join(map(_quote, items))
+            + "\n" + indent + "]")
+
+
+def _candidates_json(rec: DecisionRecord) -> str:
+    n = len(rec.action_ids)
+    if not n:
+        return "[]"
+    args = [None] * (4 * n)
+    args[0::4] = map(_quote, rec.action_ids)
+    args[1::4] = rec.distances
+    args[2::4] = rec.scores
+    args[3::4] = rec.probabilities
+    return ("[\n" + ",\n".join([_CANDIDATE] * n) % tuple(args)
+            + "\n      ]")
+
+
 def save_trace(trace: EpisodeTrace, path: str | Path):
-    Path(path).write_text(json.dumps(trace_to_dict(trace), indent=2),
-                          encoding="utf-8")
+    """Write a trace as JSON, byte-identical to
+    ``json.dumps(trace_to_dict(trace), indent=2)``.
+
+    The fixed layout is written directly, one decision at a time: strings
+    go through json's C escaper, numbers through ``repr``, and each
+    decision's candidates through one ``%`` over a repeated template.
+    json spells a non-finite float ``NaN`` or ``Infinity`` where ``repr``
+    gives ``nan`` or ``inf``, so a trace holding one is written with
+    ``json.dumps`` instead.
+    """
+    path = Path(path)
+    if not all(isfinite(r.probability + sum(r.distances) + sum(r.scores)
+                        + sum(r.probabilities)) for r in trace.records):
+        path.write_text(json.dumps(trace_to_dict(trace), indent=2),
+                        encoding="utf-8")
+        return
+    k = trace.knowledge
+    with path.open("w", encoding="utf-8") as f:
+        f.write(_TRACE_HEAD % (trace.index, _quote(trace.profile),
+                               _quote(trace.status)))
+        sep = "[\n"
+        for r in trace.records:
+            f.write(sep)
+            f.write(_DECISION % (
+                _quote(r.target), _candidates_json(r), _quote(r.chosen),
+                _quote(r.chosen_name), r.probability, _quote(r.outcome),
+                _quote(r.source), _quoted_list(r.via_edges, "      ")))
+            sep = ",\n"
+        f.write("[]" if sep == "[\n" else "\n  ]")
+        f.write(_TRACE_TAIL % tuple(
+            _quoted_list(sorted(nodes), "    ") for nodes in (
+                k.known_nodes, k.known_edges, k.compromised_nodes)))
 
 
 def load_trace(path: str | Path) -> EpisodeTrace:

@@ -16,6 +16,7 @@ four kinds and each kind has its own rule for mapping raw values into the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -69,6 +70,10 @@ class PropertySchema:
                 v.append(f"property {self.name!r}: bounded-range needs lower and upper")
             elif not self.lower < self.upper:
                 v.append(f"property {self.name!r}: lower must be < upper")
+            # scaling divides by the span, so it must not overflow
+            elif not isfinite(self.upper - self.lower):
+                v.append(f"property {self.name!r}: upper - lower must be "
+                         "finite")
         # the distance weight 1/criticality^2 overflows below about 1e-154
         # (and divides by zero below 1e-162); the floor leaves room to sum
         if not 1e-150 <= self.criticality <= 1.0:
@@ -166,6 +171,16 @@ def scale_unbounded(epsilon: float, population: Sequence[float],
     if hi == lo:
         return 0.5
     return min(1.0, max(0.0, (epsilon - lo) / (hi - lo)))
+
+
+def spread_is_finite(values: Sequence) -> bool:
+    """Whether max - min of `values` is finite, as unbounded-range scaling,
+    which divides by it, needs. True when there is no value or one is not
+    a number (None for a missing one): validate_profile reports those."""
+    try:
+        return isfinite(max(values) - min(values))
+    except (TypeError, ValueError):
+        return True
 
 
 def scale_ordered_set(label: str, allowed_values: Sequence[str],

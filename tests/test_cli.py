@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from attacksim.cli import main
+from attacksim.data import fixture_path
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,6 +48,7 @@ TYPED_FIELDS = {
     "actions": (1, ("actions",), "array"),
     "action-profile": (1, ("actions", 0, "profile"), "object"),
     "schema": (2, ("schema",), "array"),
+    "property": (2, ("schema", 2), "object"),
     "allowed-values": (2, ("schema", 0, "allowed_values"), "array"),
     "profiles": (2, ("profiles",), "array"),
     "profile-values": (2, ("profiles", 0, "values"), "object"),
@@ -173,6 +175,15 @@ UNPARSABLE = {
     "int-over-digit-limit": b'{"episode": ' + b"1" * 5000 + b"}",
     "nesting-over-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
 }
+
+
+def spanning_actions(prop, low, high):
+    """The fixture's action list with property `prop` at `low` in the
+    first action's profile and at `high` in the second's."""
+    doc = json.loads(fixture_path("cstr_actions.json").read_text())
+    doc["actions"][0]["profile"][prop] = low
+    doc["actions"][1]["profile"][prop] = high
+    return doc["actions"]
 
 
 def run_cli(*argv):
@@ -369,6 +380,15 @@ class TestValidate:
         pytest.param("criticality", 1e-200,
                      "property 'Access': criticality must be in [1e-150, 1]",
                      id="criticality-square-underflows"),
+        # scaling divides by a property's span, which must not overflow
+        pytest.param("property", {"name": "Knowledge", "kind": "bounded-range",
+                                  "lower": -1.7e308, "upper": 1.7e308},
+                     "property 'Knowledge': upper - lower must be finite",
+                     id="bounded-span-overflows"),
+        pytest.param("actions", spanning_actions("Finances", -1.7e308,
+                                                 1.7e308),
+                     "property 'Finances': max - min of the action values "
+                     "must be finite", id="unbounded-span-overflows"),
         # a lone surrogate, which UTF-8 cannot encode
         pytest.param("node-name", "\udc80",
                      "node 'N1' name is not valid Unicode text",

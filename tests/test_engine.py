@@ -18,6 +18,7 @@ from attacksim.engine import (
     step,
     viable_edges,
 )
+from attacksim.errors import ValidationFailure
 from attacksim.model import CpsSystem, EXTERNAL_ORIGIN, Edge, Node
 from attacksim.profiles import AttackerProfile, ProfileSchema, PropertySchema
 
@@ -76,6 +77,22 @@ def attacker() -> AttackerProfile:
 
 def fresh_state() -> AttackState:
     return initial_state(plant_system(), plant_actions(), attacker())
+
+
+class TestAttackerTheta:
+    def test_spread_overflow_rejected(self):
+        # the actions' values span 1.7e308; with the attacker's, 3.4e308
+        schema = ProfileSchema([PropertySchema("Budget", "unbounded-range")])
+        db = ActionDatabase([Action(id="a", profile={"Budget": -1.7e308}),
+                             Action(id="b", profile={"Budget": 0.0})],
+                            schema)
+        assert db.validate() == []
+        ctx = DecisionContext(plant_system(), db)
+        with pytest.raises(ValidationFailure) as exc:
+            ctx.attacker_theta(AttackerProfile("rich", {"Budget": 1.7e308}))
+        assert exc.value.errors == [
+            "attacker profile 'rich': max - min of property 'Budget' over "
+            "the action values and this profile's value must be finite"]
 
 
 class TestFilterValid:

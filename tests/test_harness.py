@@ -1,12 +1,17 @@
 import json
+import math
 from concurrent.futures import Future
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from attacksim import _kernels, harness, model
 from attacksim.actions import Action, ActionDatabase, TargetCriteria, load_action_db
 from attacksim.engine import (
+    CandidateScore,
+    DecisionContext,
+    DecisionRecord,
     distance,
     filter_valid,
     initial_state,
@@ -123,6 +128,24 @@ class TestRunEpisode:
         for rec, (_, _, _, probs) in zip(trace.records, decisions):
             assert tuple(c.probability for c in rec.candidates) == probs
         assert trace.knowledge == knowledge
+
+    def test_candidates_zip_the_columns(self, cstr_paths):
+        system, db, profiles = load_cstr(cstr_paths)
+        _, traces = run_monte_carlo(system, db, profiles,
+                                    SimConfig(20, seed=23))
+        ctx = DecisionContext(system, db)
+        beta = [p.criticality for p in db.schema]
+        for trace in traces:
+            theta, _ = ctx.attacker_theta(profiles.profiles[trace.profile])
+            for rec in trace.records:
+                ids = rec.action_ids
+                d = [distance(theta, ctx.action_profiles[a], beta)
+                     for a in ids]
+                s = scores(d)
+                p = probabilities(s)
+                assert rec.candidates == tuple(
+                    CandidateScore(a, d[i], s[i], p[i])
+                    for i, a in enumerate(ids))
 
 
 def _scripted_replay(system, db, profiles, seed):
@@ -310,6 +333,50 @@ class TestEpisodeSeed:
         assert episode_seed(7, 0) != episode_seed(8, 0)
 
 
+TEXT = st.text(st.characters(codec=None), max_size=6)
+
+
+@st.composite
+def decisions(draw):
+    candidates = draw(st.lists(st.tuples(TEXT, st.floats(), st.floats(),
+                                         st.floats()), max_size=4))
+    ids, d, s, p = tuple(zip(*candidates)) or ((),) * 4
+    return DecisionRecord(
+        target=draw(TEXT), action_ids=ids, distances=d, scores=s,
+        probabilities=p, chosen=draw(TEXT), chosen_name=draw(TEXT),
+        probability=draw(st.floats()), outcome=draw(TEXT),
+        source=draw(TEXT), via_edges=tuple(draw(st.lists(TEXT, max_size=3))))
+
+
+TRACES = st.builds(
+    harness.EpisodeTrace,
+    index=st.integers(0, 10**6),
+    profile=TEXT,
+    records=st.lists(decisions(), max_size=3).map(tuple),
+    status=TEXT,
+    knowledge=st.builds(
+        model.CpsKnowledge,
+        **{key: st.frozensets(TEXT, max_size=3) for key in (
+            "known_nodes", "known_edges", "compromised_nodes")}),
+)
+
+
+def writer_trace(ids=("a1", "a2"), value=0.25, records=2):
+    """A trace of `records` identical decisions whose candidates are `ids`,
+    every number `value`; via_edges and compromised_nodes are empty."""
+    n = len(ids)
+    rec = DecisionRecord(
+        target="N1", action_ids=ids, distances=(value,) * n,
+        scores=(value,) * n, probabilities=(value,) * n, chosen="a1",
+        chosen_name="A one", probability=value, outcome="failure",
+        source=EXTERNAL_ORIGIN)
+    return harness.EpisodeTrace(
+        index=3, profile="p", records=(rec,) * records, status=EXHAUSTED,
+        knowledge=model.CpsKnowledge(known_nodes=frozenset({"N1", "N2"}),
+                                     known_edges=frozenset({"E1"}),
+                                     compromised_nodes=frozenset()))
+
+
 class TestTraceSerialization:
     def test_round_trip(self, cstr_paths, tmp_path):
         system, db, profiles = load_cstr(cstr_paths)
@@ -320,6 +387,34 @@ class TestTraceSerialization:
             save_trace(trace, path)
             clone = load_trace(path)
             assert trace_to_dict(clone) == trace_to_dict(trace)
+
+    def test_fixture_traces_save_and_load_unchanged(self, cstr_paths,
+                                                    tmp_path):
+        system, db, profiles = load_cstr(cstr_paths)
+        _, traces = run_monte_carlo(system, db, profiles,
+                                    SimConfig(50, seed=22))
+        path = tmp_path / "trace.json"
+        for trace in traces:
+            save_trace(trace, path)
+            assert path.read_bytes() == json.dumps(
+                trace_to_dict(trace), indent=2).encode("ascii")
+            assert load_trace(path) == trace
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace=TRACES)
+    @example(trace=writer_trace())
+    @example(trace=writer_trace(ids=('a"b', "c\\d", "\u00e9\u4e2d\U0001f600",
+                                     "\udc80", "\n\t")))
+    @example(trace=writer_trace(records=0))
+    @example(trace=writer_trace(ids=()))
+    @example(trace=writer_trace(value=math.nan))
+    @example(trace=writer_trace(value=math.inf))
+    @example(trace=writer_trace(value=-math.inf))
+    def test_writer_matches_json_dumps(self, tmp_path_factory, trace):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        save_trace(trace, path)
+        assert path.read_bytes() == json.dumps(
+            trace_to_dict(trace), indent=2).encode("ascii")
 
     def test_corrupt_trace_rejected(self):
         with pytest.raises(ValidationFailure, match="corrupt"):
