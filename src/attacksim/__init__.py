@@ -55,7 +55,6 @@ from attacksim.profiles import (
     ProfileSchema,
     ProfileSet,
     PropertySchema,
-    ScaledProfile,
     load_profiles,
     match_unordered,
     pmf_probabilities,

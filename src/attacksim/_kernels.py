@@ -16,10 +16,10 @@ def profile_distances(theta, inv_beta_sq, gammas, unordered):
     """Weighted n-dimensional distance from `theta` to each profile in
     `gammas`, one float per profile, in order.
 
-    `theta` and each entry of `gammas` hold n slot values in schema order
-    (the `values` of a ScaledProfile); `inv_beta_sq[j]` is the slot's
-    1 / criticality^2. Slots flagged in `unordered` hold labels, which
-    compare by equality and contribute a 0/1 difference term; the rest
+    `theta` and each entry of `gammas` hold n slot values in schema order,
+    as `profiles.scale_profile` returns them; `inv_beta_sq[j]` is the
+    slot's 1 / criticality^2. Slots flagged in `unordered` hold labels,
+    which compare by equality and contribute a 0/1 difference term; the rest
     contribute theta[j] - gamma[j].
     """
     n = len(theta)

@@ -1,13 +1,14 @@
 """The action database: profiled attack actions with target criteria,
 propagation channels, and prerequisites.
 
-Actions are immutable after load; the scaled-profile cache is computed once
-per database and shared by every episode.
+Actions are immutable after load; their scaled profiles are computed once
+per run and shared by every episode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf, isfinite
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -26,9 +27,7 @@ from attacksim.profiles import (
     UNBOUNDED_RANGE,
     ProfileSchema,
     ProfileValue,
-    ScaledProfile,
     scale_profile,
-    spread_is_finite,
     validate_profile,
 )
 
@@ -113,11 +112,13 @@ class ActionDatabase:
                          "in [0, 1]")
             if a.effect not in EFFECTS:
                 v.append(f"action {a.id!r}: unknown effect {a.effect!r}")
-        for prop in self.schema:
-            if prop.kind == UNBOUNDED_RANGE and not spread_is_finite(
-                    [a.profile.get(prop.name) for a in self.actions]):
-                v.append(f"property {prop.name!r}: max - min of the action "
-                         "values must be finite")
+        try:
+            v.extend(f"property {name!r}: max - min of the action values "
+                     "must be finite"
+                     for name, (lo, hi) in self.unbounded_ranges().items()
+                     if self.actions and not isfinite(hi - lo))
+        except (KeyError, TypeError, ValueError):
+            pass  # a missing or non-numeric value: validate_profile reports it
         v.extend(self._find_cycles())
         return v
 
@@ -156,31 +157,32 @@ class ActionDatabase:
                     path.pop()
         return cycles
 
-    def unbounded_populations(self) -> dict[str, list[float]]:
-        """Database-wide value population per unbounded property."""
-        pops: dict[str, list[float]] = {}
+    def unbounded_ranges(self) -> dict[str, tuple[float, float]]:
+        """(min, max) of each unbounded property over the actions' values;
+        (inf, -inf), which any value extends to (value, value), when the
+        database is empty."""
+        ranges: dict[str, tuple[float, float]] = {}
         for prop in self.schema:
             if prop.kind == UNBOUNDED_RANGE:
-                pops[prop.name] = [float(a.profile[prop.name])
-                                   for a in self.actions]
-        return pops
+                vals = [float(a.profile[prop.name]) for a in self.actions]
+                ranges[prop.name] = (min(vals, default=inf),
+                                     max(vals, default=-inf))
+        return ranges
 
 
-def scaled_action_profiles(db: ActionDatabase) -> dict[str, ScaledProfile]:
+def scaled_action_profiles(db: ActionDatabase
+                           ) -> dict[str, tuple[ProfileValue, ...]]:
     """Scale every action profile; pure, deterministic, cached by callers.
 
-    Unbounded properties scale against the database-wide population, so a
-    new action inside the existing [min, max] leaves other actions' scaled
-    values untouched.
+    Unbounded properties scale against the database-wide (min, max), so a
+    new action inside that range leaves other actions' scaled values
+    untouched.
     """
-    # scale_unbounded reads only a population's extremes: reduce each one
-    # to them once instead of rescanning it for every action
-    pops = {name: (min(vals), max(vals)) if vals else ()
-            for name, vals in db.unbounded_populations().items()}
-    out: dict[str, ScaledProfile] = {}
+    ranges = db.unbounded_ranges()
+    out: dict[str, tuple[ProfileValue, ...]] = {}
     for a in db.actions:
         try:
-            out[a.id] = scale_profile(db.schema, a.profile, pops)
+            out[a.id] = scale_profile(db.schema, a.profile, ranges)
         except ValueError as exc:
             raise ValueError(f"action {a.id!r}: {exc}") from exc
     return out

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from attacksim.actions import load_action_db
+from attacksim.engine import DecisionContext
 from attacksim.errors import ValidationFailure, document, read_json
 from attacksim.harness import (
     SimConfig,
@@ -101,19 +102,28 @@ def cmd_validate(args) -> int:
         profile_set = load_profiles(args.profiles)
     except ValidationFailure as exc:
         problems.extend(exc.errors or [str(exc)])
+    system = db = None
     try:
-        load_system(args.system)
+        system = load_system(args.system)
     except ValidationFailure as exc:
         problems.extend(exc.errors or [str(exc)])
     if profile_set is not None:
         try:
-            load_action_db(args.actions, profile_set.schema)
+            db = load_action_db(args.actions, profile_set.schema)
         except ValidationFailure as exc:
             problems.extend(exc.errors or [str(exc)])
     else:
         if not Path(args.actions).exists():
             raise FileNotFoundError(args.actions)
         problems.append("actions not validated: profiles document is invalid")
+    if system is not None and db is not None:
+        # the check simulate runs on each profile it can draw
+        ctx = DecisionContext(system, db)
+        for profile in profile_set.profiles.values():
+            try:
+                ctx.attacker_theta(profile)
+            except ValidationFailure as exc:
+                problems.extend(exc.errors)
     if problems:
         for line in problems:
             print(line)

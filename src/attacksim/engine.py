@@ -15,9 +15,10 @@ Everything that does not depend on the episode's dynamic state (knowledge,
 attempted and succeeded actions) is computed once per run in
 DecisionContext: which actions' target criteria match each node, the
 channel sets as int bitmasks, the validated starting knowledge, and each
-attacker profile's distance to every action, keyed by action id. A
-decision then only checks the dynamic predicates and looks up its
-candidates' distances.
+attacker profile's distance to every action, keyed by action id, for
+every profile the run can draw before its first episode. A decision
+then only checks the dynamic predicates and looks up its candidates'
+distances.
 
 A decision's record keeps its candidates as four columns (ids,
 distances, scores, probabilities), the lists the assessment computed;
@@ -27,6 +28,7 @@ no per-candidate object is built on the decision path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import NamedTuple, Sequence
 
 from attacksim import _kernels
@@ -36,9 +38,8 @@ from attacksim.model import CpsKnowledge, CpsSystem, initial_knowledge, reveal_o
 from attacksim.profiles import (
     UNORDERED_SET,
     AttackerProfile,
-    ScaledProfile,
+    ProfileValue,
     scale_profile,
-    spread_is_finite,
     validate_profile,
 )
 
@@ -86,7 +87,8 @@ class DecisionRecord:
 class DecisionContext:
     """Static decision inputs shared by every episode of a run.
 
-    Computed once per run:
+    Built and validated once per run, in the parent process, and passed
+    as is to every worker:
 
     - the scaled action profiles, by action id in canonical order, and
       the per-slot distance weights 1 / criticality^2;
@@ -96,7 +98,7 @@ class DecisionContext:
     - per node, the attack-vector edges into it, in canonical id order, as
       ``(id, source node, channel bitmask)`` rows;
     - per attacker profile (on first use, cached by name), the scaled
-      vector and its distance to every action, by action id.
+      tuple and its distance to every action, by action id.
 
     Immutable after construction apart from that profile cache.
     """
@@ -109,7 +111,7 @@ class DecisionContext:
         self.inv_beta_sq = [1.0 / (p.criticality * p.criticality)
                             for p in db.schema]
         self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
-        self._thetas: dict[str, tuple[ScaledProfile, dict[str, float]]] = {}
+        self._thetas: dict[str, tuple[tuple, dict[str, float]]] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
@@ -128,34 +130,37 @@ class DecisionContext:
             for node in system.nodes}
 
     def attacker_theta(self, attacker: AttackerProfile
-                       ) -> tuple[ScaledProfile, dict[str, float]]:
-        """Scale an attacker profile and measure its distance to every
-        action, keyed by action id; cached by profile name.
+                       ) -> tuple[tuple[ProfileValue, ...], dict[str, float]]:
+        """Check and scale an attacker profile and measure its distance to
+        every action, keyed by action id; cached by profile name.
 
-        Unbounded properties scale against the database population extended
-        with the attacker's own value, clamping it onto the action scale;
-        a profile whose value makes that population's max - min overflow
-        is rejected like an invalid one.
+        Each unbounded property scales against the database's (min, max)
+        extended with the attacker's own value, clamping it onto the
+        action scale; a profile whose value makes that range's max - min
+        overflow is rejected like an invalid one.
         """
         cached = self._thetas.get(attacker.name)
         if cached is not None:
             return cached
         owner = f"attacker profile {attacker.name!r}"
-        errs = validate_profile(self.db.schema, attacker.values, owner=owner)
-        populations = self.db.unbounded_populations()
-        errs.extend(
-            f"{owner}: max - min of property {name!r} over the action "
-            "values and this profile's value must be finite"
-            for name, pop in populations.items()
-            if not spread_is_finite([*pop, attacker.values.get(name)]))
+        values = attacker.values
+        errs = validate_profile(self.db.schema, values, owner=owner)
+        ranges: dict[str, tuple[float, float]] = {}
+        if not errs:
+            for name, (lo, hi) in self.db.unbounded_ranges().items():
+                v = float(values[name])
+                ranges[name] = (min(lo, v), max(hi, v))
+            errs = [f"{owner}: max - min of property {name!r} over the "
+                    "action values and this profile's value must be finite"
+                    for name, (lo, hi) in ranges.items()
+                    if not isfinite(hi - lo)]
         if errs:
             raise ValidationFailure("invalid attacker profile", errs)
-        theta = scale_profile(self.db.schema, attacker.values, populations,
-                              include_own_value=True)
+        theta = scale_profile(self.db.schema, values, ranges)
         profiles = self.action_profiles
         dist = dict(zip(profiles, _kernels.profile_distances(
-            theta.values, self.inv_beta_sq,
-            [g.values for g in profiles.values()], self.unordered_mask)))
+            theta, self.inv_beta_sq, list(profiles.values()),
+            self.unordered_mask)))
         self._thetas[attacker.name] = (theta, dist)
         return theta, dist
 
@@ -266,8 +271,7 @@ def select_target(state: AttackState, rng) -> str | None:
 def distance(theta, gamma, beta: Sequence[float]) -> float:
     """Profile distance: sqrt of the criticality-weighted squared
     differences, with unordered-set slots contributing (1 - match)."""
-    tvals = theta.values if isinstance(theta, ScaledProfile) else tuple(theta)
-    gvals = gamma.values if isinstance(gamma, ScaledProfile) else tuple(gamma)
+    tvals, gvals = tuple(theta), tuple(gamma)
     if len(tvals) != len(gvals) or len(tvals) != len(beta):
         raise ValueError("profile and criticality dimensions must match")
     inv_beta_sq = []

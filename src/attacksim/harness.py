@@ -140,8 +140,7 @@ def _resolve_mode(profiles: ProfileSet,
     return profiles.pmf
 
 
-def _episode_batch(system, db, profile_or_pmf, config, start, stop):
-    ctx = DecisionContext(system, db)
+def _episode_batch(ctx, profile_or_pmf, config, start, stop):
     return [
         _run_one(ctx, profile_or_pmf, config,
                  Random(episode_seed(config.seed, i)), i)
@@ -156,28 +155,33 @@ def run_monte_carlo(system: CpsSystem, db: ActionDatabase,
 
     Identical seeds give identical traces and reports at any parallelism:
     episode streams derive from (seed, index) and aggregation is a pure
-    fold in index order.
+    fold in index order. One DecisionContext, built here and sent to the
+    workers, checks every profile the run can draw before the first
+    episode.
     """
     errs = config.validate()
     if errs:
         raise ValidationFailure("invalid simulation config", errs)
     mode = _resolve_mode(profiles, config)
+    drawable = ([p for p, _ in mode.entries] if isinstance(mode, ProfilePmf)
+                else [mode])
+    ctx = DecisionContext(system, db)
+    for attacker in drawable:
+        ctx.attacker_theta(attacker)
     n = config.episode_count
     jobs = min(config.parallelism, n, os.cpu_count() or 1)
     if jobs <= 1:
-        traces = _episode_batch(system, db, mode, config, 0, n)
+        traces = _episode_batch(ctx, mode, config, 0, n)
     else:
         bounds = [(n * j) // jobs for j in range(jobs + 1)]
         chunks = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_episode_batch, system, db, mode, config, a, b)
+                pool.submit(_episode_batch, ctx, mode, config, a, b)
                 for a, b in chunks
             ]
             traces = [t for f in futures for t in f.result()]
-    profile_names = ([config.profile] if config.profile is not None
-                     else [p.name for p, _ in profiles.pmf.entries])
-    report = aggregate(traces, system, db, profile_names)
+    report = aggregate(traces, system, db, [p.name for p in drawable])
     return report, traces
 
 
@@ -515,15 +519,15 @@ def export_trace_dot(trace: EpisodeTrace,
     deterministic. Without a system, node display names and the goal
     marker are omitted; everything else comes from the trace itself.
     """
-    origin = system.external_origin if system is not None else EXTERNAL_ORIGIN
     lines = [
         "digraph trace {",
         "  rankdir=LR;",
         '  node [shape=box, fontname="Helvetica"];',
         '  edge [fontname="Helvetica"];',
     ]
-    if any(r.source == origin for r in trace.records):
-        lines.append(f"  {_dot_quote(origin)} [shape=ellipse, style=dashed];")
+    if any(r.source == EXTERNAL_ORIGIN for r in trace.records):
+        lines.append(f"  {_dot_quote(EXTERNAL_ORIGIN)} "
+                     "[shape=ellipse, style=dashed];")
     for nid in sorted(trace.knowledge.known_nodes):
         node = system.node_by_id.get(nid) if system is not None else None
         name = "" if node is None else node.name
@@ -535,7 +539,7 @@ def export_trace_dot(trace: EpisodeTrace,
             attrs.append("peripheries=2")
         lines.append(f"  {_dot_quote(nid)} [{', '.join(attrs)}];")
     for i, rec in enumerate(trace.records, start=1):
-        src = rec.source or origin
+        src = rec.source or EXTERNAL_ORIGIN
         style = "solid" if rec.outcome == SUCCESS else "dashed"
         text = f"{i}. {rec.chosen_name} p={rec.probability:.3f}"
         if rec.outcome != SUCCESS:

@@ -54,11 +54,11 @@ class CpsSystem:
     iteration over the system is reproducible.
     """
 
-    def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge],
-                 external_origin: str = EXTERNAL_ORIGIN):
+    external_origin = EXTERNAL_ORIGIN
+
+    def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]):
         self.nodes: tuple[Node, ...] = tuple(sorted(nodes, key=lambda n: n.id))
         self.edges: tuple[Edge, ...] = tuple(sorted(edges, key=lambda e: e.id))
-        self.external_origin = external_origin
         self.node_by_id: dict[str, Node] = {n.id: n for n in self.nodes}
         self.edge_by_id: dict[str, Edge] = {e.id: e for e in self.edges}
         self._into: dict[str, list[Edge]] = {}
@@ -66,7 +66,7 @@ class CpsSystem:
         for e in self.edges:
             self._into.setdefault(e.to_node, []).append(e)
             self._incident.setdefault(e.to_node, []).append(e)
-            if e.from_node != external_origin:
+            if e.from_node != EXTERNAL_ORIGIN:
                 self._incident.setdefault(e.from_node, []).append(e)
 
     def edges_into(self, node_id: str) -> tuple[Edge, ...]:

@@ -6,8 +6,9 @@ four kinds and each kind has its own rule for mapping raw values into the
 [0, 1] scale used by the distance computation:
 
 * bounded-range: linear map between the declared bounds.
-* unbounded-range: linear map between the population min/max observed
-  across the action database, clamped to [0, 1].
+* unbounded-range: linear map between the min/max observed across the
+  action database (extended with the attacker's own value when scaling
+  an attacker), clamped to [0, 1].
 * ordered-set: label index mapped linearly over the label list.
 * unordered-set: labels are kept verbatim; they compare by equality and
   contribute a 0/1 match indicator instead of a numeric difference.
@@ -20,6 +21,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
+from attacksim import _kernels
 from attacksim.errors import (
     ValidationFailure,
     container,
@@ -88,16 +90,13 @@ class ProfileSchema:
     def __init__(self, properties: Sequence[PropertySchema]):
         self.properties: tuple[PropertySchema, ...] = tuple(properties)
         self.by_name: dict[str, PropertySchema] = {p.name: p for p in self.properties}
+        self.names: tuple[str, ...] = tuple(p.name for p in self.properties)
 
     def __iter__(self) -> Iterator[PropertySchema]:
         return iter(self.properties)
 
     def __len__(self) -> int:
         return len(self.properties)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.properties)
 
     def validate(self) -> list[str]:
         v: list[str] = []
@@ -136,15 +135,6 @@ class ProfilePmf:
         return v
 
 
-@dataclass(frozen=True, slots=True)
-class ScaledProfile:
-    """Profile after scaling: floats in [0, 1], except unordered-set slots
-    which keep their label for pairwise matching. Slots follow schema order.
-    """
-
-    values: tuple[ProfileValue, ...]
-
-
 def scale_bounded(epsilon: float, lower: float, upper: float,
                   name: str = "property") -> float:
     """Linear map of a bounded-range value onto [0, 1]."""
@@ -160,9 +150,10 @@ def scale_unbounded(epsilon: float, population: Sequence[float],
                     name: str = "property") -> float:
     """Min/max map of an unbounded-range value onto [0, 1].
 
-    The population is every value of this property across the action
-    database (plus the attacker's own value when scaling an attacker).
-    A spread-free population carries no ranking information: midpoint.
+    Only the population's extremes matter, so a (min, max) pair is a
+    population as good as every value of the property across the action
+    database. A spread-free population carries no ranking information:
+    midpoint.
     """
     if not population:
         raise ValueError(f"{name}: empty scaling population")
@@ -171,16 +162,6 @@ def scale_unbounded(epsilon: float, population: Sequence[float],
     if hi == lo:
         return 0.5
     return min(1.0, max(0.0, (epsilon - lo) / (hi - lo)))
-
-
-def spread_is_finite(values: Sequence) -> bool:
-    """Whether max - min of `values` is finite, as unbounded-range scaling,
-    which divides by it, needs. True when there is no value or one is not
-    a number (None for a missing one): validate_profile reports those."""
-    try:
-        return isfinite(max(values) - min(values))
-    except (TypeError, ValueError):
-        return True
 
 
 def scale_ordered_set(label: str, allowed_values: Sequence[str],
@@ -245,14 +226,14 @@ def validate_profile(schema: ProfileSchema,
 
 def scale_profile(schema: ProfileSchema,
                   values: Mapping[str, ProfileValue],
-                  populations: Mapping[str, Sequence[float]],
-                  include_own_value: bool = False) -> ScaledProfile:
-    """Scale a raw profile into schema order.
+                  ranges: Mapping[str, tuple[float, float]],
+                  ) -> tuple[ProfileValue, ...]:
+    """Scale a raw profile into schema order: floats in [0, 1], except
+    unordered-set slots, which keep their label for pairwise matching.
 
-    `populations` maps each unbounded property to its database-wide value
-    population. With `include_own_value` the profile's own value joins the
-    population before scaling (used for attacker profiles, whose values are
-    not part of the database).
+    `ranges` maps each unbounded property to the (min, max) it scales
+    against: the action database's for an action, and that range extended
+    with the attacker's own value for an attacker.
     """
     out: list[ProfileValue] = []
     for prop in schema:
@@ -264,11 +245,9 @@ def scale_profile(schema: ProfileSchema,
         elif prop.kind == BOUNDED_RANGE:
             out.append(scale_bounded(val, prop.lower, prop.upper, prop.name))
         else:
-            pop = list(populations.get(prop.name, ()))
-            if include_own_value:
-                pop.append(float(val))
-            out.append(scale_unbounded(val, pop, prop.name))
-    return ScaledProfile(tuple(out))
+            out.append(scale_unbounded(val, ranges.get(prop.name, ()),
+                                       prop.name))
+    return tuple(out)
 
 
 def pmf_probabilities(pmf: ProfilePmf) -> list[float]:
@@ -281,14 +260,8 @@ def pmf_probabilities(pmf: ProfilePmf) -> list[float]:
 
 def sample_profile(pmf: ProfilePmf, rng) -> AttackerProfile:
     """Draw one attacker profile; deterministic given the rng state."""
-    probs = pmf_probabilities(pmf)
-    u = rng.random()
-    acc = 0.0
-    for (prof, _), p in zip(pmf.entries[:-1], probs[:-1]):
-        acc += p
-        if u < acc:
-            return prof
-    return pmf.entries[-1][0]
+    i = _kernels.weighted_index(pmf_probabilities(pmf), rng.random())
+    return pmf.entries[i][0]
 
 
 @dataclass(frozen=True)

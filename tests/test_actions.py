@@ -153,15 +153,15 @@ class TestScaledActionProfiles:
 
     def test_bounded_midpoint(self):
         db = ActionDatabase([make_action("A1", knowledge=5)], small_schema())
-        assert scaled_action_profiles(db)["A1"].values[0] == 0.5
+        assert scaled_action_profiles(db)["A1"][0] == 0.5
 
     def test_unbounded_scales_to_local_extremes(self):
         db = ActionDatabase(
             [make_action("A1", finances=1e3), make_action("A2", finances=1e6)],
             small_schema())
         scaled = scaled_action_profiles(db)
-        assert scaled["A1"].values[1] == 0.0
-        assert scaled["A2"].values[1] == 1.0
+        assert scaled["A1"][1] == 0.0
+        assert scaled["A2"][1] == 1.0
 
     def test_deterministic(self):
         db = ActionDatabase(

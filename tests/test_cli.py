@@ -186,6 +186,12 @@ def spanning_actions(prop, low, high):
     return doc["actions"]
 
 
+# fields and values that put "Basic User"'s Finances 3.4e308 from the first
+# action's, while the actions' own span stays finite
+ATTACKER_SPAN_OVERFLOWS = (("action-profile-value", "profile-value"),
+                           (-1.7e308, 1.7e308))
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
@@ -225,7 +231,12 @@ def replaced(doc, keys, value):
 
 def with_field(cstr_args, tmp_path, field, value):
     """cstr_args with one TYPED_FIELDS or UNKNOWN_KEYS field set to
-    `value`."""
+    `value`, or with each field of a tuple set to the matching value of
+    the tuple `value`."""
+    if isinstance(field, tuple):
+        for one, v in zip(field, value):
+            cstr_args = with_field(cstr_args, tmp_path, one, v)
+        return cstr_args
     index, keys = (TYPED_FIELDS.get(field) or UNKNOWN_KEYS[field])[:2]
     doc = json.loads(Path(cstr_args[index]).read_text())
     bad = tmp_path / Path(cstr_args[index]).name
@@ -389,6 +400,11 @@ class TestValidate:
                                                  1.7e308),
                      "property 'Finances': max - min of the action values "
                      "must be finite", id="unbounded-span-overflows"),
+        # the actions' span is finite, but not with a profile's value
+        pytest.param(*ATTACKER_SPAN_OVERFLOWS,
+                     "attacker profile 'Basic User': max - min of property "
+                     "'Finances' over the action values and this profile's "
+                     "value must be finite", id="attacker-span-overflows"),
         # a lone surrogate, which UTF-8 cannot encode
         pytest.param("node-name", "\udc80",
                      "node 'N1' name is not valid Unicode text",
@@ -462,6 +478,26 @@ class TestSimulate:
         assert run_cli("simulate", bad, cstr_args[1], cstr_args[2],
                        "--episodes", 1, "--seed", 1, "--out", out) == 1
         assert not out.exists()
+
+    def test_profile_checked_whether_drawn_or_not(self, cstr_args,
+                                                   tmp_path, capsys):
+        # at likelihood 0.001, 20 episodes of seed 1 never draw "Basic User"
+        rare = with_field(cstr_args, tmp_path, "likelihood", 0.001)
+        out = tmp_path / "r"
+        assert run_cli("simulate", *rare, "--episodes", 20, "--seed", 1,
+                       "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["profile_counts"]["Basic User"] == 0
+        # so the run must reject its profile before any episode draws it
+        fields, values = ATTACKER_SPAN_OVERFLOWS
+        args = with_field(rare, tmp_path, fields, values)
+        bad_out = tmp_path / "bad"
+        assert run_cli("simulate", *args, "--episodes", 20, "--seed", 1,
+                       "--out", bad_out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid attacker profile:")
+        assert "attacker profile 'Basic User'" in err
+        assert not bad_out.exists()
 
     def test_missing_input_exits_three(self, cstr_args, tmp_path):
         assert run_cli("simulate", "/none.json", cstr_args[1], cstr_args[2],

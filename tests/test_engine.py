@@ -20,7 +20,12 @@ from attacksim.engine import (
 )
 from attacksim.errors import ValidationFailure
 from attacksim.model import CpsSystem, EXTERNAL_ORIGIN, Edge, Node
-from attacksim.profiles import AttackerProfile, ProfileSchema, PropertySchema
+from attacksim.profiles import (
+    AttackerProfile,
+    ProfileSchema,
+    PropertySchema,
+    scale_unbounded,
+)
 
 from genrand import random_instance, random_state
 from oracle_filter import brute_force_valid
@@ -93,6 +98,25 @@ class TestAttackerTheta:
         assert exc.value.errors == [
             "attacker profile 'rich': max - min of property 'Budget' over "
             "the action values and this profile's value must be finite"]
+
+    @settings(max_examples=300)
+    @given(data=st.data(),
+           budgets=st.lists(st.floats(-1e300, 1e300)
+                            | st.sampled_from([0.0, -0.0]), max_size=6))
+    def test_unbounded_slot_scales_against_actions_and_own_value(
+            self, data, budgets):
+        # the attacker's value joins the action values; an empty database
+        # scales it to 0.5, and ties and signed zeros go as min/max of the
+        # list would take them
+        own = data.draw(st.floats(-1e300, 1e300)
+                        | st.sampled_from([0.0, -0.0, *budgets]))
+        schema = ProfileSchema([PropertySchema("Budget", "unbounded-range")])
+        db = ActionDatabase([Action(id=f"a{i}", profile={"Budget": b})
+                             for i, b in enumerate(budgets)], schema)
+        ctx = DecisionContext(plant_system(), db)
+        theta, _ = ctx.attacker_theta(AttackerProfile("p", {"Budget": own}))
+        expected = scale_unbounded(own, [*budgets, own])
+        assert repr(theta[0]) == repr(expected)
 
 
 class TestFilterValid:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from concurrent.futures import Future
 from random import Random
 
@@ -250,6 +251,49 @@ class TestRunMonteCarlo:
         assert sizes == [3]
         serial = run_monte_carlo(system, db, profiles, SimConfig(60, seed=5))
         assert report_to_dict(wide[0]) == report_to_dict(serial[0])
+
+    def test_one_context_checks_every_profile_first(self, cstr_paths,
+                                                    monkeypatch):
+        class PicklingPool:
+            """Runs each batch in this process on a pickled copy of its
+            arguments, as a worker process receives them."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*pickle.loads(pickle.dumps(args))))
+                return future
+
+        events = []
+        real_context, real_run = harness.DecisionContext, harness._run_one
+        real_theta = DecisionContext.attacker_theta
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "DecisionContext", lambda *a: (
+            events.append("context") or real_context(*a)))
+        monkeypatch.setattr(DecisionContext, "attacker_theta",
+                            lambda ctx, p: (events.append(p.name)
+                                            or real_theta(ctx, p)))
+        monkeypatch.setattr(harness, "_run_one", lambda *a: (
+            events.append("episode") or real_run(*a)))
+        system, db, profiles = load_cstr(cstr_paths)
+        report, _ = run_monte_carlo(system, db, profiles,
+                                    SimConfig(30, seed=5, parallelism=2))
+        names = [p.name for p, _ in profiles.pmf.entries]
+        assert events[:len(names) + 2] == ["context", *names, "episode"]
+        assert events.count("context") == 1
+        assert events.count("episode") == 30
+        monkeypatch.undo()
+        serial, _ = run_monte_carlo(system, db, profiles, SimConfig(30, seed=5))
+        assert report_to_dict(report) == report_to_dict(serial)
 
     def test_system_validated_once_per_run(self, cstr_paths, monkeypatch):
         system, db, profiles = load_cstr(cstr_paths)

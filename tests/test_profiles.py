@@ -194,17 +194,16 @@ class TestScaleProfile:
              "Tools": "Medium"},
             {"Finances": [1, 3, 5]},
         )
-        assert scaled.values == ("Direct", 0.5, 0.5, 0.5)
+        assert scaled == ("Direct", 0.5, 0.5, 0.5)
 
     def test_attacker_value_extends_population(self):
         scaled = scale_profile(
             _schema(),
             {"Access": "Direct", "Knowledge": 5, "Finances": 9,
              "Tools": "Low"},
-            {"Finances": [1, 5]},
-            include_own_value=True,
+            {"Finances": [1, 5, 9]},
         )
-        assert scaled.values[2] == 1.0
+        assert scaled[2] == 1.0
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 100_000))
@@ -215,8 +214,8 @@ class TestScaleProfile:
         values = {p.name: random_value(rng, p) for p in schema}
         pops = {p.name: [rng.uniform(-50, 50) for _ in range(3)]
                 for p in schema if p.kind == "unbounded-range"}
-        scaled = scale_profile(schema, values, pops, include_own_value=True)
-        for v in scaled.values:
+        scaled = scale_profile(schema, values, pops)
+        for v in scaled:
             if not isinstance(v, str):
                 assert 0.0 <= v <= 1.0
 
