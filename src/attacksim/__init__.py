@@ -21,7 +21,6 @@ from attacksim.engine import (
     DecisionRecord,
     distance,
     filter_valid,
-    initial_state,
     probabilities,
     sample_action,
     scores,
@@ -35,7 +34,6 @@ from attacksim.harness import (
     SimConfig,
     export_report,
     export_trace_dot,
-    run_episode,
     run_monte_carlo,
 )
 from attacksim.model import (

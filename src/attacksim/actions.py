@@ -2,12 +2,14 @@
 propagation channels, and prerequisites.
 
 Actions are immutable after load; their scaled profiles are computed once
-per run and shared by every episode.
+per run and shared by every episode. The database computes each unbounded
+property's (min, max) once, and checks attacker profiles against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf, isfinite
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -25,8 +27,10 @@ from attacksim.errors import (
 from attacksim.model import Node
 from attacksim.profiles import (
     UNBOUNDED_RANGE,
+    AttackerProfile,
     ProfileSchema,
     ProfileValue,
+    profile_values,
     scale_profile,
     validate_profile,
 )
@@ -115,7 +119,7 @@ class ActionDatabase:
         try:
             v.extend(f"property {name!r}: max - min of the action values "
                      "must be finite"
-                     for name, (lo, hi) in self.unbounded_ranges().items()
+                     for name, (lo, hi) in self.unbounded_ranges.items()
                      if self.actions and not isfinite(hi - lo))
         except (KeyError, TypeError, ValueError):
             pass  # a missing or non-numeric value: validate_profile reports it
@@ -157,16 +161,39 @@ class ActionDatabase:
                     path.pop()
         return cycles
 
+    @cached_property
     def unbounded_ranges(self) -> dict[str, tuple[float, float]]:
-        """(min, max) of each unbounded property over the actions' values;
-        (inf, -inf), which any value extends to (value, value), when the
-        database is empty."""
+        """(min, max) of each unbounded property over the actions' values,
+        computed once; (inf, -inf), which any value extends to (value,
+        value), when the database is empty."""
         ranges: dict[str, tuple[float, float]] = {}
         for prop in self.schema:
             if prop.kind == UNBOUNDED_RANGE:
                 vals = [float(a.profile[prop.name]) for a in self.actions]
                 ranges[prop.name] = (min(vals, default=inf),
                                      max(vals, default=-inf))
+        return ranges
+
+    def attacker_ranges(self, attacker: AttackerProfile
+                        ) -> dict[str, tuple[float, float]]:
+        """Each unbounded range extended with the attacker's own value: the
+        ranges its profile scales against. Raises ValidationFailure for a
+        profile that does not fit the schema, or whose value makes a
+        range's max - min overflow."""
+        owner = f"attacker profile {attacker.name!r}"
+        values = attacker.values
+        errs = validate_profile(self.schema, values, owner=owner)
+        ranges: dict[str, tuple[float, float]] = {}
+        if not errs:
+            for name, (lo, hi) in self.unbounded_ranges.items():
+                v = float(values[name])
+                ranges[name] = (min(lo, v), max(hi, v))
+            errs = [f"{owner}: max - min of property {name!r} over the "
+                    "action values and this profile's value must be finite"
+                    for name, (lo, hi) in ranges.items()
+                    if not isfinite(hi - lo)]
+        if errs:
+            raise ValidationFailure("invalid attacker profile", errs)
         return ranges
 
 
@@ -178,7 +205,7 @@ def scaled_action_profiles(db: ActionDatabase
     new action inside that range leaves other actions' scaled values
     untouched.
     """
-    ranges = db.unbounded_ranges()
+    ranges = db.unbounded_ranges
     out: dict[str, tuple[ProfileValue, ...]] = {}
     for a in db.actions:
         try:
@@ -208,10 +235,7 @@ def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
     if owner is None:
         return None
     criteria = criteria_from_dict(ad.get("target_criteria", {}), owner, errors)
-    profile = {k: (v if isinstance(v, str) else number(
-                   v, 0.0, errors, "{}: property {!r}", owner, k))
-               for k, v in container(ad.get("profile", {}), dict,
-                                     f"{owner}: profile", errors).items()}
+    profile = profile_values(ad.get("profile", {}), owner, "profile", errors)
     return Action(
         id=ad["id"],
         name=string(ad.get("name", ""), "{}: name", errors, owner),

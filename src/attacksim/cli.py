@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from attacksim.actions import load_action_db
-from attacksim.engine import DecisionContext
 from attacksim.errors import ValidationFailure, document, read_json
 from attacksim.harness import (
     SimConfig,
@@ -62,11 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed; drawn from entropy and printed if omitted")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output directory (created if missing)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--profile", metavar="NAME",
-                      help="static attacker profile name")
-    mode.add_argument("--pmf", action="store_true",
-                      help="sample the profiles document's PMF per episode")
+    p.add_argument("--profile", metavar="NAME",
+                   help="static attacker profile name (default: the PMF)")
     p.add_argument("--max-steps", type=int, default=None, metavar="K")
     p.add_argument("--jobs", type=int, default=1, metavar="J",
                    help="episode workers")
@@ -102,9 +98,8 @@ def cmd_validate(args) -> int:
         profile_set = load_profiles(args.profiles)
     except ValidationFailure as exc:
         problems.extend(exc.errors or [str(exc)])
-    system = db = None
     try:
-        system = load_system(args.system)
+        load_system(args.system)
     except ValidationFailure as exc:
         problems.extend(exc.errors or [str(exc)])
     if profile_set is not None:
@@ -112,18 +107,17 @@ def cmd_validate(args) -> int:
             db = load_action_db(args.actions, profile_set.schema)
         except ValidationFailure as exc:
             problems.extend(exc.errors or [str(exc)])
+        else:
+            # the check simulate runs on each profile it can draw
+            for profile in profile_set.profiles.values():
+                try:
+                    db.attacker_ranges(profile)
+                except ValidationFailure as exc:
+                    problems.extend(exc.errors)
     else:
         if not Path(args.actions).exists():
             raise FileNotFoundError(args.actions)
         problems.append("actions not validated: profiles document is invalid")
-    if system is not None and db is not None:
-        # the check simulate runs on each profile it can draw
-        ctx = DecisionContext(system, db)
-        for profile in profile_set.profiles.values():
-            try:
-                ctx.attacker_theta(profile)
-            except ValidationFailure as exc:
-                problems.extend(exc.errors)
     if problems:
         for line in problems:
             print(line)
@@ -143,7 +137,7 @@ def cmd_simulate(args) -> int:
 
     if args.profile is not None:
         profile_name = args.profile
-    elif args.pmf or profile_set.pmf is not None:
+    elif profile_set.pmf is not None:
         profile_name = None
     elif len(profile_set.profiles) == 1:
         profile_name = next(iter(profile_set.profiles))

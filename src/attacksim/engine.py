@@ -16,7 +16,8 @@ attempted and succeeded actions) is computed once per run in
 DecisionContext: which actions' target criteria match each node, the
 channel sets as int bitmasks, the validated starting knowledge, and each
 attacker profile's distance to every action, keyed by action id, for
-every profile the run can draw before its first episode. A decision
+every profile the run can draw before its first episode (the database
+checks each profile: `ActionDatabase.attacker_ranges`). A decision
 then only checks the dynamic predicates and looks up its candidates'
 distances.
 
@@ -28,19 +29,16 @@ no per-candidate object is built on the decision path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from attacksim import _kernels
 from attacksim.actions import ActionDatabase, criteria_match, scaled_action_profiles
-from attacksim.errors import ValidationFailure
 from attacksim.model import CpsKnowledge, CpsSystem, initial_knowledge, reveal_on_compromise
 from attacksim.profiles import (
     UNORDERED_SET,
     AttackerProfile,
     ProfileValue,
     scale_profile,
-    validate_profile,
 )
 
 SUCCESS = "success"
@@ -97,8 +95,8 @@ class DecisionContext:
       id order, as ``(id, channel bitmask, prerequisites)`` rows;
     - per node, the attack-vector edges into it, in canonical id order, as
       ``(id, source node, channel bitmask)`` rows;
-    - per attacker profile (on first use, cached by name), the scaled
-      tuple and its distance to every action, by action id.
+    - per attacker profile (on first use, cached by name and values), the
+      scaled tuple and its distance to every action, by action id.
 
     Immutable after construction apart from that profile cache.
     """
@@ -111,7 +109,7 @@ class DecisionContext:
         self.inv_beta_sq = [1.0 / (p.criticality * p.criticality)
                             for p in db.schema]
         self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
-        self._thetas: dict[str, tuple[tuple, dict[str, float]]] = {}
+        self._thetas: dict[str, tuple[Mapping, tuple, dict[str, float]]] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
@@ -131,37 +129,19 @@ class DecisionContext:
 
     def attacker_theta(self, attacker: AttackerProfile
                        ) -> tuple[tuple[ProfileValue, ...], dict[str, float]]:
-        """Check and scale an attacker profile and measure its distance to
-        every action, keyed by action id; cached by profile name.
-
-        Each unbounded property scales against the database's (min, max)
-        extended with the attacker's own value, clamping it onto the
-        action scale; a profile whose value makes that range's max - min
-        overflow is rejected like an invalid one.
-        """
+        """Scale an attacker profile, checked by
+        `ActionDatabase.attacker_ranges`, and measure its distance to every
+        action, keyed by action id; cached by name while the values match."""
         cached = self._thetas.get(attacker.name)
-        if cached is not None:
-            return cached
-        owner = f"attacker profile {attacker.name!r}"
-        values = attacker.values
-        errs = validate_profile(self.db.schema, values, owner=owner)
-        ranges: dict[str, tuple[float, float]] = {}
-        if not errs:
-            for name, (lo, hi) in self.db.unbounded_ranges().items():
-                v = float(values[name])
-                ranges[name] = (min(lo, v), max(hi, v))
-            errs = [f"{owner}: max - min of property {name!r} over the "
-                    "action values and this profile's value must be finite"
-                    for name, (lo, hi) in ranges.items()
-                    if not isfinite(hi - lo)]
-        if errs:
-            raise ValidationFailure("invalid attacker profile", errs)
-        theta = scale_profile(self.db.schema, values, ranges)
+        if cached is not None and cached[0] == attacker.values:
+            return cached[1], cached[2]
+        theta = scale_profile(self.db.schema, attacker.values,
+                              self.db.attacker_ranges(attacker))
         profiles = self.action_profiles
         dist = dict(zip(profiles, _kernels.profile_distances(
             theta, self.inv_beta_sq, list(profiles.values()),
             self.unordered_mask)))
-        self._thetas[attacker.name] = (theta, dist)
+        self._thetas[attacker.name] = (attacker.values, theta, dist)
         return theta, dist
 
 
@@ -185,12 +165,6 @@ class AttackState:
     @property
     def db(self) -> ActionDatabase:
         return self.ctx.db
-
-
-def initial_state(system: CpsSystem, db: ActionDatabase,
-                  attacker: AttackerProfile) -> AttackState:
-    """Convenience constructor for standalone (non-harness) stepping."""
-    return AttackState(DecisionContext(system, db), attacker)
 
 
 def _candidates(state: AttackState, target: str):

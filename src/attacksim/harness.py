@@ -89,18 +89,10 @@ def episode_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def run_episode(system: CpsSystem, db: ActionDatabase,
-                profile_or_pmf: AttackerProfile | ProfilePmf,
-                config: SimConfig, rng: Random,
-                index: int = 0) -> EpisodeTrace:
-    """Run a single episode to termination with the given stream."""
-    ctx = DecisionContext(system, db)
-    return _run_one(ctx, profile_or_pmf, config, rng, index)
-
-
 def _run_one(ctx: DecisionContext,
              profile_or_pmf: AttackerProfile | ProfilePmf,
              config: SimConfig, rng: Random, index: int) -> EpisodeTrace:
+    """Run one episode to termination with the given stream."""
     if isinstance(profile_or_pmf, ProfilePmf):
         attacker = sample_profile(profile_or_pmf, rng)
     else:
@@ -499,10 +491,6 @@ def export_report(report: AggregateReport, path: str | Path,
 # GraphViz rendering
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _dot_label(*parts: str) -> str:
     escaped = (p.replace("\\", "\\\\").replace('"', '\\"') for p in parts if p)
     return '"' + "\\n".join(escaped) + '"'
@@ -525,8 +513,9 @@ def export_trace_dot(trace: EpisodeTrace,
         '  node [shape=box, fontname="Helvetica"];',
         '  edge [fontname="Helvetica"];',
     ]
-    if any(r.source == EXTERNAL_ORIGIN for r in trace.records):
-        lines.append(f"  {_dot_quote(EXTERNAL_ORIGIN)} "
+    sources = [r.source or EXTERNAL_ORIGIN for r in trace.records]
+    if EXTERNAL_ORIGIN in sources:
+        lines.append(f"  {_dot_label(EXTERNAL_ORIGIN)} "
                      "[shape=ellipse, style=dashed];")
     for nid in sorted(trace.knowledge.known_nodes):
         node = system.node_by_id.get(nid) if system is not None else None
@@ -537,14 +526,13 @@ def export_trace_dot(trace: EpisodeTrace,
             attrs.append('fillcolor="#f8cecc"')
         if node is not None and node.is_target:
             attrs.append("peripheries=2")
-        lines.append(f"  {_dot_quote(nid)} [{', '.join(attrs)}];")
-    for i, rec in enumerate(trace.records, start=1):
-        src = rec.source or EXTERNAL_ORIGIN
+        lines.append(f"  {_dot_label(nid)} [{', '.join(attrs)}];")
+    for i, (rec, src) in enumerate(zip(trace.records, sources), start=1):
         style = "solid" if rec.outcome == SUCCESS else "dashed"
         text = f"{i}. {rec.chosen_name} p={rec.probability:.3f}"
         if rec.outcome != SUCCESS:
             text += " (failed)"
-        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(rec.target)} "
+        lines.append(f"  {_dot_label(src)} -> {_dot_label(rec.target)} "
                      f"[label={_dot_label(text)}, style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

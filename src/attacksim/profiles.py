@@ -305,6 +305,16 @@ def schema_from_list(raw: list) -> ProfileSchema:
     return schema
 
 
+def profile_values(raw, owner: str, key: str, errors: list[str]
+                   ) -> dict[str, ProfileValue]:
+    """The values under `key` of a document entry: a string is a label,
+    anything else is read as a number; problems go to `errors`."""
+    return {k: (v if isinstance(v, str) else number(
+                v, 0.0, errors, "{}: property {!r}", owner, k))
+            for k, v in container(raw, dict, f"{owner}: {key}",
+                                  errors).items()}
+
+
 def profile_set_from_dict(doc: dict) -> ProfileSet:
     errors = document(doc, {"schema", "profiles", "pmf"},
                       "profiles document")
@@ -316,10 +326,8 @@ def profile_set_from_dict(doc: dict) -> ProfileSet:
         name = pd["name"]
         if name in profiles:
             errors.append(f"duplicate profile name {name!r}")
-        values = {k: (v if isinstance(v, str) else number(
-                      v, 0.0, errors, "{}: property {!r}", owner, k))
-                  for k, v in container(pd.get("values", {}), dict,
-                                        f"{owner}: values", errors).items()}
+        values = profile_values(pd.get("values", {}), owner, "values",
+                                errors)
         errors.extend(validate_profile(schema, values, owner=owner))
         profiles[name] = AttackerProfile(name=name, values=values)
     if not profiles:

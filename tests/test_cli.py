@@ -311,6 +311,22 @@ class TestValidate:
         assert (f"action {action['id']!r}: channels must be a list of "
                 "strings") in out
 
+    def test_profiles_checked_when_system_invalid(self, cstr_args, tmp_path,
+                                                 capsys):
+        fields, values = ATTACKER_SPAN_OVERFLOWS
+        args = with_field(cstr_args, tmp_path, fields, values)
+        doc = json.loads(Path(args[0]).read_text())
+        doc["edges"] = [e for e in doc["edges"] if not e.get("entry_point")]
+        args[0] = tmp_path / "sys.json"
+        args[0].write_text(json.dumps(doc))
+        assert run_cli("validate", *args) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert ("no entry point: at least one entry-point edge is required"
+                in out)
+        assert ("attacker profile 'Basic User': max - min of property "
+                "'Finances' over the action values and this profile's "
+                "value must be finite") in out
+
     @pytest.mark.parametrize("field, value, message", [
         pytest.param("criticality", "high",
                      "property 'Access': criticality must be a finite number",
@@ -608,6 +624,20 @@ class TestTrace:
         assert dot.startswith("digraph trace {")
         assert dot.rstrip().endswith("}")
         assert dot.count("{") == dot.count("}")
+
+    def test_dot_missing_source_is_external_origin(self, trace_file,
+                                                   tmp_path, capsys):
+        doc = json.loads(Path(trace_file).read_text())
+        assert run_cli("trace", trace_file, "--dot") == 0
+        dot = capsys.readouterr().out
+        assert '  "@external" [shape=ellipse, style=dashed];' in dot
+        for d in doc["decisions"]:
+            if d["source"] == "@external":
+                del d["source"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        assert run_cli("trace", bare, "--dot") == 0
+        assert capsys.readouterr().out == dot
 
     def test_empty_trace_header_only(self, tmp_path, capsys):
         doc = {"episode": 0, "profile": "x", "status": "exhausted",

@@ -4,13 +4,12 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attacksim.actions import Action, ActionDatabase, TargetCriteria
+from attacksim.actions import Action, ActionDatabase, TargetCriteria, load_action_db
 from attacksim.engine import (
     AttackState,
     DecisionContext,
     distance,
     filter_valid,
-    initial_state,
     probabilities,
     sample_action,
     scores,
@@ -19,11 +18,12 @@ from attacksim.engine import (
     viable_edges,
 )
 from attacksim.errors import ValidationFailure
-from attacksim.model import CpsSystem, EXTERNAL_ORIGIN, Edge, Node
+from attacksim.model import CpsSystem, EXTERNAL_ORIGIN, Edge, Node, load_system
 from attacksim.profiles import (
     AttackerProfile,
     ProfileSchema,
     PropertySchema,
+    load_profiles,
     scale_unbounded,
 )
 
@@ -81,7 +81,8 @@ def attacker() -> AttackerProfile:
 
 
 def fresh_state() -> AttackState:
-    return initial_state(plant_system(), plant_actions(), attacker())
+    return AttackState(DecisionContext(plant_system(), plant_actions()),
+                       attacker())
 
 
 class TestAttackerTheta:
@@ -117,6 +118,21 @@ class TestAttackerTheta:
         theta, _ = ctx.attacker_theta(AttackerProfile("p", {"Budget": own}))
         expected = scale_unbounded(own, [*budgets, own])
         assert repr(theta[0]) == repr(expected)
+
+
+    def test_same_name_other_values_scaled_afresh(self, cstr_paths):
+        profiles = load_profiles(cstr_paths["profiles"])
+        system = load_system(cstr_paths["system"])
+        db = load_action_db(cstr_paths["actions"], profiles.schema)
+        nation = profiles.profiles["Nation State"]
+        renamed = AttackerProfile("Nation State",
+                                  profiles.profiles["Basic User"].values)
+        ctx = DecisionContext(system, db)
+        first = ctx.attacker_theta(nation)
+        fresh = DecisionContext(system, db).attacker_theta(renamed)
+        assert fresh != first
+        assert ctx.attacker_theta(renamed) == fresh
+        assert ctx.attacker_theta(nation) == first
 
 
 class TestFilterValid:
@@ -205,7 +221,7 @@ class TestSelectTarget:
                    Edge("L1", "G", "T", frozenset({"net"}),
                         is_attack_vector=True)],
         )
-        state = initial_state(sys_, db, attacker())
+        state = AttackState(DecisionContext(sys_, db), attacker())
         rng = Random(3)
         state.current_target = "G"
         state, rec = step(state, rng)
@@ -405,7 +421,7 @@ class TestStep:
                       target_criteria=TargetCriteria(
                           {"kind": frozenset({"gateway"})}),
                       channels=frozenset({"net"}), success_probability=0.0))
-        state = initial_state(plant_system(), db, attacker())
+        state = AttackState(DecisionContext(plant_system(), db), attacker())
         rng = Random(6)
         state, r1 = step(state, rng)
         state, r2 = step(state, rng)
@@ -429,7 +445,7 @@ class TestStep:
             profile={"Knowledge": 3, "Approach": "quiet"},
             target_criteria=TargetCriteria({"kind": frozenset({"gateway"})}),
             channels=frozenset({"net"}), effect="disrupt")], plant_schema())
-        state = initial_state(plant_system(), db, attacker())
+        state = AttackState(DecisionContext(plant_system(), db), attacker())
         state, rec = step(state, Random(1))
         assert rec.chosen == "ax" and rec.outcome == "success"
         assert "G" in state.knowledge.compromised_nodes
@@ -441,7 +457,7 @@ class TestStep:
 def test_random_episodes_terminate_with_clean_history(seed):
     rng = Random(seed)
     system, db, prof = random_instance(rng, max_nodes=5, max_actions=6)
-    state = initial_state(system, db, prof)
+    state = AttackState(DecisionContext(system, db), prof)
     pairs = set()
     bound = len(system.nodes) * len(db.actions) + 1
     steps = 0

@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from attacksim import _kernels, harness, model
 from attacksim.actions import Action, ActionDatabase, TargetCriteria, load_action_db
 from attacksim.engine import (
+    AttackState,
     CandidateScore,
     DecisionContext,
     DecisionRecord,
     distance,
     filter_valid,
-    initial_state,
     probabilities,
     sample_action,
     scores,
@@ -35,7 +35,6 @@ from attacksim.harness import (
     report_from_dict,
     report_to_csv,
     report_to_dict,
-    run_episode,
     run_monte_carlo,
     save_trace,
     trace_from_dict,
@@ -91,8 +90,9 @@ def one_shot_fixture(success=1.0):
 class TestRunEpisode:
     def test_one_step_target_reached(self):
         system, db, ps = one_shot_fixture()
-        trace = run_episode(system, db, ps.profiles["solo"],
-                            SimConfig(1, seed=0), Random(0))
+        trace = harness._run_one(DecisionContext(system, db),
+                                 ps.profiles["solo"], SimConfig(1, seed=0),
+                                 Random(0), 0)
         assert trace.status == TARGET_REACHED
         assert trace.steps == 1
         assert trace.records[0].chosen == "hit"
@@ -104,23 +104,26 @@ class TestRunEpisode:
                                     target_criteria=TargetCriteria(
                                         {"kind": frozenset({"nothere"})}),
                                     channels=frozenset({"net"}))], schema)
-        trace = run_episode(system, db, ps.profiles["solo"],
-                            SimConfig(1, seed=0), Random(0))
+        trace = harness._run_one(DecisionContext(system, db),
+                                 ps.profiles["solo"], SimConfig(1, seed=0),
+                                 Random(0), 0)
         assert trace.status == EXHAUSTED
         assert trace.steps == 0
 
     def test_step_cap_reported(self):
         system, db, ps = one_shot_fixture(success=0.0)
         config = SimConfig(1, seed=0, max_steps=1)
-        trace = run_episode(system, db, ps.profiles["solo"], config, Random(0))
+        trace = harness._run_one(DecisionContext(system, db),
+                                 ps.profiles["solo"], config, Random(0), 0)
         assert trace.status == STEP_CAPPED
         assert trace.steps == 1
 
     def test_case_study_trace_matches_scripted_replay(self, cstr_paths):
         system, db, profiles = load_cstr(cstr_paths)
         seed = 2024
-        trace = run_episode(system, db, profiles.pmf, SimConfig(1, seed=seed),
-                            Random(episode_seed(seed, 0)))
+        trace = harness._run_one(DecisionContext(system, db), profiles.pmf,
+                                 SimConfig(1, seed=seed),
+                                 Random(episode_seed(seed, 0)), 0)
         decisions, knowledge, name = _scripted_replay(
             system, db, profiles, seed)
         assert trace.profile == name
@@ -153,7 +156,7 @@ def _scripted_replay(system, db, profiles, seed):
     """Manual decision loop driving the public ops; independent of step()."""
     rng = Random(episode_seed(seed, 0))
     attacker = sample_profile(profiles.pmf, rng)
-    state = initial_state(system, db, attacker)
+    state = AttackState(DecisionContext(system, db), attacker)
     beta = [p.criticality for p in db.schema]
     decisions = []
     while True:
@@ -303,6 +306,17 @@ class TestRunMonteCarlo:
                             lambda s: calls.append(s) or real(s))
         run_monte_carlo(system, db, profiles, SimConfig(50, seed=2))
         assert calls == [system]
+
+    def test_unbounded_ranges_computed_once_per_database(self, cstr_paths,
+                                                         monkeypatch):
+        # validation, action scaling and every profile check share them
+        calls = []
+        real = ActionDatabase.unbounded_ranges.func
+        monkeypatch.setattr(ActionDatabase.unbounded_ranges, "func",
+                            lambda db: calls.append(db) or real(db))
+        system, db, profiles = load_cstr(cstr_paths)
+        run_monte_carlo(system, db, profiles, SimConfig(20, seed=2))
+        assert calls == [db]
 
     def test_distances_computed_once_per_profile(self, cstr_paths,
                                                  monkeypatch):
@@ -565,8 +579,9 @@ class TestDotExport:
             for p in schema},
             target_criteria=TargetCriteria({"role": frozenset({"nothere"})}),
             channels=frozenset({"usb"}))], schema)
-        trace = run_episode(system, db, profiles.profiles["Insider"],
-                            SimConfig(1, seed=0), Random(0))
+        trace = harness._run_one(DecisionContext(system, db),
+                                 profiles.profiles["Insider"],
+                                 SimConfig(1, seed=0), Random(0), 0)
         dot = export_trace_dot(trace, system)
         assert "->" not in dot
         for nid in ("N1", "N2", "N6", "N7"):
