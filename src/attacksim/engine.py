@@ -17,9 +17,14 @@ DecisionContext: which actions' target criteria match each node, the
 channel sets as int bitmasks, the validated starting knowledge, and each
 attacker profile's distance to every action, keyed by action id, for
 every profile the run can draw before its first episode (the database
-checks each profile: `ActionDatabase.attacker_ranges`). A decision
-then only checks the dynamic predicates and looks up its candidates'
-distances.
+checks each profile: `ActionDatabase.attacker_ranges`).
+
+A decision on a fresh target checks only the dynamic predicates and looks
+up its candidates' distances. A retry, the decision after a failed
+attempt on the same target, does not rescan: the episode's AttackState
+keeps the ids and distances it last scored, and a failure deletes the
+attempted action from them, which leaves exactly the lists a fresh scan
+would give.
 
 A decision's record keeps its candidates as four columns (ids,
 distances, scores, probabilities), the lists the assessment computed;
@@ -98,7 +103,9 @@ class DecisionContext:
     - per attacker profile (on first use, cached by name and values), the
       scaled tuple and its distance to every action, by action id.
 
-    Immutable after construction apart from that profile cache.
+    Immutable after construction apart from that profile cache. What
+    depends on an episode's history, such as the candidates of the target
+    last scored, lives in its AttackState.
     """
 
     def __init__(self, system: CpsSystem, db: ActionDatabase):
@@ -147,7 +154,18 @@ class DecisionContext:
 
 class AttackState:
     """Per-episode attack state: static context plus the dynamic variables
-    (knowledge, per-node action history, current target)."""
+    (knowledge, per-node action history, current target).
+
+    Grow-only contract, kept by `step` and required of any caller that
+    edits the state directly: the sets in ``attempted`` and ``succeeded``
+    only gain actions, and ``knowledge`` is replaced, never mutated.
+
+    The state also caches the candidate ids and distances of the target it
+    last scored, stamped with that target, the knowledge and the sizes of
+    the target's ``attempted`` and ``succeeded`` sets. Under the
+    contract the candidates change only when the stamp does, so the lists
+    are reused while it matches and rebuilt by a scan otherwise.
+    """
 
     def __init__(self, ctx: DecisionContext, attacker: AttackerProfile):
         self.ctx = ctx
@@ -157,6 +175,9 @@ class AttackState:
         self.attempted: dict[str, set[str]] = {}
         self.succeeded: dict[str, set[str]] = {}
         self.current_target: str | None = None
+        self._stamp: tuple | None = None
+        self._cand_ids: list[str] = []
+        self._cand_dists: list[float] = []
 
     @property
     def system(self) -> CpsSystem:
@@ -191,19 +212,37 @@ def _candidates(state: AttackState, target: str):
             yield aid
 
 
+def _stamp(state: AttackState, target: str) -> tuple:
+    return (target, state.knowledge, len(state.attempted.get(target, ())),
+            len(state.succeeded.get(target, ())))
+
+
+def _scored(state: AttackState, target: str) -> tuple[list[str], list[float]]:
+    """The target's cached candidate ids and their distances, rescanned
+    when the stamp no longer matches (see AttackState)."""
+    stamp = _stamp(state, target)
+    if state._stamp != stamp:
+        ids = list(_candidates(state, target))
+        dist = state._distances
+        state._cand_ids = ids
+        state._cand_dists = [dist[a] for a in ids]
+        state._stamp = stamp
+    return state._cand_ids, state._cand_dists
+
+
 def filter_valid(state: AttackState, target: str) -> list[str]:
     """Candidate actions for the target, in canonical id order.
 
     Intersection of: not yet attempted on the target; criteria match with
     all prerequisites succeeded on the target; and at least one viable
-    propagation path into the target.
+    propagation path into the target. The list is a copy the caller owns.
     """
     k = state.knowledge
     if target not in k.known_nodes:
         raise ValueError(f"target {target!r} is not known to the attacker")
     if target in k.compromised_nodes:
         raise ValueError(f"target {target!r} is already compromised")
-    return list(_candidates(state, target))
+    return list(_scored(state, target)[0])
 
 
 def _has_candidate(state: AttackState, target: str) -> bool:
@@ -232,7 +271,7 @@ def select_target(state: AttackState, rng) -> str | None:
     k = state.knowledge
     cur = state.current_target
     if (cur is not None and cur in k.known_nodes
-            and cur not in k.compromised_nodes and _has_candidate(state, cur)):
+            and cur not in k.compromised_nodes and _scored(state, cur)[0]):
         return cur
     candidates = [nid for nid in sorted(k.known_nodes)
                   if nid not in k.compromised_nodes
@@ -296,39 +335,27 @@ def sample_action(candidates: Sequence[str], probs: Sequence[float], rng) -> str
     return candidates[_kernels.weighted_index(probs, rng.random())]
 
 
-def _assess(state: AttackState, cand_ids: list[str]):
-    dist = state._distances
-    d = [dist[a] for a in cand_ids]
-    s = _kernels.scores_from_distances(d)
-    return d, s, _kernels.probabilities_from_scores(s)
-
-
 def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     """Run one decision cycle, mutating the state in place.
 
     Returns None when no node has qualified actions left (episode end).
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
-    whatever its reported effect.
+    whatever its reported effect. A failure deletes the action from the
+    target's cached candidates, so a retry does not rescan.
     """
     target = select_target(state, rng)
     if target is None:
         return None
     cand_ids = filter_valid(state, target)
-    d, s, p = _assess(state, cand_ids)
+    d = state._cand_dists
+    s = _kernels.scores_from_distances(d)
+    p = _kernels.probabilities_from_scores(s)
     idx = _kernels.weighted_index(p, rng.random())
     chosen = cand_ids[idx]
     action = state.db.by_id[chosen]
     success = rng.random() < action.success_probability
     via = viable_edges(state, target, chosen)
-    state.attempted.setdefault(target, set()).add(chosen)
-    if success:
-        state.succeeded.setdefault(target, set()).add(chosen)
-        state.knowledge = reveal_on_compromise(state.knowledge,
-                                               state.system, target)
-        state.current_target = None
-    else:
-        state.current_target = target
     record = DecisionRecord(
         target=target,
         action_ids=tuple(cand_ids),
@@ -342,4 +369,15 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
         source=state.system.edge_by_id[via[0]].from_node,
         via_edges=via,
     )
+    state.attempted.setdefault(target, set()).add(chosen)
+    if success:
+        state.succeeded.setdefault(target, set()).add(chosen)
+        state.knowledge = reveal_on_compromise(state.knowledge,
+                                               state.system, target)
+        state.current_target = None
+    else:
+        del state._cand_ids[idx]
+        del state._cand_dists[idx]
+        state._stamp = _stamp(state, target)
+        state.current_target = target
     return state, record

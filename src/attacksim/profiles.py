@@ -251,8 +251,15 @@ def scale_profile(schema: ProfileSchema,
 
 
 def pmf_probabilities(pmf: ProfilePmf) -> list[float]:
-    """Normalize likelihoods into selection probabilities."""
-    total = sum(like for _, like in pmf.entries)
+    """Normalize likelihoods into selection probabilities.
+
+    The total is summed in order, rounding after each addition, like the
+    `_kernels` sums: builtin ``sum`` compensates float rounding from
+    Python 3.12 on, which would move the draws of a seeded run.
+    """
+    total = 0.0
+    for _, like in pmf.entries:
+        total += like
     if total <= 0.0:
         raise ValueError("pmf likelihoods sum to zero")
     return [like / total for _, like in pmf.entries]

@@ -137,6 +137,19 @@ class TestPmf:
     def test_mass_on_one_profile(self):
         assert pmf_probabilities(self._pmf([0, 1])) == [0.0, 1.0]
 
+    @pytest.mark.parametrize("likelihoods, expected", [
+        ([0.1, 0.2, 0.3],
+         [0.16666666666666666, 0.3333333333333333, 0.4999999999999999]),
+        ([0.7, 0.1, 0.1, 0.1],
+         [0.7000000000000001, 0.10000000000000002, 0.10000000000000002,
+          0.10000000000000002]),
+    ])
+    def test_total_is_summed_in_order(self, likelihoods, expected):
+        # The total is 0.0 + l0 + l1 + ..., rounded after each addition.
+        # A compensated sum (builtin sum on floats from Python 3.12) gives
+        # 0.6 and 1.0 here, which would move a seeded profile draw.
+        assert pmf_probabilities(self._pmf(likelihoods)) == expected
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             pmf_probabilities(self._pmf([0.0, 0.0]))
