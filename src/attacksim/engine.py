@@ -169,7 +169,6 @@ class AttackState:
 
     def __init__(self, ctx: DecisionContext, attacker: AttackerProfile):
         self.ctx = ctx
-        self.attacker_name = attacker.name
         self.theta, self._distances = ctx.attacker_theta(attacker)
         self.knowledge: CpsKnowledge = ctx.initial_knowledge
         self.attempted: dict[str, set[str]] = {}

@@ -406,16 +406,17 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
     The fixed layout is written directly, one decision at a time: strings
     go through json's C escaper, numbers through ``repr``, and each
     decision's candidates through one ``%`` over a repeated template.
-    json spells a non-finite float ``NaN`` or ``Infinity`` where ``repr``
-    gives ``nan`` or ``inf``, so a trace holding one is written with
-    ``json.dumps`` instead.
+    A trace holding a non-finite number, which no loader accepts, raises
+    ValueError before the file is opened.
     """
-    path = Path(path)
+    # a finite sum proves each value finite; else check value by value
     if not all(isfinite(r.probability + sum(r.distances) + sum(r.scores)
-                        + sum(r.probabilities)) for r in trace.records):
-        path.write_text(json.dumps(trace_to_dict(trace), indent=2),
-                        encoding="utf-8")
-        return
+                        + sum(r.probabilities))
+               or all(map(isfinite, (r.probability, *r.distances, *r.scores,
+                                     *r.probabilities)))
+               for r in trace.records):
+        raise ValueError(f"trace {trace.index} holds a non-finite number")
+    path = Path(path)
     k = trace.knowledge
     with path.open("w", encoding="utf-8") as f:
         f.write(_TRACE_HEAD % (trace.index, _quote(trace.profile),

@@ -120,18 +120,33 @@ def _objects(obj: dict, key: str, owner: str, errors: list[str]) -> list[dict]:
                                             errors))]
 
 
-def _walk_cpe_nodes(nodes: list[dict], owner: str,
-                    errors: list[str]) -> list[str]:
+def _walk_cpe_nodes(nodes: list[dict], match_key: str, uri_key: str,
+                    owner: str, errors: list[str]) -> list[str]:
+    """The `uri_key` strings of each node's `match_key` entries, children
+    included: cpe_match/cpe23Uri in a 1.1 feed, cpeMatch/criteria in 2.0."""
     uris: list[str] = []
     for node in nodes:
-        for match in _objects(node, "cpe_match", owner, errors):
-            uri = string(match.get("cpe23Uri", ""), f"{owner}: cpe23Uri",
+        for match in _objects(node, match_key, owner, errors):
+            uri = string(match.get(uri_key, ""), f"{owner}: {uri_key}",
                          errors)
             if uri:
                 uris.append(uri)
         uris.extend(_walk_cpe_nodes(_objects(node, "children", owner, errors),
-                                    owner, errors))
+                                    match_key, uri_key, owner, errors))
     return uris
+
+
+def _cwe_ids(groups: list[dict], owner: str, errors: list[str]) -> list[str]:
+    """The `CWE-` values in the description lists of the problem-type
+    (1.1) or weakness (2.0) entries."""
+    cwes = []
+    for group in groups:
+        for desc in _objects(group, "description", owner, errors):
+            value = string(desc.get("value", ""), f"{owner}: CWE value",
+                           errors)
+            if value.startswith("CWE-"):
+                cwes.append(value)
+    return cwes
 
 
 def _english(descriptions: list[dict], owner: str, errors: list[str]) -> str:
@@ -197,18 +212,12 @@ def import_cve_feed(path: str | Path) -> list[ActionSkeleton]:
             description = _english(_objects(
                 _object(cve, "description", owner, errors),
                 "description_data", owner, errors), owner, errors)
-            cwes = []
-            problems = _object(cve, "problemtype", owner, errors)
-            for pt in _objects(problems, "problemtype_data", owner, errors):
-                for desc in _objects(pt, "description", owner, errors):
-                    value = string(desc.get("value", ""),
-                                   f"{owner}: CWE value", errors)
-                    if value.startswith("CWE-"):
-                        cwes.append(value)
-            configurations = _object(item, "configurations", owner, errors)
-            uris = _walk_cpe_nodes(
-                _objects(configurations, "nodes", owner, errors),
-                owner, errors)
+            cwes = _cwe_ids(_objects(
+                _object(cve, "problemtype", owner, errors),
+                "problemtype_data", owner, errors), owner, errors)
+            uris = _walk_cpe_nodes(_objects(
+                _object(item, "configurations", owner, errors),
+                "nodes", owner, errors), "cpe_match", "cpe23Uri", owner, errors)
             skeletons.append(_skeleton_from_cve(cve_id, description, cwes,
                                                 uris, path))
     elif "vulnerabilities" in doc:
@@ -222,15 +231,14 @@ def import_cve_feed(path: str | Path) -> list[ActionSkeleton]:
                 continue
             description = _english(
                 _objects(cve, "descriptions", owner, errors), owner, errors)
-            uris = [
-                uri
-                for conf in _objects(cve, "configurations", owner, errors)
-                for node in _objects(conf, "nodes", owner, errors)
-                for match in _objects(node, "cpeMatch", owner, errors)
-                if (uri := string(match.get("criteria", ""),
-                                  f"{owner}: criteria", errors))
-            ]
-            skeletons.append(_skeleton_from_cve(cve_id, description, [],
+            cwes = _cwe_ids(_objects(cve, "weaknesses", owner, errors),
+                            owner, errors)
+            uris = _walk_cpe_nodes(
+                [node for conf in _objects(cve, "configurations", owner,
+                                           errors)
+                 for node in _objects(conf, "nodes", owner, errors)],
+                "cpeMatch", "criteria", owner, errors)
+            skeletons.append(_skeleton_from_cve(cve_id, description, cwes,
                                                 uris, path))
     else:
         raise ValidationFailure(

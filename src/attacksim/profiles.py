@@ -67,6 +67,9 @@ class PropertySchema:
                 v.append(f"property {self.name!r}: set kinds need allowed_values")
             if len(set(self.allowed_values)) != len(self.allowed_values):
                 v.append(f"property {self.name!r}: duplicate allowed_values")
+        elif self.allowed_values:
+            v.append(f"property {self.name!r}: allowed_values apply only to "
+                     "set kinds")
         if self.kind == BOUNDED_RANGE:
             if self.lower is None or self.upper is None:
                 v.append(f"property {self.name!r}: bounded-range needs lower and upper")
@@ -76,6 +79,11 @@ class PropertySchema:
             elif not isfinite(self.upper - self.lower):
                 v.append(f"property {self.name!r}: upper - lower must be "
                          "finite")
+        else:
+            for key, bound in (("lower", self.lower), ("upper", self.upper)):
+                if bound is not None:
+                    v.append(f"property {self.name!r}: {key} applies only "
+                             "to bounded-range")
         # the distance weight 1/criticality^2 overflows below about 1e-154
         # (and divides by zero below 1e-162); the floor leaves room to sum
         if not 1e-150 <= self.criticality <= 1.0:
@@ -127,7 +135,11 @@ class ProfilePmf:
         v: list[str] = []
         if not self.entries:
             v.append("pmf must contain at least one profile")
+        seen: set[str] = set()
         for prof, like in self.entries:
+            if prof.name in seen:
+                v.append(f"pmf lists profile {prof.name!r} more than once")
+            seen.add(prof.name)
             if not 0.0 <= like <= 1.0:
                 v.append(f"pmf likelihood for {prof.name!r} must be in [0, 1]")
         if self.entries and not any(l > 0 for _, l in self.entries):
@@ -284,17 +296,17 @@ def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
     props: list[PropertySchema] = []
     for owner, pd in entries(raw, "schema", _PROPERTY_KEYS, "property",
                              errors, key="name"):
-        lower, upper = pd.get("lower"), pd.get("upper")
         props.append(PropertySchema(
             name=pd["name"],
             kind=string(pd.get("kind"), "{}: kind", errors, owner),
             allowed_values=tuple(string_list(
                 pd.get("allowed_values", []), f"{owner}: allowed_values",
                 errors)),
-            lower=None if lower is None else number(
-                lower, None, errors, "{}: lower", owner),
-            upper=None if upper is None else number(
-                upper, None, errors, "{}: upper", owner),
+            # a bound given as null is an error, not an absent bound
+            lower=None if "lower" not in pd else number(
+                pd["lower"], None, errors, "{}: lower", owner),
+            upper=None if "upper" not in pd else number(
+                pd["upper"], None, errors, "{}: upper", owner),
             criticality=number(pd.get("criticality", 1.0), 1.0, errors,
                                "{}: criticality", owner),
         ))

@@ -186,6 +186,18 @@ def spanning_actions(prop, low, high):
     return doc["actions"]
 
 
+def fixture_list(name, key):
+    """A fresh copy of the list `key` of the fixture document `name`."""
+    return json.loads(fixture_path(name).read_text())[key]
+
+
+NODES = fixture_list("cstr_system.json", "nodes")
+EDGES = fixture_list("cstr_system.json", "edges")
+ACTIONS = fixture_list("cstr_actions.json", "actions")
+SCHEMA = fixture_list("cstr_profiles.json", "schema")
+PROFILES = fixture_list("cstr_profiles.json", "profiles")
+PMF = fixture_list("cstr_profiles.json", "pmf")
+
 # fields and values that put "Basic User"'s Finances 3.4e308 from the first
 # action's, while the actions' own span stays finite
 ATTACKER_SPAN_OVERFLOWS = (("action-profile-value", "profile-value"),
@@ -268,6 +280,12 @@ class TestValidate:
     def test_missing_file_exits_three(self, cstr_args):
         assert run_cli("validate", "/does/not/exist.json",
                        cstr_args[1], cstr_args[2]) == 3
+
+    def test_missing_actions_with_invalid_profiles_exits_three(
+            self, cstr_args, tmp_path):
+        args = with_field(cstr_args, tmp_path, "likelihood", 1.5)
+        assert run_cli("validate", args[0], tmp_path / "none.json",
+                       args[2]) == 3
 
     def test_invalid_actions_reported_per_line(self, cstr_args, tmp_path,
                                                capsys):
@@ -428,6 +446,65 @@ class TestValidate:
         pytest.param("system-key", 1,
                      "unknown top-level keys: \\udc80",
                      id="system-surrogate-key"),
+        # structural checks of each document, after the fields parse
+        pytest.param("nodes", NODES + [NODES[0]], "duplicate node id 'N1'",
+                     id="duplicate-node-id"),
+        pytest.param("edges", EDGES + [EDGES[0]], "duplicate edge id 'E1'",
+                     id="duplicate-edge-id"),
+        pytest.param("nodes", NODES + [{"id": "@external"}],
+                     "node id '@external' collides with the external origin",
+                     id="node-id-external-origin"),
+        pytest.param("nodes", replaced(NODES, (0, "attributes"), {"": "x"}),
+                     "node 'N1' has an empty attribute key",
+                     id="empty-attribute-key"),
+        pytest.param("actions", ACTIONS + [ACTIONS[0]],
+                     "duplicate action id 'usb-drop'",
+                     id="duplicate-action-id"),
+        pytest.param("actions", replaced(ACTIONS, (0, "target_criteria"),
+                                         {"": "x"}),
+                     "action 'usb-drop': empty criteria key",
+                     id="empty-criteria-key"),
+        pytest.param("property-name", "", "property name must be non-empty",
+                     id="empty-property-name"),
+        pytest.param("property-kind", "ranged",
+                     "property 'Access': unknown kind 'ranged'",
+                     id="unknown-property-kind"),
+        pytest.param("property-name", "Finances",
+                     "duplicate property names in schema",
+                     id="duplicate-property-name"),
+        # a field of another kind would be ignored, so it is rejected
+        pytest.param("schema", replaced(SCHEMA, (1, "lower"), 5),
+                     "property 'Finances': lower applies only to "
+                     "bounded-range", id="lower-on-unbounded"),
+        pytest.param("schema", replaced(SCHEMA, (1, "lower"), None),
+                     "property 'Finances': lower must be a finite number",
+                     id="null-lower-on-unbounded"),
+        pytest.param("schema", replaced(SCHEMA, (4, "upper"), 5),
+                     "property 'Motivation': upper applies only to "
+                     "bounded-range", id="upper-on-ordered-set"),
+        pytest.param("schema", replaced(SCHEMA, (2, "allowed_values"),
+                                        ["Low"]),
+                     "property 'Knowledge': allowed_values apply only to set "
+                     "kinds", id="allowed-values-on-bounded"),
+        pytest.param("likelihood", 1.5,
+                     "pmf likelihood for 'Basic User' must be in [0, 1]",
+                     id="likelihood-above-one"),
+        pytest.param("pmf", [dict(e, likelihood=0) for e in PMF],
+                     "pmf needs at least one positive likelihood",
+                     id="all-zero-pmf"),
+        pytest.param("profile-value", "rich",
+                     "profile 'Basic User': property 'Finances' needs a "
+                     "number", id="label-for-number"),
+        pytest.param("profiles", replaced(PROFILES, (0, "values", "Access"), 3),
+                     "profile 'Basic User': property 'Access' needs a label",
+                     id="number-for-label"),
+        pytest.param("profiles", PROFILES + [PROFILES[0]],
+                     "duplicate profile name 'Basic User'",
+                     id="duplicate-profile-name"),
+        # a second entry would add to the profile's weight
+        pytest.param("pmf", PMF + [PMF[0]],
+                     "pmf lists profile 'Basic User' more than once",
+                     id="pmf-profile-twice"),
     ])
     def test_malformed_field_exits_one(self, cstr_args, tmp_path, capsys,
                                        field, value, message):
@@ -522,6 +599,19 @@ class TestSimulate:
     def test_unknown_flag_is_usage_error(self, cstr_args, tmp_path, capsys):
         assert run_cli("simulate", *cstr_args, "--frobnicate",
                        "--out", tmp_path / "r") == 2
+
+    def test_sole_profile_used_without_pmf(self, cstr_args, tmp_path):
+        doc = json.loads(Path(cstr_args[2]).read_text())
+        del doc["pmf"]
+        doc["profiles"] = [p for p in doc["profiles"]
+                           if p["name"] == "Insider"]
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        assert run_cli("simulate", cstr_args[0], cstr_args[1], profiles,
+                       "--episodes", 3, "--seed", 1, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["profile_counts"] == {"Insider": 3}
 
     def test_profile_without_pmf_required(self, cstr_args, tmp_path, capsys):
         doc = json.loads(Path(cstr_args[2]).read_text())

@@ -385,6 +385,34 @@ class TestSampleAction:
             sample_action([], [], Random(0))
 
 
+def compromised_g():
+    """A fresh state after the step that compromises G."""
+    state, rec = step(fresh_state(), Random(1))
+    assert rec.outcome == "success" and rec.target == "G"
+    return state
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: filter_valid(compromised_g(), "G"),
+                     "target 'G' is already compromised",
+                     id="filter-compromised-target"),
+        pytest.param(lambda: scores([]), "empty distance vector",
+                     id="scores-empty"),
+        pytest.param(lambda: probabilities([]), "empty score vector",
+                     id="probabilities-empty"),
+        pytest.param(lambda: probabilities([0.5, -0.1]), "negative score -0.1",
+                     id="probabilities-negative"),
+        pytest.param(lambda: sample_action(["a", "b"], [1.0], Random(0)),
+                     "candidates and probabilities must align",
+                     id="sample-misaligned"),
+    ])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 class TestStep:
     def test_success_records_attempt_and_grows_knowledge(self):
         state = fresh_state()

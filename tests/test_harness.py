@@ -226,6 +226,19 @@ class TestRunMonteCarlo:
         with pytest.raises(ValidationFailure, match="episode_count"):
             run_monte_carlo(system, db, ps, SimConfig(0, 0, profile="solo"))
 
+    @pytest.mark.parametrize("config, message", [
+        (SimConfig(0, 0, profile="solo"), "episode_count must be >= 1"),
+        (SimConfig(1, 0, profile="solo", max_steps=0),
+         "max_steps must be >= 1 when set"),
+        (SimConfig(1, 0, profile="solo", parallelism=0),
+         "parallelism must be >= 1"),
+    ])
+    def test_config_bound_rejected(self, config, message):
+        system, db, ps = one_shot_fixture()
+        with pytest.raises(ValidationFailure) as exc:
+            run_monte_carlo(system, db, ps, config)
+        assert exc.value.errors == [message]
+
     def test_workers_capped_at_cpu_count(self, cstr_paths, monkeypatch):
         sizes = []
 
@@ -468,11 +481,24 @@ class TestTraceSerialization:
     @example(trace=writer_trace(value=math.nan))
     @example(trace=writer_trace(value=math.inf))
     @example(trace=writer_trace(value=-math.inf))
+    @example(trace=writer_trace(value=1e308))
+    @example(trace=writer_trace(value=-1e308))
     def test_writer_matches_json_dumps(self, tmp_path_factory, trace):
+        """A finite trace is written as json.dumps lays it out; one that
+        json can only spell with NaN or Infinity raises, writing nothing.
+        1e308 overflows a sum of the values but is finite itself."""
         path = tmp_path_factory.getbasetemp() / "writer.json"
-        save_trace(trace, path)
-        assert path.read_bytes() == json.dumps(
-            trace_to_dict(trace), indent=2).encode("ascii")
+        path.unlink(missing_ok=True)
+        try:
+            expected = json.dumps(trace_to_dict(trace), indent=2,
+                                  allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-finite number"):
+                save_trace(trace, path)
+            assert not path.exists()
+        else:
+            save_trace(trace, path)
+            assert path.read_bytes() == expected.encode("ascii")
 
     def test_corrupt_trace_rejected(self):
         with pytest.raises(ValidationFailure, match="corrupt"):
@@ -491,6 +517,8 @@ class TestTraceSerialization:
          "decision #0: probability must be a finite number"),
         (("decisions", 0, "candidates"), None,
          "decision #0: candidates must be a list"),
+        (("decisions", 0, "candidates", 0), 5,
+         "decision #0: candidate #0 must be an object"),
         (("decisions", 0, "candidates", 0, "score"), None,
          "decision #0: candidate #0: score must be a finite number"),
         (("decisions", 0, "via_edges"), "E1",

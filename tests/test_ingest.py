@@ -56,6 +56,16 @@ WRONG_SHAPE_FEEDS = [
                                                "descriptions": [1]}}]},
                  "vulnerabilities #0: descriptions #0 must be an object",
                  id="2.0-description-int"),
+    pytest.param({"vulnerabilities": [{"cve": {
+                     "id": "CVE-1", "weaknesses": [
+                         {"description": [{"value": 787}]}]}}]},
+                 "vulnerabilities #0: CWE value must be a string",
+                 id="2.0-cwe-int"),
+    pytest.param({"vulnerabilities": [{"cve": {
+                     "id": "CVE-1", "configurations": [{"nodes": [
+                         {"cpeMatch": [{"criteria": ["cpe"]}]}]}]}}]},
+                 "vulnerabilities #0: criteria must be a string",
+                 id="2.0-cpe-list"),
 ]
 
 
@@ -147,6 +157,26 @@ class TestImportCveFeed:
         assert len([s for s in merged if s.id == "CVE-2031-10001"]) == 1
         sources = {p.source for p in by_id["CVE-2031-10001"].provenance}
         assert len(sources) == 2
+
+    def test_nvd_2_0_feed_extracted(self):
+        with pytest.warns(UserWarning, match="2.0 layout"):
+            skeletons = import_cve_feed(DATA / "nvd2_sample.json")
+        assert [sk.id for sk in skeletons] == ["CVE-2031-20001",
+                                               "CVE-2031-20002"]
+        first, second = skeletons
+        assert first.description == ("A buffer overflow in the controller "
+                                     "web server lets a remote attacker run "
+                                     "code.")
+        assert first.references == (
+            "CVE-2031-20001", "CWE-787",
+            "cpe:2.3:o:acmecontrols:rio_firmware:*:*:*:*:*:*:*:*",
+            "cpe:2.3:h:acmecontrols:rio_100:-:*:*:*:*:*:*:*",
+            "cpe:2.3:a:plantsoft:historian:2.1:*:*:*:*:*:*:*")
+        assert first.suggested_criteria == {
+            "vendor": ("acmecontrols", "plantsoft"),
+            "product": ("rio_firmware", "rio_100", "historian")}
+        assert second.references == ("CVE-2031-20002",)
+        assert second.suggested_criteria == {}
 
     @pytest.mark.parametrize("feed, message", WRONG_SHAPE_FEEDS)
     def test_wrong_shape_feed_exits_one(self, tmp_path, capsys, feed,
