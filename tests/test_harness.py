@@ -517,14 +517,14 @@ class TestTraceSerialization:
          "decision #0: probability must be a finite number"),
         (("decisions", 0, "candidates"), None,
          "decision #0: candidates must be a list"),
-        (("decisions", 0, "candidates", 0), 5,
-         "decision #0: candidate #0 must be an object"),
         (("decisions", 0, "candidates", 0, "score"), None,
          "decision #0: candidate #0: score must be a finite number"),
         (("decisions", 0, "via_edges"), "E1",
          "decision #0: via_edges must be a list of strings"),
         (("knowledge", "known_nodes"), "N1",
          "knowledge: known_nodes must be a list of strings"),
+        (("decisions", 0, "candidates", 0), 5,
+         "decision #0: candidate #0 must be an object"),
     ])
     def test_mistyped_field_rejected(self, cstr_paths, keys, value, message):
         system, db, profiles = load_cstr(cstr_paths)
