@@ -26,6 +26,14 @@ keeps the ids and distances it last scored, and a failure deletes the
 attempted action from them, which leaves exactly the lists a fresh scan
 would give.
 
+A retarget, the draw after a compromise or an exhausted target, does not
+rescan the known nodes either: the AttackState keeps the open set, the
+known, uncompromised nodes with a candidate, and `step` keeps it current
+with work in proportion to the target's degree. A failure drops the
+target once its candidates run out; a compromise drops it and checks
+only the nodes its attack-vector edges lead to. The draw is over the
+sorted set, the same list a full scan gives, so the RNG use is unchanged.
+
 A decision's record keeps its candidates as four columns (ids,
 distances, scores, probabilities), the lists the assessment computed;
 no per-candidate object is built on the decision path.
@@ -99,7 +107,8 @@ class DecisionContext:
     - per node, the actions whose target criteria match it, in canonical
       id order, as ``(id, channel bitmask, prerequisites)`` rows;
     - per node, the attack-vector edges into it, in canonical id order, as
-      ``(id, source node, channel bitmask)`` rows;
+      ``(id, source node, channel bitmask)`` rows, and the nodes its own
+      attack-vector edges lead to;
     - per attacker profile (on first use, cached by name and values), the
       scaled tuple and its distance to every action, by action id.
 
@@ -133,6 +142,12 @@ class DecisionContext:
                            for e in system.edges_into(node.id)
                            if e.is_attack_vector)
             for node in system.nodes}
+        successors: dict[str, set[str]] = {}
+        for nid, rows in self.vectors_into.items():
+            for _, source, _ in rows:
+                successors.setdefault(source, set()).add(nid)
+        self.vector_successors = {
+            nid: tuple(sorted(s)) for nid, s in successors.items()}
 
     def attacker_theta(self, attacker: AttackerProfile
                        ) -> tuple[tuple[ProfileValue, ...], dict[str, float]]:
@@ -165,6 +180,20 @@ class AttackState:
     the target's ``attempted`` and ``succeeded`` sets. Under the
     contract the candidates change only when the stamp does, so the lists
     are reused while it matches and rebuilt by a scan otherwise.
+
+    Beside it the state keeps the open set: the known, uncompromised
+    nodes with at least one candidate, the nodes a retarget draws from.
+    It is stamped with the knowledge and the total sizes of all
+    ``attempted`` and ``succeeded`` sets, which under the contract change
+    with every edit that can move a node in or out. A full scan of the
+    known nodes builds it at an episode's first retarget and rebuilds it
+    whenever the stamp does not match. Otherwise `step` keeps it, and its
+    stamp, current without a scan: a failure can only exhaust its target,
+    and a compromise can only open the nodes the compromised node's
+    attack-vector edges lead to, because `reveal_on_compromise` reveals
+    only edges touching that node and the far end of each. That holds
+    while every known edge's ends are known, as `initial_knowledge` and
+    `reveal_on_compromise` leave them.
     """
 
     def __init__(self, ctx: DecisionContext, attacker: AttackerProfile):
@@ -177,6 +206,8 @@ class AttackState:
         self._stamp: tuple | None = None
         self._cand_ids: list[str] = []
         self._cand_dists: list[float] = []
+        self._open: set[str] = set()
+        self._open_stamp: tuple | None = None
 
     @property
     def system(self) -> CpsSystem:
@@ -259,22 +290,43 @@ def viable_edges(state: AttackState, target: str, action_id: str) -> tuple[str, 
         and (source == origin or source in k.compromised_nodes))
 
 
+def _open_stamp(state: AttackState) -> tuple:
+    return (state.knowledge, sum(map(len, state.attempted.values())),
+            sum(map(len, state.succeeded.values())))
+
+
+def open_targets(state: AttackState) -> list[str]:
+    """The known, non-compromised nodes that still have at least one
+    candidate, in canonical (sorted) order: what a retarget draws from.
+
+    Read from the state's open set, which is rebuilt by a scan of the
+    known nodes when its stamp does not match (see AttackState).
+    """
+    stamp = _open_stamp(state)
+    if state._open_stamp != stamp:
+        k = state.knowledge
+        state._open = {nid for nid in k.known_nodes
+                       if nid not in k.compromised_nodes
+                       and _has_candidate(state, nid)}
+        state._open_stamp = stamp
+    return sorted(state._open)
+
+
 def select_target(state: AttackState, rng) -> str | None:
     """Pick the node to attack, or None when nothing remains.
 
     Sticky: the current target is kept while it still has untried
-    qualified actions. Otherwise the target is drawn uniformly from the
-    known, non-compromised nodes that still have at least one candidate;
-    iteration order is canonical (sorted ids) so runs reproduce exactly.
+    qualified actions. Otherwise the target is drawn uniformly from
+    `open_targets`, which `step` keeps current, so a retarget does not
+    rescan the known nodes; the list is in canonical (sorted) order so
+    runs reproduce exactly.
     """
     k = state.knowledge
     cur = state.current_target
     if (cur is not None and cur in k.known_nodes
             and cur not in k.compromised_nodes and _scored(state, cur)[0]):
         return cur
-    candidates = [nid for nid in sorted(k.known_nodes)
-                  if nid not in k.compromised_nodes
-                  and _has_candidate(state, nid)]
+    candidates = open_targets(state)
     if not candidates:
         return None
     return candidates[rng.randrange(len(candidates))]
@@ -341,7 +393,11 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
     whatever its reported effect. A failure deletes the action from the
-    target's cached candidates, so a retry does not rescan.
+    target's cached candidates, so a retry does not rescan, and drops an
+    exhausted target from the open set; a compromise drops its target and
+    checks only the nodes its attack-vector edges lead to. The open set
+    is updated only while its stamp still holds the knowledge the step
+    began with; otherwise it is left to the rebuild (see AttackState).
     """
     target = select_target(state, rng)
     if target is None:
@@ -368,15 +424,35 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
         source=state.system.edge_by_id[via[0]].from_node,
         via_edges=via,
     )
+    # chosen was a candidate, so it was not yet attempted on the target
     state.attempted.setdefault(target, set()).add(chosen)
+    k = state.knowledge
+    stamp = state._open_stamp
+    if stamp is not None and stamp[0] is not k:
+        stamp = None
     if success:
-        state.succeeded.setdefault(target, set()).add(chosen)
-        state.knowledge = reveal_on_compromise(state.knowledge,
-                                               state.system, target)
+        succeeded = state.succeeded.setdefault(target, set())
+        grown = chosen not in succeeded
+        succeeded.add(chosen)
+        state.knowledge = reveal_on_compromise(k, state.system, target)
         state.current_target = None
+        if stamp is not None:
+            opened = state._open
+            opened.discard(target)
+            compromised = state.knowledge.compromised_nodes
+            for nid in state.ctx.vector_successors.get(target, ()):
+                if (nid not in opened and nid not in compromised
+                        and _has_candidate(state, nid)):
+                    opened.add(nid)
+            stamp = (state.knowledge, stamp[1] + 1, stamp[2] + grown)
     else:
         del state._cand_ids[idx]
         del state._cand_dists[idx]
         state._stamp = _stamp(state, target)
         state.current_target = target
+        if stamp is not None:
+            if not state._cand_ids:
+                state._open.discard(target)
+            stamp = (k, stamp[1] + 1, stamp[2])
+    state._open_stamp = stamp
     return state, record

@@ -188,12 +188,13 @@ def _skeleton_from_cve(cve_id: str, description: str, cwe_ids: list[str],
 def import_cve_feed(path: str | Path) -> list[ActionSkeleton]:
     """One skeleton per CVE in an NVD JSON feed.
 
-    Understands the classic 1.1 feed layout (CVE_Items) and, best-effort,
-    the 2.0 API layout (vulnerabilities). CPE applicability strings become
-    vendor/product target-criteria suggestions; duplicate ids within the
-    feed merge, keeping every provenance record. Every field read of the
-    wrong type (an item that is not an object, an id, description, CWE or
-    CPE that is not a string) is collected, and any raises.
+    Understands the classic 1.1 feed layout (CVE_Items) and the 2.0 API
+    layout (vulnerabilities), reading the same fields from both. CPE
+    applicability strings become vendor/product target-criteria
+    suggestions; duplicate ids within the feed merge, keeping every
+    provenance record. Every field read of the wrong type (an item that is
+    not an object, an id, description, CWE or CPE that is not a string) is
+    collected, and any raises.
     """
     path = str(path)
     doc = read_json(path)
@@ -221,7 +222,6 @@ def import_cve_feed(path: str | Path) -> list[ActionSkeleton]:
             skeletons.append(_skeleton_from_cve(cve_id, description, cwes,
                                                 uris, path))
     elif "vulnerabilities" in doc:
-        warnings.warn(f"{path}: NVD 2.0 layout detected; best-effort extraction")
         for i, item in enumerate(_objects(doc, "vulnerabilities", "",
                                           errors)):
             owner = f"vulnerabilities #{i}"

@@ -25,6 +25,8 @@ from attacksim.errors import (
 
 EXTERNAL_ORIGIN = "@external"
 
+_NOTHING: tuple[frozenset[str], frozenset[str]] = (frozenset(), frozenset())
+
 _NODE_KEYS = {"id", "name", "attributes", "target"}
 _EDGE_KEYS = {"id", "from", "to", "channels", "entry_point", "attack_vector"}
 
@@ -62,18 +64,22 @@ class CpsSystem:
         self.node_by_id: dict[str, Node] = {n.id: n for n in self.nodes}
         self.edge_by_id: dict[str, Edge] = {e.id: e for e in self.edges}
         self._into: dict[str, list[Edge]] = {}
-        self._incident: dict[str, list[Edge]] = {}
+        incident: dict[str, list[Edge]] = {}
         for e in self.edges:
             self._into.setdefault(e.to_node, []).append(e)
-            self._incident.setdefault(e.to_node, []).append(e)
+            incident.setdefault(e.to_node, []).append(e)
             if e.from_node != EXTERNAL_ORIGIN:
-                self._incident.setdefault(e.from_node, []).append(e)
+                incident.setdefault(e.from_node, []).append(e)
+        # per node, what its compromise reveals: the far ends of its edges
+        # (never the external origin) and the ids of those edges
+        self._reveals: dict[str, tuple[frozenset[str], frozenset[str]]] = {
+            nid: (frozenset(e.from_node if e.to_node == nid else e.to_node
+                            for e in edges) - {EXTERNAL_ORIGIN},
+                  frozenset(e.id for e in edges))
+            for nid, edges in incident.items()}
 
     def edges_into(self, node_id: str) -> tuple[Edge, ...]:
         return tuple(self._into.get(node_id, ()))
-
-    def edges_incident(self, node_id: str) -> tuple[Edge, ...]:
-        return tuple(self._incident.get(node_id, ()))
 
     @property
     def entry_edges(self) -> tuple[Edge, ...]:
@@ -154,20 +160,16 @@ def reveal_on_compromise(k: CpsKnowledge, sys: CpsSystem,
 
     Every edge touching the node becomes known, along with the node on the
     far end of each such edge (direction is ignored: owning a node exposes
-    both ends of its links). Pure: the input knowledge is unchanged.
+    both ends of its links). Both sets are built once per system, so the
+    transition is three frozenset unions. Pure: the input knowledge is
+    unchanged.
     """
     if node not in k.known_nodes:
         raise ValueError(f"cannot compromise unknown node {node!r}")
-    known_nodes = set(k.known_nodes)
-    known_edges = set(k.known_edges)
-    for e in sys.edges_incident(node):
-        known_edges.add(e.id)
-        for end in (e.from_node, e.to_node):
-            if end != sys.external_origin:
-                known_nodes.add(end)
+    nodes, edges = sys._reveals.get(node, _NOTHING)
     return CpsKnowledge(
-        known_nodes=frozenset(known_nodes),
-        known_edges=frozenset(known_edges),
+        known_nodes=k.known_nodes | nodes,
+        known_edges=k.known_edges | edges,
         compromised_nodes=k.compromised_nodes | {node},
     )
 

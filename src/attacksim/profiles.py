@@ -51,7 +51,7 @@ class PropertySchema:
 
     name: str
     kind: str
-    allowed_values: tuple[str, ...] = ()
+    allowed_values: tuple[str, ...] | None = None
     lower: float | None = None
     upper: float | None = None
     criticality: float = 1.0
@@ -65,9 +65,9 @@ class PropertySchema:
         if self.kind in (UNORDERED_SET, ORDERED_SET):
             if not self.allowed_values:
                 v.append(f"property {self.name!r}: set kinds need allowed_values")
-            if len(set(self.allowed_values)) != len(self.allowed_values):
+            elif len(set(self.allowed_values)) != len(self.allowed_values):
                 v.append(f"property {self.name!r}: duplicate allowed_values")
-        elif self.allowed_values:
+        elif self.allowed_values is not None:
             v.append(f"property {self.name!r}: allowed_values apply only to "
                      "set kinds")
         if self.kind == BOUNDED_RANGE:
@@ -299,10 +299,10 @@ def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
         props.append(PropertySchema(
             name=pd["name"],
             kind=string(pd.get("kind"), "{}: kind", errors, owner),
-            allowed_values=tuple(string_list(
-                pd.get("allowed_values", []), f"{owner}: allowed_values",
-                errors)),
-            # a bound given as null is an error, not an absent bound
+            # a field that is given is checked, even when empty or null
+            allowed_values=None if "allowed_values" not in pd else tuple(
+                string_list(pd["allowed_values"],
+                            f"{owner}: allowed_values", errors)),
             lower=None if "lower" not in pd else number(
                 pd["lower"], None, errors, "{}: lower", owner),
             upper=None if "upper" not in pd else number(

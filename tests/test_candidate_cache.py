@@ -1,18 +1,29 @@
-"""The per-state candidate cache against the brute-force filter oracle.
+"""The per-state candidate cache and open set against the brute-force
+filter oracle.
 
 Episodes run on generated instances with up to 40 actions, so targets are
 retried after failed attempts and the cached ids and distances are reused.
 Before every step, and after each direct edit of the state that keeps the
 grow-only contract (see AttackState), every open node's candidates must
-equal the oracle's, and every record's distances must equal a fresh
-single-pair distance.
+equal the oracle's, the nodes a retarget draws from must be the sorted
+open nodes the oracle gives candidates, and every record's distances must
+equal a fresh single-pair distance. A second run leaves the open set
+unread between edits and steps and checks each retarget's draw instead,
+so the set is also kept by steps that follow an edit.
 """
 
 from random import Random
 
 from hypothesis import given, settings, strategies as st
 
-from attacksim.engine import AttackState, DecisionContext, distance, filter_valid, step
+from attacksim.engine import (
+    AttackState,
+    DecisionContext,
+    distance,
+    filter_valid,
+    open_targets,
+    step,
+)
 from attacksim.model import CpsKnowledge, reveal_on_compromise
 
 from genrand import random_instance
@@ -28,23 +39,35 @@ def expected(state, target):
     return sorted(brute_force_valid(state, target))
 
 
-def assert_matches_oracle(state):
+def drawable(state):
+    """The oracle's retarget list: sorted open nodes with a candidate."""
+    return [n for n in open_nodes(state) if brute_force_valid(state, n)]
+
+
+def check_candidates(state):
+    """Every open node's candidates against the oracle's."""
     for nid in open_nodes(state):
         assert filter_valid(state, nid) == expected(state, nid)
 
 
-def assert_fresh_after(state, target, edit):
+def assert_matches_oracle(state):
+    check_candidates(state)
+    assert open_targets(state) == drawable(state)
+
+
+def assert_fresh_after(state, target, edit, check):
     """Score `target` (filling the cache), apply `edit`, and check that the
-    next result for `target`, then for every open node, is the oracle's."""
+    next result for `target` is the oracle's, then run `check`."""
     filter_valid(state, target)
     edit()
     assert filter_valid(state, target) == expected(state, target)
-    assert_matches_oracle(state)
+    check(state)
 
 
-def edit_state(state, rng):
-    """Direct edits a caller may make between steps, each one checked."""
-    nodes = [n for n in open_nodes(state) if brute_force_valid(state, n)]
+def edit_state(state, rng, check=assert_matches_oracle):
+    """Direct edits a caller may make between steps, each one followed by
+    `check`."""
+    nodes = drawable(state)
     if not nodes:
         return
     cur = state.current_target
@@ -52,7 +75,7 @@ def edit_state(state, rng):
 
     untried = rng.choice(expected(state, t))
     assert_fresh_after(state, t, lambda: state.attempted.setdefault(
-        t, set()).add(untried))
+        t, set()).add(untried), check)
 
     # A prerequisite where there is one, so the edit can unlock candidates.
     succeeded = state.succeeded.get(t, set())
@@ -62,20 +85,20 @@ def edit_state(state, rng):
     if unlocking or others:
         added = rng.choice(unlocking or others)
         assert_fresh_after(state, t, lambda: state.succeeded.setdefault(
-            t, set()).add(added))
+            t, set()).add(added), check)
 
     k = state.knowledge
 
     def equal_copy():
         state.knowledge = CpsKnowledge(k.known_nodes, k.known_edges,
                                        k.compromised_nodes)
-    assert_fresh_after(state, t, equal_copy)
+    assert_fresh_after(state, t, equal_copy, check)
 
     # The revealed node may be t itself, so only the open nodes are checked.
     filter_valid(state, t)
     state.knowledge = reveal_on_compromise(
         state.knowledge, state.system, rng.choice(open_nodes(state)))
-    assert_matches_oracle(state)
+    check(state)
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,3 +147,46 @@ def test_returned_list_is_the_callers(seed):
             assert filter_valid(state, nid) == want
         if step(state, rng) is None:
             break
+
+
+class RecordingRandom(Random):
+    """A Random that records the arguments and result of every randrange:
+    a retarget's list length and drawn index."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randrange(self, *args):
+        r = super().randrange(*args)
+        self.draws.append((args, r))
+        return r
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_retargets_draw_from_brute_force_list(seed):
+    rng = RecordingRandom(seed)
+    system, db, attacker = random_instance(rng, max_actions=40)
+    ctx = DecisionContext(system, db)
+    for _ in range(4):
+        state = AttackState(ctx, attacker)
+        for _ in range(80):
+            want = drawable(state)
+            rng.draws.clear()
+            result = step(state, rng)
+            if result is None:
+                assert not want
+                break
+            if rng.draws:
+                [((n,), r)] = rng.draws
+                assert n == len(want)
+                assert result[1].target == want[r]
+            edit = rng.random()
+            if edit < 0.25:
+                edit_state(state, rng, check_candidates)
+            elif edit < 0.35 and open_nodes(state):
+                # a knowledge edit alone leaves the history sizes as they are
+                state.knowledge = reveal_on_compromise(
+                    state.knowledge, state.system,
+                    rng.choice(open_nodes(state)))

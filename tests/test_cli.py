@@ -486,6 +486,9 @@ class TestValidate:
                                         ["Low"]),
                      "property 'Knowledge': allowed_values apply only to set "
                      "kinds", id="allowed-values-on-bounded"),
+        pytest.param("schema", replaced(SCHEMA, (1, "allowed_values"), []),
+                     "property 'Finances': allowed_values apply only to set "
+                     "kinds", id="empty-allowed-values-on-unbounded"),
         pytest.param("likelihood", 1.5,
                      "pmf likelihood for 'Basic User' must be in [0, 1]",
                      id="likelihood-above-one"),

@@ -1,4 +1,3 @@
-import contextlib
 import json
 from pathlib import Path
 
@@ -159,8 +158,7 @@ class TestImportCveFeed:
         assert len(sources) == 2
 
     def test_nvd_2_0_feed_extracted(self):
-        with pytest.warns(UserWarning, match="2.0 layout"):
-            skeletons = import_cve_feed(DATA / "nvd2_sample.json")
+        skeletons = import_cve_feed(DATA / "nvd2_sample.json")
         assert [sk.id for sk in skeletons] == ["CVE-2031-20001",
                                                "CVE-2031-20002"]
         first, second = skeletons
@@ -183,11 +181,8 @@ class TestImportCveFeed:
                                         message):
         path = tmp_path / "feed.json"
         path.write_text(json.dumps(feed))
-        layout_2_0 = isinstance(feed, dict) and "vulnerabilities" in feed
-        with (pytest.warns(UserWarning, match="2.0 layout") if layout_2_0
-              else contextlib.nullcontext()):
-            assert main(["ingest", "--cve", str(path),
-                         "--out", str(tmp_path / "out.json")]) == 1
+        assert main(["ingest", "--cve", str(path),
+                     "--out", str(tmp_path / "out.json")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 

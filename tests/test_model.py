@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from attacksim.errors import ValidationFailure
 from attacksim.model import (
     EXTERNAL_ORIGIN,
+    CpsKnowledge,
     CpsSystem,
     Edge,
     Node,
@@ -218,3 +219,52 @@ class TestSystemIo:
         assert len(sys_.nodes) == 7
         assert len(sys_.entry_edges) == 4
         assert [n.id for n in sys_.target_nodes] == ["N4"]
+
+
+def set_building_reveal(k: CpsKnowledge, sys_: CpsSystem,
+                        node: str) -> CpsKnowledge:
+    """Reference transition: walks every edge of the system and builds the
+    knowledge sets anew on every call."""
+    if node not in k.known_nodes:
+        raise ValueError(f"cannot compromise unknown node {node!r}")
+    known_nodes = set(k.known_nodes)
+    known_edges = set(k.known_edges)
+    for e in sys_.edges:
+        if node not in (e.from_node, e.to_node):
+            continue
+        known_edges.add(e.id)
+        for end in (e.from_node, e.to_node):
+            if end != sys_.external_origin:
+                known_nodes.add(end)
+    return CpsKnowledge(
+        known_nodes=frozenset(known_nodes),
+        known_edges=frozenset(known_edges),
+        compromised_nodes=k.compromised_nodes | {node},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_reveal_matches_set_building_reference(seed):
+    """On reachable knowledge and on arbitrary subsets of the system."""
+    rng = Random(seed)
+    sys_ = random_system(rng, max_nodes=8)
+    nodes = [n.id for n in sys_.nodes]
+    edges = [e.id for e in sys_.edges]
+    k = initial_knowledge(sys_)
+    for _ in range(8):
+        node = rng.choice(sorted(k.known_nodes))
+        got = reveal_on_compromise(k, sys_, node)
+        assert got == set_building_reveal(k, sys_, node)
+        k = got
+    for _ in range(8):
+        k = CpsKnowledge(
+            known_nodes=frozenset(rng.sample(nodes, rng.randint(1, len(nodes)))),
+            known_edges=frozenset(rng.sample(edges, rng.randint(0, len(edges)))),
+            compromised_nodes=frozenset(rng.sample(nodes, rng.randint(0, 2))))
+        node = rng.choice(sorted(k.known_nodes))
+        assert (reveal_on_compromise(k, sys_, node)
+                == set_building_reveal(k, sys_, node))
+        unknown = sorted(set(nodes) - k.known_nodes) or ["missing"]
+        with pytest.raises(ValueError, match="unknown node"):
+            reveal_on_compromise(k, sys_, unknown[0])
