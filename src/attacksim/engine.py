@@ -28,10 +28,9 @@ would give.
 
 A retarget, the draw after a compromise or an exhausted target, does not
 rescan the known nodes either: the AttackState keeps the open set, the
-known, uncompromised nodes with a candidate, and `step` keeps it current
-with work in proportion to the target's degree. A failure drops the
-target once its candidates run out; a compromise drops it and checks
-only the nodes its attack-vector edges lead to. The draw is over the
+known, uncompromised nodes with a candidate, and `step` keeps it current.
+A failure drops the target once its candidates run out; a compromise
+drops it and checks only the target's neighbours. The draw is over the
 sorted set, the same list a full scan gives, so the RNG use is unchanged.
 
 A decision's record keeps its candidates as four columns (ids,
@@ -107,8 +106,7 @@ class DecisionContext:
     - per node, the actions whose target criteria match it, in canonical
       id order, as ``(id, channel bitmask, prerequisites)`` rows;
     - per node, the attack-vector edges into it, in canonical id order, as
-      ``(id, source node, channel bitmask)`` rows, and the nodes its own
-      attack-vector edges lead to;
+      ``(id, source node, channel bitmask)`` rows;
     - per attacker profile (on first use, cached by name and values), the
       scaled tuple and its distance to every action, by action id.
 
@@ -142,12 +140,6 @@ class DecisionContext:
                            for e in system.edges_into(node.id)
                            if e.is_attack_vector)
             for node in system.nodes}
-        successors: dict[str, set[str]] = {}
-        for nid, rows in self.vectors_into.items():
-            for _, source, _ in rows:
-                successors.setdefault(source, set()).add(nid)
-        self.vector_successors = {
-            nid: tuple(sorted(s)) for nid, s in successors.items()}
 
     def attacker_theta(self, attacker: AttackerProfile
                        ) -> tuple[tuple[ProfileValue, ...], dict[str, float]]:
@@ -189,11 +181,10 @@ class AttackState:
     known nodes builds it at an episode's first retarget and rebuilds it
     whenever the stamp does not match. Otherwise `step` keeps it, and its
     stamp, current without a scan: a failure can only exhaust its target,
-    and a compromise can only open the nodes the compromised node's
-    attack-vector edges lead to, because `reveal_on_compromise` reveals
-    only edges touching that node and the far end of each. That holds
-    while every known edge's ends are known, as `initial_knowledge` and
-    `reveal_on_compromise` leave them.
+    and a compromise can only open the compromised node's neighbours,
+    because `reveal_on_compromise` reveals only edges touching that node
+    and the far end of each, and only edges out of that node gain a
+    compromised source.
     """
 
     def __init__(self, ctx: DecisionContext, attacker: AttackerProfile):
@@ -395,9 +386,9 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     whatever its reported effect. A failure deletes the action from the
     target's cached candidates, so a retry does not rescan, and drops an
     exhausted target from the open set; a compromise drops its target and
-    checks only the nodes its attack-vector edges lead to. The open set
-    is updated only while its stamp still holds the knowledge the step
-    began with; otherwise it is left to the rebuild (see AttackState).
+    checks only its neighbours. The open set is updated only while its
+    stamp still holds the knowledge the step began with; otherwise it is
+    left to the rebuild (see AttackState).
     """
     target = select_target(state, rng)
     if target is None:
@@ -440,7 +431,7 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
             opened = state._open
             opened.discard(target)
             compromised = state.knowledge.compromised_nodes
-            for nid in state.ctx.vector_successors.get(target, ()):
+            for nid in state.system.neighbours(target):
                 if (nid not in opened and nid not in compromised
                         and _has_candidate(state, nid)):
                     opened.add(nid)

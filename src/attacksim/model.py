@@ -81,6 +81,11 @@ class CpsSystem:
     def edges_into(self, node_id: str) -> tuple[Edge, ...]:
         return tuple(self._into.get(node_id, ()))
 
+    def neighbours(self, node_id: str) -> frozenset[str]:
+        """The far ends of the node's edges, either direction, never the
+        external origin: the nodes its compromise reveals."""
+        return self._reveals.get(node_id, _NOTHING)[0]
+
     @property
     def entry_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.is_entry_point)

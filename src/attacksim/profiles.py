@@ -220,7 +220,9 @@ def validate_profile(schema: ProfileSchema,
         if prop.kind in (UNORDERED_SET, ORDERED_SET):
             if not isinstance(val, str):
                 v.append(f"{owner}: property {prop.name!r} needs a label")
-            elif val not in prop.allowed_values:
+            # a set kind without allowed_values is reported by the
+            # schema's own validation
+            elif val not in (prop.allowed_values or ()):
                 v.append(f"{owner}: property {prop.name!r} has unknown "
                          f"label {val!r}")
         else:
@@ -253,7 +255,8 @@ def scale_profile(schema: ProfileSchema,
         if prop.kind == UNORDERED_SET:
             out.append(val)
         elif prop.kind == ORDERED_SET:
-            out.append(scale_ordered_set(val, prop.allowed_values, prop.name))
+            out.append(scale_ordered_set(val, prop.allowed_values or (),
+                                         prop.name))
         elif prop.kind == BOUNDED_RANGE:
             out.append(scale_bounded(val, prop.lower, prop.upper, prop.name))
         else:

@@ -26,7 +26,7 @@ def random_schema(rng: Random) -> ProfileSchema:
             name=f"p{i}",
             kind=kind,
             allowed_values=tuple(LABEL_POOL[:rng.randint(1, 3)])
-            if kind.endswith("set") else (),
+            if kind.endswith("set") else None,
             lower=0.0 if kind == "bounded-range" else None,
             upper=10.0 if kind == "bounded-range" else None,
             criticality=rng.choice((1.0, 0.5, 0.25)),

@@ -24,7 +24,16 @@ from attacksim.engine import (
     open_targets,
     step,
 )
-from attacksim.model import CpsKnowledge, reveal_on_compromise
+from attacksim.actions import Action, ActionDatabase, TargetCriteria
+from attacksim.model import (
+    CpsKnowledge,
+    CpsSystem,
+    EXTERNAL_ORIGIN,
+    Edge,
+    Node,
+    reveal_on_compromise,
+)
+from attacksim.profiles import AttackerProfile, ProfileSchema, PropertySchema
 
 from genrand import random_instance
 from oracle_filter import brute_force_valid
@@ -190,3 +199,33 @@ def test_retargets_draw_from_brute_force_list(seed):
                 state.knowledge = reveal_on_compromise(
                     state.knowledge, state.system,
                     rng.choice(open_nodes(state)))
+
+
+def test_compromise_opens_a_predecessor_known_by_an_edit():
+    """An edit may know a live edge into a node it does not know. When a
+    compromise then reveals that node as a predecessor, not a successor,
+    of the compromised node, the node opens all the same."""
+    schema = ProfileSchema([PropertySchema("Skill", "bounded-range",
+                                           lower=0, upper=10)])
+    host = {"kind": "host"}
+    system = CpsSystem(
+        nodes=[Node("G", attributes=host), Node("Q", attributes=host),
+               Node("P", attributes=host, is_target=True)],
+        edges=[Edge("E1", EXTERNAL_ORIGIN, "G", frozenset({"net"}),
+                    is_attack_vector=True, is_entry_point=True),
+               Edge("L", "P", "G", frozenset({"net"}),
+                    is_attack_vector=True),
+               Edge("M", "Q", "P", frozenset({"net"}),
+                    is_attack_vector=True)])
+    db = ActionDatabase([Action(
+        id="a", name="a", profile={"Skill": 5},
+        target_criteria=TargetCriteria({"kind": frozenset({"host"})}),
+        channels=frozenset({"net"}), success_probability=1.0)], schema)
+    state = AttackState(DecisionContext(system, db),
+                        AttackerProfile("x", {"Skill": 5}))
+    k = state.knowledge
+    state.knowledge = CpsKnowledge(k.known_nodes | {"Q"},
+                                   k.known_edges | {"M"}, frozenset({"Q"}))
+    assert open_targets(state) == drawable(state) == ["G"]
+    assert step(state, Random(0))[1].target == "G"
+    assert open_targets(state) == drawable(state) == ["P"]

@@ -489,6 +489,11 @@ class TestValidate:
         pytest.param("schema", replaced(SCHEMA, (1, "allowed_values"), []),
                      "property 'Finances': allowed_values apply only to set "
                      "kinds", id="empty-allowed-values-on-unbounded"),
+        pytest.param("schema", replaced(SCHEMA, (0,), {
+                         k: v for k, v in SCHEMA[0].items()
+                         if k != "allowed_values"}),
+                     "property 'Access': set kinds need allowed_values",
+                     id="missing-allowed-values-on-set"),
         pytest.param("likelihood", 1.5,
                      "pmf likelihood for 'Basic User' must be in [0, 1]",
                      id="likelihood-above-one"),
