@@ -127,6 +127,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.traces < 0:
+        print("error: --traces must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         profile_set = load_profiles(args.profiles)
         system = load_system(args.system)
@@ -164,7 +167,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     export_report(report, out_dir / "report.json", "json")
     export_report(report, out_dir / "report.csv", "csv")
-    for trace in traces[:max(0, args.traces)]:
+    for trace in traces[:args.traces]:
         save_trace(trace, out_dir / f"trace_{trace.index}.json")
         (out_dir / f"trace_{trace.index}.dot").write_text(
             export_trace_dot(trace, system), encoding="utf-8")

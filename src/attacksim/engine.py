@@ -19,19 +19,15 @@ attacker profile's distance to every action, keyed by action id, for
 every profile the run can draw before its first episode (the database
 checks each profile: `ActionDatabase.attacker_ranges`).
 
-A decision on a fresh target checks only the dynamic predicates and looks
-up its candidates' distances. A retry, the decision after a failed
-attempt on the same target, does not rescan: the episode's AttackState
-keeps the ids and distances it last scored, and a failure deletes the
-attempted action from them, which leaves exactly the lists a fresh scan
-would give.
-
-A retarget, the draw after a compromise or an exhausted target, does not
-rescan the known nodes either: the AttackState keeps the open set, the
-known, uncompromised nodes with a candidate, and `step` keeps it current.
-A failure drops the target once its candidates run out; a compromise
-drops it and checks only the target's neighbours. The draw is over the
-sorted set, the same list a full scan gives, so the RNG use is unchanged.
+Neither a retry, the decision after a failed attempt on the same
+target, nor a retarget, the draw after a compromise or an exhausted
+target, rescans: the episode's AttackState keeps one table of the open
+nodes, the known, uncompromised nodes with a candidate, each with its
+candidate ids and distances once scored, and `step` keeps it current. A
+failure deletes the attempted action from the target's columns and drops
+the target once they are empty; a compromise drops the target and checks
+only its neighbours. The draw is over the sorted keys, the same list a
+full scan gives, so the RNG use is unchanged.
 
 A decision's record keeps its candidates as four columns (ids,
 distances, scores, probabilities), the lists the assessment computed;
@@ -41,6 +37,7 @@ no per-candidate object is built on the decision path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Mapping, NamedTuple, Sequence
 
 from attacksim import _kernels
@@ -111,8 +108,8 @@ class DecisionContext:
       scaled tuple and its distance to every action, by action id.
 
     Immutable after construction apart from that profile cache. What
-    depends on an episode's history, such as the candidates of the target
-    last scored, lives in its AttackState.
+    depends on an episode's history, such as each open node's candidates,
+    lives in its AttackState.
     """
 
     def __init__(self, system: CpsSystem, db: ActionDatabase):
@@ -167,24 +164,18 @@ class AttackState:
     edits the state directly: the sets in ``attempted`` and ``succeeded``
     only gain actions, and ``knowledge`` is replaced, never mutated.
 
-    The state also caches the candidate ids and distances of the target it
-    last scored, stamped with that target, the knowledge and the sizes of
-    the target's ``attempted`` and ``succeeded`` sets. Under the
-    contract the candidates change only when the stamp does, so the lists
-    are reused while it matches and rebuilt by a scan otherwise.
-
-    Beside it the state keeps the open set: the known, uncompromised
-    nodes with at least one candidate, the nodes a retarget draws from.
-    It is stamped with the knowledge and the total sizes of all
-    ``attempted`` and ``succeeded`` sets, which under the contract change
-    with every edit that can move a node in or out. A full scan of the
-    known nodes builds it at an episode's first retarget and rebuilds it
-    whenever the stamp does not match. Otherwise `step` keeps it, and its
-    stamp, current without a scan: a failure can only exhaust its target,
-    and a compromise can only open the compromised node's neighbours,
-    because `reveal_on_compromise` reveals only edges touching that node
-    and the far end of each, and only edges out of that node gain a
-    compromised source.
+    The state keeps one candidate table: every known, uncompromised node
+    with at least one candidate, mapped to its ``(ids, distances)``
+    columns, or to None until first scored. It is stamped with the
+    knowledge and the total sizes of all ``attempted`` and ``succeeded``
+    sets, which under the contract change with every edit that can change
+    a node's candidates; a scan of the known nodes rebuilds it whenever
+    the stamp does not match. Otherwise `step` keeps it, and its stamp,
+    current without a scan: a failure can only shrink its target's
+    columns, and a compromise can only open or widen the compromised
+    node's neighbours, because `reveal_on_compromise` reveals only edges
+    touching that node and the far end of each, and only edges out of
+    that node gain a compromised source.
     """
 
     def __init__(self, ctx: DecisionContext, attacker: AttackerProfile):
@@ -194,11 +185,8 @@ class AttackState:
         self.attempted: dict[str, set[str]] = {}
         self.succeeded: dict[str, set[str]] = {}
         self.current_target: str | None = None
+        self._open: dict[str, tuple[list[str], list[float]] | None] = {}
         self._stamp: tuple | None = None
-        self._cand_ids: list[str] = []
-        self._cand_dists: list[float] = []
-        self._open: set[str] = set()
-        self._open_stamp: tuple | None = None
 
     @property
     def system(self) -> CpsSystem:
@@ -233,22 +221,22 @@ def _candidates(state: AttackState, target: str):
             yield aid
 
 
-def _stamp(state: AttackState, target: str) -> tuple:
-    return (target, state.knowledge, len(state.attempted.get(target, ())),
-            len(state.succeeded.get(target, ())))
+def _has_candidate(state: AttackState, target: str) -> bool:
+    return next(_candidates(state, target), None) is not None
 
 
-def _scored(state: AttackState, target: str) -> tuple[list[str], list[float]]:
-    """The target's cached candidate ids and their distances, rescanned
-    when the stamp no longer matches (see AttackState)."""
-    stamp = _stamp(state, target)
+def _table(state: AttackState) -> dict:
+    """The state's candidate table, rebuilt by a scan of the known nodes
+    when its stamp does not match (see AttackState)."""
+    stamp = (state.knowledge, sum(map(len, state.attempted.values())),
+             sum(map(len, state.succeeded.values())))
     if state._stamp != stamp:
-        ids = list(_candidates(state, target))
-        dist = state._distances
-        state._cand_ids = ids
-        state._cand_dists = [dist[a] for a in ids]
+        k = state.knowledge
+        state._open = dict.fromkeys(
+            nid for nid in k.known_nodes
+            if nid not in k.compromised_nodes and _has_candidate(state, nid))
         state._stamp = stamp
-    return state._cand_ids, state._cand_dists
+    return state._open
 
 
 def filter_valid(state: AttackState, target: str) -> list[str]:
@@ -263,11 +251,14 @@ def filter_valid(state: AttackState, target: str) -> list[str]:
         raise ValueError(f"target {target!r} is not known to the attacker")
     if target in k.compromised_nodes:
         raise ValueError(f"target {target!r} is already compromised")
-    return list(_scored(state, target)[0])
-
-
-def _has_candidate(state: AttackState, target: str) -> bool:
-    return next(_candidates(state, target), None) is not None
+    table = _table(state)
+    if target not in table:
+        return []
+    if table[target] is None:
+        ids = list(_candidates(state, target))
+        dist = state._distances
+        table[target] = ids, [dist[a] for a in ids]
+    return list(table[target][0])
 
 
 def viable_edges(state: AttackState, target: str, action_id: str) -> tuple[str, ...]:
@@ -281,46 +272,27 @@ def viable_edges(state: AttackState, target: str, action_id: str) -> tuple[str, 
         and (source == origin or source in k.compromised_nodes))
 
 
-def _open_stamp(state: AttackState) -> tuple:
-    return (state.knowledge, sum(map(len, state.attempted.values())),
-            sum(map(len, state.succeeded.values())))
-
-
 def open_targets(state: AttackState) -> list[str]:
     """The known, non-compromised nodes that still have at least one
-    candidate, in canonical (sorted) order: what a retarget draws from.
-
-    Read from the state's open set, which is rebuilt by a scan of the
-    known nodes when its stamp does not match (see AttackState).
-    """
-    stamp = _open_stamp(state)
-    if state._open_stamp != stamp:
-        k = state.knowledge
-        state._open = {nid for nid in k.known_nodes
-                       if nid not in k.compromised_nodes
-                       and _has_candidate(state, nid)}
-        state._open_stamp = stamp
-    return sorted(state._open)
+    candidate, in canonical (sorted) order: what a retarget draws from."""
+    return sorted(_table(state))
 
 
 def select_target(state: AttackState, rng) -> str | None:
     """Pick the node to attack, or None when nothing remains.
 
     Sticky: the current target is kept while it still has untried
-    qualified actions. Otherwise the target is drawn uniformly from
-    `open_targets`, which `step` keeps current, so a retarget does not
-    rescan the known nodes; the list is in canonical (sorted) order so
-    runs reproduce exactly.
+    qualified actions. Otherwise the target is drawn uniformly from the
+    sorted keys of the candidate table, which `step` keeps current, so a
+    retarget does not rescan the known nodes and runs reproduce exactly.
     """
-    k = state.knowledge
-    cur = state.current_target
-    if (cur is not None and cur in k.known_nodes
-            and cur not in k.compromised_nodes and _scored(state, cur)[0]):
-        return cur
-    candidates = open_targets(state)
-    if not candidates:
+    table = _table(state)
+    if state.current_target in table:
+        return state.current_target
+    if not table:
         return None
-    return candidates[rng.randrange(len(candidates))]
+    keys = sorted(table)
+    return keys[rng.randrange(len(keys))]
 
 
 def distance(theta, gamma, beta: Sequence[float]) -> float:
@@ -338,6 +310,8 @@ def distance(theta, gamma, beta: Sequence[float]) -> float:
         t_str = isinstance(t, str)
         if t_str != isinstance(g, str):
             raise ValueError(f"slot {j}: cannot compare label with number")
+        if not t_str and not (isfinite(t) and isfinite(g)):
+            raise ValueError(f"slot {j}: non-finite value")
         unordered.append(t_str)
     return _kernels.profile_distances(tvals, inv_beta_sq, [gvals],
                                       unordered)[0]
@@ -349,6 +323,8 @@ def scores(distances: Sequence[float]) -> list[float]:
     if len(distances) == 0:
         raise ValueError("empty distance vector")
     for d in distances:
+        if not isfinite(d):
+            raise ValueError(f"non-finite distance {d}")
         if d < 0:
             raise ValueError(f"negative distance {d}")
     return _kernels.scores_from_distances(distances)
@@ -360,6 +336,8 @@ def probabilities(score_values: Sequence[float]) -> list[float]:
         raise ValueError("empty score vector")
     total = 0.0
     for s in score_values:
+        if not isfinite(s):
+            raise ValueError(f"non-finite score {s}")
         if s < 0:
             raise ValueError(f"negative score {s}")
         total += s
@@ -374,6 +352,9 @@ def sample_action(candidates: Sequence[str], probs: Sequence[float], rng) -> str
         raise ValueError("cannot sample from an empty candidate set")
     if len(candidates) != len(probs):
         raise ValueError("candidates and probabilities must align")
+    for q in probs:
+        if not isfinite(q):
+            raise ValueError(f"non-finite probability {q}")
     return candidates[_kernels.weighted_index(probs, rng.random())]
 
 
@@ -384,17 +365,16 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
     whatever its reported effect. A failure deletes the action from the
-    target's cached candidates, so a retry does not rescan, and drops an
-    exhausted target from the open set; a compromise drops its target and
-    checks only its neighbours. The open set is updated only while its
-    stamp still holds the knowledge the step began with; otherwise it is
-    left to the rebuild (see AttackState).
+    target's columns in the candidate table, so a retry does not rescan,
+    and drops an exhausted target; a compromise drops its target and
+    checks only its neighbours (see AttackState).
     """
     target = select_target(state, rng)
     if target is None:
         return None
     cand_ids = filter_valid(state, target)
-    d = state._cand_dists
+    table = state._open
+    ids, d = table[target]
     s = _kernels.scores_from_distances(d)
     p = _kernels.probabilities_from_scores(s)
     idx = _kernels.weighted_index(p, rng.random())
@@ -417,33 +397,26 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     )
     # chosen was a candidate, so it was not yet attempted on the target
     state.attempted.setdefault(target, set()).add(chosen)
-    k = state.knowledge
-    stamp = state._open_stamp
-    if stamp is not None and stamp[0] is not k:
-        stamp = None
+    # filter_valid has just matched the stamp to the state before this add
+    _, tried, won = state._stamp
     if success:
         succeeded = state.succeeded.setdefault(target, set())
-        grown = chosen not in succeeded
+        won += chosen not in succeeded
         succeeded.add(chosen)
-        state.knowledge = reveal_on_compromise(k, state.system, target)
+        state.knowledge = reveal_on_compromise(state.knowledge, state.system,
+                                               target)
         state.current_target = None
-        if stamp is not None:
-            opened = state._open
-            opened.discard(target)
-            compromised = state.knowledge.compromised_nodes
-            for nid in state.system.neighbours(target):
-                if (nid not in opened and nid not in compromised
-                        and _has_candidate(state, nid)):
-                    opened.add(nid)
-            stamp = (state.knowledge, stamp[1] + 1, stamp[2] + grown)
+        del table[target]
+        compromised = state.knowledge.compromised_nodes
+        for nid in state.system.neighbours(target):
+            if nid not in compromised and (nid in table
+                                           or _has_candidate(state, nid)):
+                table[nid] = None
     else:
-        del state._cand_ids[idx]
-        del state._cand_dists[idx]
-        state._stamp = _stamp(state, target)
+        del ids[idx]
+        del d[idx]
+        if not ids:
+            del table[target]
         state.current_target = target
-        if stamp is not None:
-            if not state._cand_ids:
-                state._open.discard(target)
-            stamp = (k, stamp[1] + 1, stamp[2])
-    state._open_stamp = stamp
+    state._stamp = (state.knowledge, tried + 1, won)
     return state, record

@@ -26,6 +26,7 @@ from random import Random
 
 from attacksim.actions import ActionDatabase
 from attacksim.engine import (
+    FAILURE,
     SUCCESS,
     AttackState,
     DecisionContext,
@@ -301,11 +302,24 @@ def trace_to_dict(trace: EpisodeTrace) -> dict:
     }
 
 
+def _one_of(value, allowed: tuple[str, ...], owner: str,
+            errors: list[str]) -> str:
+    """A string field that must be one of `allowed`; a value that is not a
+    string gets only `string`'s error."""
+    text = string(value, owner, errors)
+    if text == value and text not in allowed:
+        errors.append(f"{owner} must be one of {', '.join(allowed)}")
+    return text
+
+
 def trace_from_dict(doc: dict) -> EpisodeTrace:
     """Rebuild a trace from its document form.
 
-    A missing or mistyped field is collected; any raises
-    ValidationFailure("corrupt trace document", errors).
+    A missing or mistyped field is collected, as is a status or outcome
+    the writer never gives, a decision probability outside [0, 1] and a
+    chosen action that is not among the decision's candidates; any raises
+    ValidationFailure("corrupt trace document", errors). Each value check
+    runs only on a field that passed its type check.
     """
     if not isinstance(doc, dict):
         raise ValidationFailure("trace document must be a JSON object")
@@ -315,7 +329,8 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
         errors.append("episode must be an integer")
         index = 0
     profile = string(doc.get("profile"), "profile", errors)
-    status = string(doc.get("status"), "status", errors)
+    status = _one_of(doc.get("status"), (TARGET_REACHED, EXHAUSTED,
+                                         STEP_CAPPED), "status", errors)
     records = []
     for i, r in enumerate(container(doc.get("decisions"), list, "decisions",
                                     errors)):
@@ -324,6 +339,7 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
             errors.append(f"{owner} must be an object")
             continue
         ids, d, s, p = [], [], [], []
+        checked = len(errors)
         for j, c in enumerate(container(r.get("candidates"), list,
                                         f"{owner}: candidates", errors)):
             if not isinstance(c, dict):
@@ -335,8 +351,9 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
                                 ("probability", p)):
                 column.append(number(c.get(key), 0.0, errors,
                                      "{}: candidate #{}: {}", owner, j, key))
+        typed = len(errors) == checked  # the candidates passed their checks
         chosen = string(r.get("chosen"), f"{owner}: chosen", errors)
-        records.append(DecisionRecord(
+        rec = DecisionRecord(
             target=string(r.get("target"), f"{owner}: target", errors),
             action_ids=tuple(ids),
             distances=tuple(d),
@@ -347,11 +364,17 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
                                f"{owner}: chosen_name", errors),
             probability=number(r.get("probability"), 0.0, errors,
                                "{}: probability", owner),
-            outcome=string(r.get("outcome"), f"{owner}: outcome", errors),
+            outcome=_one_of(r.get("outcome"), (SUCCESS, FAILURE),
+                            f"{owner}: outcome", errors),
             source=string(r.get("source", ""), f"{owner}: source", errors),
             via_edges=tuple(string_list(r.get("via_edges", []),
                                         f"{owner}: via_edges", errors)),
-        ))
+        )
+        if not 0.0 <= rec.probability <= 1.0:
+            errors.append(f"{owner}: probability must be in [0, 1]")
+        if typed and chosen == r.get("chosen") and chosen not in ids:
+            errors.append(f"{owner}: chosen is not among its candidates")
+        records.append(rec)
     known = container(doc.get("knowledge"), dict, "knowledge", errors)
     knowledge = CpsKnowledge(**{
         key: frozenset(string_list(known.get(key), f"knowledge: {key}",

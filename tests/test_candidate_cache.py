@@ -1,15 +1,15 @@
-"""The per-state candidate cache and open set against the brute-force
-filter oracle.
+"""The per-state candidate table against the brute-force filter oracle.
 
 Episodes run on generated instances with up to 40 actions, so targets are
-retried after failed attempts and the cached ids and distances are reused.
-Before every step, and after each direct edit of the state that keeps the
-grow-only contract (see AttackState), every open node's candidates must
-equal the oracle's, the nodes a retarget draws from must be the sorted
-open nodes the oracle gives candidates, and every record's distances must
-equal a fresh single-pair distance. A second run leaves the open set
-unread between edits and steps and checks each retarget's draw instead,
-so the set is also kept by steps that follow an edit.
+retried after failed attempts and the ids and distances kept in the table
+are reused. Before every step, and after each direct edit of the state
+that keeps the grow-only contract (see AttackState), every open node's
+candidates must equal the oracle's, the nodes a retarget draws from (the
+table's sorted keys) must be the sorted open nodes the oracle gives
+candidates, and every record's distances must equal a fresh single-pair
+distance. A second run leaves the table unread between edits and steps
+and checks each retarget's draw instead, so the table is also kept by
+steps that follow an edit.
 """
 
 from random import Random

@@ -608,6 +608,17 @@ class TestSimulate:
         assert run_cli("simulate", *cstr_args, "--frobnicate",
                        "--out", tmp_path / "r") == 2
 
+    def test_negative_trace_count_is_usage_error(self, cstr_args, tmp_path,
+                                                 capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("an episode ran")
+        monkeypatch.setattr("attacksim.cli.run_monte_carlo", no_run)
+        out = tmp_path / "r"
+        assert run_cli("simulate", *cstr_args, "--episodes", 2, "--seed", 1,
+                       "--traces", -1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: --traces must be >= 0\n"
+        assert not out.exists()
+
     def test_sole_profile_used_without_pmf(self, cstr_args, tmp_path):
         doc = json.loads(Path(cstr_args[2]).read_text())
         del doc["pmf"]
@@ -764,6 +775,18 @@ class TestTrace:
         pytest.param(DECISION + ("target",), "\ud800",
                      "decision #0: target is not valid Unicode text",
                      id="target-surrogate"),
+        pytest.param(("status",), "banana",
+                     "status must be one of target-reached, exhausted, "
+                     "step-capped", id="status-unknown"),
+        pytest.param(DECISION + ("outcome",), "maybe",
+                     "decision #0: outcome must be one of success, failure",
+                     id="outcome-unknown"),
+        pytest.param(DECISION + ("probability",), 7.5,
+                     "decision #0: probability must be in [0, 1]",
+                     id="probability-above-one"),
+        pytest.param(DECISION + ("chosen",), "no-such-action",
+                     "decision #0: chosen is not among its candidates",
+                     id="chosen-unknown"),
     ])
     @pytest.mark.parametrize("how", ["--summary", "--dot"])
     def test_mistyped_trace_field_exits_one(self, trace_file, tmp_path,

@@ -406,6 +406,22 @@ class TestRejectedInput:
         pytest.param(lambda: sample_action(["a", "b"], [1.0], Random(0)),
                      "candidates and probabilities must align",
                      id="sample-misaligned"),
+        pytest.param(lambda: scores([math.nan, 1.0]),
+                     "non-finite distance nan", id="scores-nan"),
+        pytest.param(lambda: scores([1.0, math.inf]),
+                     "non-finite distance inf", id="scores-inf"),
+        pytest.param(lambda: probabilities([math.inf, 1.0]),
+                     "non-finite score inf", id="probabilities-inf"),
+        pytest.param(lambda: probabilities([0.5, math.nan]),
+                     "non-finite score nan", id="probabilities-nan"),
+        pytest.param(lambda: sample_action(["a", "b"], [math.nan, math.nan],
+                                           Random(0)),
+                     "non-finite probability nan", id="sample-nan"),
+        pytest.param(lambda: distance((math.nan,), (0.5,), [1.0]),
+                     "slot 0: non-finite value", id="distance-nan-theta"),
+        pytest.param(lambda: distance((0.5, 0.5), (0.5, -math.inf),
+                                      [1.0, 1.0]),
+                     "slot 1: non-finite value", id="distance-inf-gamma"),
     ])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError) as exc:

@@ -525,6 +525,21 @@ class TestTraceSerialization:
          "knowledge: known_nodes must be a list of strings"),
         (("decisions", 0, "candidates", 0), 5,
          "decision #0: candidate #0 must be an object"),
+        (("status",), "banana",
+         "status must be one of target-reached, exhausted, step-capped"),
+        (("status",), "\ud800", "status is not valid Unicode text"),
+        (("decisions", 0, "outcome"), "maybe",
+         "decision #0: outcome must be one of success, failure"),
+        (("decisions", 0, "outcome"), 1,
+         "decision #0: outcome must be a string"),
+        (("decisions", 0, "probability"), 7.5,
+         "decision #0: probability must be in [0, 1]"),
+        (("decisions", 0, "probability"), -1e-9,
+         "decision #0: probability must be in [0, 1]"),
+        (("decisions", 0, "chosen"), "no-such-action",
+         "decision #0: chosen is not among its candidates"),
+        (("decisions", 0, "chosen"), None,
+         "decision #0: chosen must be a string"),
     ])
     def test_mistyped_field_rejected(self, cstr_paths, keys, value, message):
         system, db, profiles = load_cstr(cstr_paths)
