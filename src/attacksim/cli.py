@@ -2,7 +2,8 @@
 
 Subcommands: validate, simulate, ingest, trace. Exit codes: 0 success,
 1 validation failure, 2 usage error, 3 I/O error. Summary output is
-machine-parseable (key=value pairs on one line).
+machine-parseable (key=value pairs on one line). `main` alone maps an
+error to its exit code; only `validate` prints its problems, to stdout.
 """
 
 from __future__ import annotations
@@ -91,36 +92,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_validate(args) -> int:
+def load_inputs(system_path, actions_path, profiles_path):
+    """The system, action database and profile set in three input files,
+    or one ValidationFailure("invalid inputs") listing the problems of every
+    document and every profile (`ActionDatabase.attacker_ranges`)."""
     problems: list[str] = []
-    profile_set = None
-    try:
-        profile_set = load_profiles(args.profiles)
-    except ValidationFailure as exc:
-        problems.extend(exc.errors or [str(exc)])
-    try:
-        load_system(args.system)
-    except ValidationFailure as exc:
-        problems.extend(exc.errors or [str(exc)])
-    if profile_set is not None:
+
+    def read(load, *args):
         try:
-            db = load_action_db(args.actions, profile_set.schema)
+            return load(*args)
         except ValidationFailure as exc:
             problems.extend(exc.errors or [str(exc)])
-        else:
-            # the check simulate runs on each profile it can draw
-            for profile in profile_set.profiles.values():
-                try:
-                    db.attacker_ranges(profile)
-                except ValidationFailure as exc:
-                    problems.extend(exc.errors)
-    else:
-        if not Path(args.actions).exists():
-            raise FileNotFoundError(args.actions)
+
+    profile_set = read(load_profiles, profiles_path)
+    system = read(load_system, system_path)
+    db = None
+    if profile_set is None:
+        Path(actions_path).stat()  # a missing actions file still exits 3
         problems.append("actions not validated: profiles document is invalid")
+    else:
+        db = read(load_action_db, actions_path, profile_set.schema)
+    if db is not None:  # an empty database is falsy
+        for profile in profile_set.profiles.values():
+            read(db.attacker_ranges, profile)
     if problems:
-        for line in problems:
-            print(line)
+        raise ValidationFailure("invalid inputs", problems)
+    return system, db, profile_set
+
+
+def cmd_validate(args) -> int:
+    try:
+        load_inputs(args.system, args.actions, args.profiles)
+    except ValidationFailure as exc:
+        print(*exc.errors, sep="\n")
         return EXIT_INVALID
     print("OK")
     return EXIT_OK
@@ -130,13 +134,8 @@ def cmd_simulate(args) -> int:
     if args.traces < 0:
         print("error: --traces must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        profile_set = load_profiles(args.profiles)
-        system = load_system(args.system)
-        db = load_action_db(args.actions, profile_set.schema)
-    except ValidationFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
+    system, db, profile_set = load_inputs(args.system, args.actions,
+                                          args.profiles)
 
     if args.profile is not None:
         profile_name = args.profile
@@ -157,11 +156,7 @@ def cmd_simulate(args) -> int:
         max_steps=args.max_steps,
         parallelism=args.jobs,
     )
-    try:
-        report, traces = run_monte_carlo(system, db, profile_set, config)
-    except ValidationFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
+    report, traces = run_monte_carlo(system, db, profile_set, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,29 +179,21 @@ def cmd_ingest(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     skeletons = []
-    try:
-        for f in args.capec:
-            skeletons.extend(import_capec(f))
-        for f in args.cve:
-            skeletons.extend(import_cve_feed(f))
-    except ValidationFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
+    for f in args.capec:
+        skeletons.extend(import_capec(f))
+    for f in args.cve:
+        skeletons.extend(import_cve_feed(f))
     skeletons = dedupe_skeletons(skeletons)
 
     if args.annotations:
-        try:
-            ann_doc = read_json(args.annotations)
-            errors = document(ann_doc, {"schema", "annotations"},
-                              "annotations document")
-            if errors:
-                raise ValidationFailure("invalid annotations document", errors)
-            schema = schema_from_list(ann_doc.get("schema", []))
-            actions, unannotated = merge_annotations(
-                skeletons, ann_doc.get("annotations", {}), schema)
-        except ValidationFailure as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_INVALID
+        ann_doc = read_json(args.annotations)
+        errors = document(ann_doc, {"schema", "annotations"},
+                          "annotations document")
+        if errors:
+            raise ValidationFailure("invalid annotations document", errors)
+        schema = schema_from_list(ann_doc.get("schema", []))
+        actions, unannotated = merge_annotations(
+            skeletons, ann_doc.get("annotations", {}), schema)
         doc = actions_fragment_to_dict(actions)
         annotated, skipped = len(actions), len(unannotated)
         for aid in unannotated:
@@ -220,11 +207,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    try:
-        trace = load_trace(args.trace)
-    except ValidationFailure as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
+    trace = load_trace(args.trace)
     if args.dot:
         print(export_trace_dot(trace), end="")
         return EXIT_OK

@@ -46,12 +46,13 @@ def _unknown(what: str, keys) -> str:
 
 def document(doc, keys: set[str], what: str) -> list[str]:
     """Check a top-level document: a JSON object (else raise) with no keys
-    outside `keys`. Returns the unknown-key error, if any, as the start of
-    the loader's error list."""
+    outside `keys`. Returns the unknown-key error, if any, naming `what`,
+    as the start of the loader's error list."""
     if not isinstance(doc, dict):
         raise ValidationFailure(f"{what} must be a JSON object")
     extra = doc.keys() - keys
-    return [_unknown("unknown top-level keys", extra)] if extra else []
+    return ([_unknown(f"{what}: unknown top-level keys", extra)] if extra
+            else [])
 
 
 def entry(obj, keys: set[str], kind: str, errors: list[str], index: int,

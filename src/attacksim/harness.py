@@ -315,11 +315,14 @@ def _one_of(value, allowed: tuple[str, ...], owner: str,
 def trace_from_dict(doc: dict) -> EpisodeTrace:
     """Rebuild a trace from its document form.
 
-    A missing or mistyped field is collected, as is a status or outcome
-    the writer never gives, a decision probability outside [0, 1] and a
-    chosen action that is not among the decision's candidates; any raises
+    A missing or mistyped field is collected, as is any value the writer
+    never gives: a status or outcome it does not write, a decision or
+    candidate probability outside [0, 1], an action listed twice among a
+    decision's candidates, a chosen action that is not among them, a
+    decision probability other than its chosen candidate's, and a target
+    or compromised node that is not among the known nodes. Any raises
     ValidationFailure("corrupt trace document", errors). Each value check
-    runs only on a field that passed its type check.
+    runs only on fields that passed their type checks.
     """
     if not isinstance(doc, dict):
         raise ValidationFailure("trace document must be a JSON object")
@@ -331,7 +334,7 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
     profile = string(doc.get("profile"), "profile", errors)
     status = _one_of(doc.get("status"), (TARGET_REACHED, EXHAUSTED,
                                          STEP_CAPPED), "status", errors)
-    records = []
+    records, targets = [], []
     for i, r in enumerate(container(doc.get("decisions"), list, "decisions",
                                     errors)):
         owner = f"decision #{i}"
@@ -362,7 +365,7 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
             chosen=chosen,
             chosen_name=string(r.get("chosen_name", chosen),
                                f"{owner}: chosen_name", errors),
-            probability=number(r.get("probability"), 0.0, errors,
+            probability=number(r.get("probability"), None, errors,
                                "{}: probability", owner),
             outcome=_one_of(r.get("outcome"), (SUCCESS, FAILURE),
                             f"{owner}: outcome", errors),
@@ -370,16 +373,47 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
             via_edges=tuple(string_list(r.get("via_edges", []),
                                         f"{owner}: via_edges", errors)),
         )
-        if not 0.0 <= rec.probability <= 1.0:
+        if typed:
+            seen = set()
+            for j, (aid, pj) in enumerate(zip(ids, p)):
+                if not 0.0 <= pj <= 1.0:
+                    errors.append(f"{owner}: candidate #{j}: probability "
+                                  "must be in [0, 1]")
+                if aid in seen:
+                    errors.append(f"{owner}: candidate #{j}: action {aid!r} "
+                                  "is listed twice")
+                seen.add(aid)
+        q = rec.probability  # None when mistyped: that error is collected
+        if q is not None and not 0.0 <= q <= 1.0:
             errors.append(f"{owner}: probability must be in [0, 1]")
-        if typed and chosen == r.get("chosen") and chosen not in ids:
-            errors.append(f"{owner}: chosen is not among its candidates")
+            q = None
+        if typed and chosen == r.get("chosen"):
+            if chosen not in ids:
+                errors.append(f"{owner}: chosen is not among its candidates")
+            elif q is not None:
+                pc = p[ids.index(chosen)]  # out of range, it has its error
+                if q != pc and 0.0 <= pc <= 1.0:
+                    errors.append(f"{owner}: probability differs from its "
+                                  "chosen candidate's")
+        if rec.target == r.get("target"):
+            targets.append((owner, rec.target))
         records.append(rec)
     known = container(doc.get("knowledge"), dict, "knowledge", errors)
-    knowledge = CpsKnowledge(**{
-        key: frozenset(string_list(known.get(key), f"knowledge: {key}",
-                                   errors))
-        for key in ("known_nodes", "known_edges", "compromised_nodes")})
+    nodes, edges, owned = (
+        string_list(known.get(key), f"knowledge: {key}", errors)
+        for key in ("known_nodes", "known_edges", "compromised_nodes"))
+    # a list read back equal to the document's passed its type check
+    if nodes == known.get("known_nodes"):
+        nodes = frozenset(nodes)
+        errors.extend(f"{owner}: target is not among the known nodes"
+                      for owner, target in targets if target not in nodes)
+        if owned == known.get("compromised_nodes"):
+            errors.extend(f"knowledge: compromised node {nid!r} is not "
+                          "among the known nodes"
+                          for nid in owned if nid not in nodes)
+    knowledge = CpsKnowledge(known_nodes=frozenset(nodes),
+                             known_edges=frozenset(edges),
+                             compromised_nodes=frozenset(owned))
     if errors:
         raise ValidationFailure("corrupt trace document", errors)
     return EpisodeTrace(index=index, profile=profile, records=tuple(records),

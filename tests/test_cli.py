@@ -142,6 +142,11 @@ DOCUMENT_FIELDS = {
                               "children")),
 }
 
+# a candidate that decision #0 of the trace `simulate --seed 4` saves can
+# list: it chooses usb-drop, its only candidate, at probability 1.0
+USB_DROP = {"action": "usb-drop", "distance": 1.0, "score": 1.0,
+            "probability": 1.0}
+
 ANNOTATION_SCHEMA = [
     {"name": "Access", "kind": "unordered-set",
      "allowed_values": ["Direct", "Offsite"]},
@@ -596,13 +601,71 @@ class TestSimulate:
         assert run_cli("simulate", *args, "--episodes", 20, "--seed", 1,
                        "--out", bad_out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("invalid attacker profile:")
+        assert err.startswith("invalid inputs:")
         assert "attacker profile 'Basic User'" in err
         assert not bad_out.exists()
 
     def test_missing_input_exits_three(self, cstr_args, tmp_path):
         assert run_cli("simulate", "/none.json", cstr_args[1], cstr_args[2],
                        "--episodes", 1, "--out", tmp_path / "r") == 3
+
+    def test_profile_outside_the_pmf_checked(self, cstr_args, tmp_path,
+                                             capsys):
+        # no pmf entry names "Outsider", and its Finances put it 3.4e308
+        # from the first action's, while the actions' own span stays finite
+        outsider = {"name": "Outsider",
+                    "values": dict(PROFILES[0]["values"], Finances=-1.7e308)}
+        args = with_field(cstr_args, tmp_path,
+                          ("profiles", "action-profile-value"),
+                          (PROFILES + [outsider], 1.7e308))
+        message = ("attacker profile 'Outsider': max - min of property "
+                   "'Finances' over the action values and this profile's "
+                   "value must be finite")
+        assert run_cli("validate", *args) == 1
+        out = tmp_path / "r"
+        for static in ((), ("--profile", "Insider")):
+            assert run_cli("simulate", *args, *static, "--episodes", 5,
+                           "--seed", 1, "--out", out) == 1
+            assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out.count(message) == 1
+        assert captured.err.count(message) == 2
+
+    def test_every_document_problem_listed(self, cstr_args, tmp_path,
+                                           capsys):
+        args = with_field(cstr_args, tmp_path,
+                          ("edge-entry-point", "success-probability"),
+                          ("no", True))
+        assert run_cli("validate", *args) == 1
+        listed = capsys.readouterr().out.splitlines()
+        assert "edge 'E1' entry_point must be true or false" in listed
+        assert ("action 'usb-drop': success_probability must be a finite "
+                "number") in listed
+        out = tmp_path / "r"
+        assert run_cli("simulate", *args, "--episodes", 5, "--seed", 1,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == "invalid inputs:\n" + "".join(
+            f"  - {line}\n" for line in listed)
+        assert not out.exists()
+
+    def test_missing_actions_with_invalid_profiles_exits_three(
+            self, cstr_args, tmp_path):
+        args = with_field(cstr_args, tmp_path, "likelihood", 1.5)
+        assert run_cli("simulate", args[0], tmp_path / "none.json", args[2],
+                       "--episodes", 1, "--seed", 1,
+                       "--out", tmp_path / "r") == 3
+
+    @pytest.mark.parametrize("option, message", [
+        (("--profile", "Nobody"), "unknown attacker profile 'Nobody'"),
+        (("--episodes", 0), "episode_count must be >= 1"),
+    ], ids=["unknown-profile", "zero-episodes"])
+    def test_run_config_failure_exits_one(self, cstr_args, tmp_path, capsys,
+                                          option, message):
+        out = tmp_path / "r"
+        assert run_cli("simulate", *cstr_args, "--seed", 1, *option,
+                       "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, cstr_args, tmp_path, capsys):
         assert run_cli("simulate", *cstr_args, "--frobnicate",
@@ -787,6 +850,21 @@ class TestTrace:
         pytest.param(DECISION + ("chosen",), "no-such-action",
                      "decision #0: chosen is not among its candidates",
                      id="chosen-unknown"),
+        pytest.param(CANDIDATE + ("probability",), 7.5,
+                     "decision #0: candidate #0: probability must be in "
+                     "[0, 1]", id="candidate-probability-above-one"),
+        pytest.param(DECISION + ("candidates",), [USB_DROP, USB_DROP],
+                     "decision #0: candidate #1: action 'usb-drop' is listed "
+                     "twice", id="candidate-action-twice"),
+        pytest.param(DECISION + ("target",), "N5",
+                     "decision #0: target is not among the known nodes",
+                     id="target-unknown"),
+        pytest.param(DECISION + ("probability",), 0.5,
+                     "decision #0: probability differs from its chosen "
+                     "candidate's", id="probability-not-chosen"),
+        pytest.param(("knowledge", "compromised_nodes"), ["N5"],
+                     "knowledge: compromised node 'N5' is not among the "
+                     "known nodes", id="compromised-unknown"),
     ])
     @pytest.mark.parametrize("how", ["--summary", "--dot"])
     def test_mistyped_trace_field_exits_one(self, trace_file, tmp_path,

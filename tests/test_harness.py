@@ -432,6 +432,12 @@ TRACES = st.builds(
 )
 
 
+# a candidate that decision #0 of the fixture traces read back here can
+# list: each chooses usb-drop, its only candidate, at probability 1.0
+USB_DROP = {"action": "usb-drop", "distance": 1.0, "score": 1.0,
+            "probability": 1.0}
+
+
 def writer_trace(ids=("a1", "a2"), value=0.25, records=2):
     """A trace of `records` identical decisions whose candidates are `ids`,
     every number `value`; via_edges and compromised_nodes are empty."""
@@ -540,6 +546,16 @@ class TestTraceSerialization:
          "decision #0: chosen is not among its candidates"),
         (("decisions", 0, "chosen"), None,
          "decision #0: chosen must be a string"),
+        (("decisions", 0, "candidates", 0, "probability"), 7.5,
+         "decision #0: candidate #0: probability must be in [0, 1]"),
+        (("decisions", 0, "candidates"), [USB_DROP, USB_DROP],
+         "decision #0: candidate #1: action 'usb-drop' is listed twice"),
+        (("decisions", 0, "target"), "N5",
+         "decision #0: target is not among the known nodes"),
+        (("decisions", 0, "probability"), 0.5,
+         "decision #0: probability differs from its chosen candidate's"),
+        (("knowledge", "compromised_nodes"), ["N5"],
+         "knowledge: compromised node 'N5' is not among the known nodes"),
     ])
     def test_mistyped_field_rejected(self, cstr_paths, keys, value, message):
         system, db, profiles = load_cstr(cstr_paths)
