@@ -189,9 +189,9 @@ def cmd_ingest(args) -> int:
         ann_doc = read_json(args.annotations)
         errors = document(ann_doc, {"schema", "annotations"},
                           "annotations document")
+        schema = schema_from_list(ann_doc.get("schema", []), errors)
         if errors:
             raise ValidationFailure("invalid annotations document", errors)
-        schema = schema_from_list(ann_doc.get("schema", []))
         actions, unannotated = merge_annotations(
             skeletons, ann_doc.get("annotations", {}), schema)
         doc = actions_fragment_to_dict(actions)

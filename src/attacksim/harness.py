@@ -24,6 +24,7 @@ from math import isfinite, sqrt
 from pathlib import Path
 from random import Random
 
+from attacksim import _kernels
 from attacksim.actions import ActionDatabase
 from attacksim.engine import (
     FAILURE,
@@ -302,39 +303,21 @@ def trace_to_dict(trace: EpisodeTrace) -> dict:
     }
 
 
-def _one_of(value, allowed: tuple[str, ...], owner: str,
-            errors: list[str]) -> str:
-    """A string field that must be one of `allowed`; a value that is not a
-    string gets only `string`'s error."""
-    text = string(value, owner, errors)
-    if text == value and text not in allowed:
-        errors.append(f"{owner} must be one of {', '.join(allowed)}")
-    return text
-
-
 def trace_from_dict(doc: dict) -> EpisodeTrace:
-    """Rebuild a trace from its document form.
-
-    A missing or mistyped field is collected, as is any value the writer
-    never gives: a status or outcome it does not write, a decision or
-    candidate probability outside [0, 1], an action listed twice among a
-    decision's candidates, a chosen action that is not among them, a
-    decision probability other than its chosen candidate's, and a target
-    or compromised node that is not among the known nodes. Any raises
-    ValidationFailure("corrupt trace document", errors). Each value check
-    runs only on fields that passed their type checks.
-    """
+    """Rebuild a trace from its document form, in two passes: the type pass
+    collects every missing or mistyped field; once every field has the
+    right type, `_trace_problems` checks the typed trace. So a document
+    with a type error reports only its type errors. Either pass raises
+    ValidationFailure("corrupt trace document", errors)."""
     if not isinstance(doc, dict):
         raise ValidationFailure("trace document must be a JSON object")
     errors: list[str] = []
     index = doc.get("episode")
     if isinstance(index, bool) or not isinstance(index, int):
         errors.append("episode must be an integer")
-        index = 0
     profile = string(doc.get("profile"), "profile", errors)
-    status = _one_of(doc.get("status"), (TARGET_REACHED, EXHAUSTED,
-                                         STEP_CAPPED), "status", errors)
-    records, targets = [], []
+    status = string(doc.get("status"), "status", errors)
+    records = []
     for i, r in enumerate(container(doc.get("decisions"), list, "decisions",
                                     errors)):
         owner = f"decision #{i}"
@@ -342,7 +325,6 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
             errors.append(f"{owner} must be an object")
             continue
         ids, d, s, p = [], [], [], []
-        checked = len(errors)
         for j, c in enumerate(container(r.get("candidates"), list,
                                         f"{owner}: candidates", errors)):
             if not isinstance(c, dict):
@@ -354,70 +336,109 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
                                 ("probability", p)):
                 column.append(number(c.get(key), 0.0, errors,
                                      "{}: candidate #{}: {}", owner, j, key))
-        typed = len(errors) == checked  # the candidates passed their checks
         chosen = string(r.get("chosen"), f"{owner}: chosen", errors)
-        rec = DecisionRecord(
+        records.append(DecisionRecord(
             target=string(r.get("target"), f"{owner}: target", errors),
-            action_ids=tuple(ids),
-            distances=tuple(d),
-            scores=tuple(s),
-            probabilities=tuple(p),
+            action_ids=tuple(ids), distances=tuple(d),
+            scores=tuple(s), probabilities=tuple(p),
             chosen=chosen,
             chosen_name=string(r.get("chosen_name", chosen),
                                f"{owner}: chosen_name", errors),
-            probability=number(r.get("probability"), None, errors,
+            probability=number(r.get("probability"), 0.0, errors,
                                "{}: probability", owner),
-            outcome=_one_of(r.get("outcome"), (SUCCESS, FAILURE),
-                            f"{owner}: outcome", errors),
+            outcome=string(r.get("outcome"), f"{owner}: outcome", errors),
             source=string(r.get("source", ""), f"{owner}: source", errors),
             via_edges=tuple(string_list(r.get("via_edges", []),
                                         f"{owner}: via_edges", errors)),
-        )
-        if typed:
-            seen = set()
-            for j, (aid, pj) in enumerate(zip(ids, p)):
-                if not 0.0 <= pj <= 1.0:
-                    errors.append(f"{owner}: candidate #{j}: probability "
-                                  "must be in [0, 1]")
-                if aid in seen:
-                    errors.append(f"{owner}: candidate #{j}: action {aid!r} "
-                                  "is listed twice")
-                seen.add(aid)
-        q = rec.probability  # None when mistyped: that error is collected
-        if q is not None and not 0.0 <= q <= 1.0:
-            errors.append(f"{owner}: probability must be in [0, 1]")
-            q = None
-        if typed and chosen == r.get("chosen"):
-            if chosen not in ids:
-                errors.append(f"{owner}: chosen is not among its candidates")
-            elif q is not None:
-                pc = p[ids.index(chosen)]  # out of range, it has its error
-                if q != pc and 0.0 <= pc <= 1.0:
-                    errors.append(f"{owner}: probability differs from its "
-                                  "chosen candidate's")
-        if rec.target == r.get("target"):
-            targets.append((owner, rec.target))
-        records.append(rec)
+        ))
     known = container(doc.get("knowledge"), dict, "knowledge", errors)
     nodes, edges, owned = (
-        string_list(known.get(key), f"knowledge: {key}", errors)
+        frozenset(string_list(known.get(key), f"knowledge: {key}", errors))
         for key in ("known_nodes", "known_edges", "compromised_nodes"))
-    # a list read back equal to the document's passed its type check
-    if nodes == known.get("known_nodes"):
-        nodes = frozenset(nodes)
-        errors.extend(f"{owner}: target is not among the known nodes"
-                      for owner, target in targets if target not in nodes)
-        if owned == known.get("compromised_nodes"):
-            errors.extend(f"knowledge: compromised node {nid!r} is not "
-                          "among the known nodes"
-                          for nid in owned if nid not in nodes)
-    knowledge = CpsKnowledge(known_nodes=frozenset(nodes),
-                             known_edges=frozenset(edges),
-                             compromised_nodes=frozenset(owned))
+    if not errors:
+        trace = EpisodeTrace(index, profile, tuple(records), status,
+                             CpsKnowledge(nodes, edges, owned))
+        errors = _trace_problems(trace)
     if errors:
         raise ValidationFailure("corrupt trace document", errors)
-    return EpisodeTrace(index=index, profile=profile, records=tuple(records),
-                        status=status, knowledge=knowledge)
+    return trace
+
+
+def _trace_problems(trace: EpisodeTrace) -> list[str]:
+    """The writer's rules that the typed `trace` breaks: a status and
+    outcomes it writes, probabilities in [0, 1], no action listed twice
+    among a decision's candidates, a chosen action among them at its
+    candidate's probability, via edges known, no target compromised by an
+    earlier decision, and targets and compromised nodes known. A decision
+    that broke none of these must have the scores and probabilities the
+    kernels give from its distances, none negative. A trace that broke
+    none must have the successful decisions' targets as its compromised
+    nodes, and a successful last decision if its target was reached."""
+    problems = []
+    if trace.status not in (TARGET_REACHED, EXHAUSTED, STEP_CAPPED):
+        problems.append("status must be one of target-reached, exhausted, "
+                        "step-capped")
+    k = trace.knowledge
+    won = set()  # the targets of the successful decisions so far
+    for i, rec in enumerate(trace.records):
+        owner = f"decision #{i}"
+        clean = len(problems)
+        if rec.outcome not in (SUCCESS, FAILURE):
+            problems.append(f"{owner}: outcome must be one of success, "
+                            "failure")
+        ids, p = rec.action_ids, rec.probabilities
+        seen = set()
+        for j, (aid, pj) in enumerate(zip(ids, p)):
+            if not 0.0 <= pj <= 1.0:
+                problems.append(f"{owner}: candidate #{j}: probability "
+                                "must be in [0, 1]")
+            if aid in seen:
+                problems.append(f"{owner}: candidate #{j}: action {aid!r} "
+                                "is listed twice")
+            seen.add(aid)
+        q = rec.probability
+        if not 0.0 <= q <= 1.0:
+            problems.append(f"{owner}: probability must be in [0, 1]")
+        if rec.chosen not in seen:
+            problems.append(f"{owner}: chosen is not among its candidates")
+        elif 0.0 <= q <= 1.0:
+            pc = p[ids.index(rec.chosen)]  # out of range, it has its error
+            if q != pc and 0.0 <= pc <= 1.0:
+                problems.append(f"{owner}: probability differs from its "
+                                "chosen candidate's")
+        problems.extend(f"{owner}: via edge {eid!r} is not among the known "
+                        "edges" for eid in rec.via_edges
+                        if eid not in k.known_edges)
+        if rec.target in won:
+            problems.append(f"{owner}: target was compromised by an earlier "
+                            "decision")
+        if rec.outcome == SUCCESS:
+            won.add(rec.target)
+        # scores first, so the probabilities come from kernel-made scores,
+        # which never sum to zero
+        if len(problems) == clean and (
+                min(rec.distances) < 0.0
+                or list(rec.scores) != _kernels.scores_from_distances(
+                    rec.distances)
+                or list(p) != _kernels.probabilities_from_scores(rec.scores)):
+            problems.append(f"{owner}: scores and probabilities are not the "
+                            "ones its distances give")
+    problems.extend(f"decision #{i}: target is not among the known nodes"
+                    for i, rec in enumerate(trace.records)
+                    if rec.target not in k.known_nodes)
+    problems.extend(f"knowledge: compromised node {nid!r} is not among the "
+                    "known nodes"
+                    for nid in sorted(k.compromised_nodes - k.known_nodes))
+    if problems:
+        return problems
+    if k.compromised_nodes != won:
+        problems.append("knowledge: compromised nodes are not the targets of "
+                        "the successful decisions")
+    if trace.status == TARGET_REACHED and not (
+            trace.records and trace.records[-1].outcome == SUCCESS):
+        problems.append("status target-reached needs a successful last "
+                        "decision")
+    return problems
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C escaper json uses

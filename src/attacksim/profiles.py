@@ -295,7 +295,8 @@ class ProfileSet:
     pmf: ProfilePmf | None = None
 
 
-def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
+def schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
+    """Build a schema from its JSON list form; problems go to `errors`."""
     props: list[PropertySchema] = []
     for owner, pd in entries(raw, "schema", _PROPERTY_KEYS, "property",
                              errors, key="name"):
@@ -318,15 +319,6 @@ def _schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
     return schema
 
 
-def schema_from_list(raw: list) -> ProfileSchema:
-    """Build and validate a schema from its JSON list form."""
-    errors: list[str] = []
-    schema = _schema_from_list(raw, errors)
-    if errors:
-        raise ValidationFailure("invalid property schema", errors)
-    return schema
-
-
 def profile_values(raw, owner: str, key: str, errors: list[str]
                    ) -> dict[str, ProfileValue]:
     """The values under `key` of a document entry: a string is a label,
@@ -340,7 +332,7 @@ def profile_values(raw, owner: str, key: str, errors: list[str]
 def profile_set_from_dict(doc: dict) -> ProfileSet:
     errors = document(doc, {"schema", "profiles", "pmf"},
                       "profiles document")
-    schema = _schema_from_list(doc.get("schema", []), errors)
+    schema = schema_from_list(doc.get("schema", []), errors)
 
     profiles: dict[str, AttackerProfile] = {}
     for owner, pd in entries(doc.get("profiles", []), "profiles",

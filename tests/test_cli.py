@@ -758,6 +758,12 @@ class TestIngest:
                               ["CWE-1"]),
                      "annotation 'CAPEC-457' sets 'references', which comes "
                      "from the catalog", id="annotation-references"),
+        pytest.param({"schema": [ANNOTATION_SCHEMA[0],
+                                 {"name": "Knowledge", "kind": "bounded-range",
+                                  "lower": 10, "upper": 0}],
+                      "annotations": ANNOTATIONS["annotations"], "extra": 1},
+                     "property 'Knowledge': lower must be < upper",
+                     id="unknown-key-and-schema-problem"),
     ])
     def test_malformed_annotations_exit_one(self, tmp_path, capsys, doc,
                                             message):
@@ -865,6 +871,23 @@ class TestTrace:
         pytest.param(("knowledge", "compromised_nodes"), ["N5"],
                      "knowledge: compromised node 'N5' is not among the "
                      "known nodes", id="compromised-unknown"),
+        pytest.param(DECISION + ("candidates",),
+                     [USB_DROP, {"action": "zz", "distance": 1.0,
+                                 "score": 1.0, "probability": 1.0}],
+                     "decision #0: scores and probabilities are not the ones "
+                     "its distances give", id="scores-not-from-distances"),
+        pytest.param(DECISION + ("via_edges",), ["ZZ"],
+                     "decision #0: via edge 'ZZ' is not among the known "
+                     "edges", id="via-edge-unknown"),
+        pytest.param(("decisions", 1, "target"), "N2",
+                     "decision #1: target was compromised by an earlier "
+                     "decision", id="target-compromised-earlier"),
+        pytest.param(("knowledge", "compromised_nodes"), [],
+                     "knowledge: compromised nodes are not the targets of "
+                     "the successful decisions", id="compromised-not-won"),
+        pytest.param(("status",), "target-reached",
+                     "status target-reached needs a successful last "
+                     "decision", id="target-reached-not-won"),
     ])
     @pytest.mark.parametrize("how", ["--summary", "--dot"])
     def test_mistyped_trace_field_exits_one(self, trace_file, tmp_path,

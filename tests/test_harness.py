@@ -60,6 +60,7 @@ from attacksim.profiles import (
 )
 
 from analytic_fixture import analytic_fixture
+from genrand import random_instance
 
 
 def load_cstr(cstr_paths):
@@ -556,6 +557,20 @@ class TestTraceSerialization:
          "decision #0: probability differs from its chosen candidate's"),
         (("knowledge", "compromised_nodes"), ["N5"],
          "knowledge: compromised node 'N5' is not among the known nodes"),
+        (("decisions", 0, "candidates"),
+         [USB_DROP, {"action": "zz", "distance": 1.0, "score": 1.0,
+                     "probability": 1.0}],
+         "decision #0: scores and probabilities are not the ones its "
+         "distances give"),
+        (("decisions", 0, "via_edges"), ["ZZ"],
+         "decision #0: via edge 'ZZ' is not among the known edges"),
+        (("decisions", 1, "target"), "N6",
+         "decision #1: target was compromised by an earlier decision"),
+        (("knowledge", "compromised_nodes"), [],
+         "knowledge: compromised nodes are not the targets of the successful "
+         "decisions"),
+        (("status",), "target-reached",
+         "status target-reached needs a successful last decision"),
     ])
     def test_mistyped_field_rejected(self, cstr_paths, keys, value, message):
         system, db, profiles = load_cstr(cstr_paths)
@@ -579,6 +594,25 @@ class TestTraceSerialization:
             "knowledge: known_nodes must be a list of strings",
             "knowledge: known_edges must be a list of strings",
             "knowledge: compromised_nodes must be a list of strings"]
+
+    def test_engine_traces_keep_every_rule(self, cstr_paths):
+        """Every trace the engine gives breaks no reader rule and reads back
+        equal: on the fixture's PMF, and on generated instances, where
+        failures, retries and dead ends are common."""
+        system, db, profiles = load_cstr(cstr_paths)
+        runs = [(system, db, profiles, SimConfig(100, seed=s))
+                for s in range(3)]
+        for s in range(100):
+            system, db, attacker = random_instance(Random(s), max_actions=40)
+            runs.append((system, db,
+                         ProfileSet(db.schema, {attacker.name: attacker}),
+                         SimConfig(20, seed=s, profile=attacker.name,
+                                   max_steps=30)))
+        for run in runs:
+            for trace in run_monte_carlo(*run)[1]:
+                assert harness._trace_problems(trace) == []
+                doc = json.loads(json.dumps(trace_to_dict(trace)))
+                assert trace_from_dict(doc) == trace
 
 
 class TestReportExport:
