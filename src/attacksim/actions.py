@@ -31,7 +31,7 @@ from attacksim.profiles import (
     ProfileSchema,
     ProfileValue,
     profile_values,
-    scale_profile,
+    slot_scalers,
     validate_profile,
 )
 
@@ -199,20 +199,30 @@ class ActionDatabase:
 
 def scaled_action_profiles(db: ActionDatabase
                            ) -> dict[str, tuple[ProfileValue, ...]]:
-    """Scale every action profile; pure, deterministic, cached by callers.
+    """Scale every action profile with one set of slot scalers; pure and
+    deterministic.
 
     Unbounded properties scale against the database-wide (min, max), so a
     new action inside that range leaves other actions' scaled values
     untouched.
     """
-    ranges = db.unbounded_ranges
-    out: dict[str, tuple[ProfileValue, ...]] = {}
-    for a in db.actions:
-        try:
-            out[a.id] = scale_profile(db.schema, a.profile, ranges)
-        except ValueError as exc:
-            raise ValueError(f"action {a.id!r}: {exc}") from exc
-    return out
+    slots = tuple(zip(db.schema.names,
+                      slot_scalers(db.schema, db.unbounded_ranges)))
+    actions = db.actions
+    try:
+        # slot by slot: one call per value and no frame per action
+        columns = [list(map(scale, [a.profile[name] for a in actions]))
+                   for name, scale in slots]
+    except (KeyError, TypeError, ValueError):
+        # raise the error of the first action that does not scale
+        for a in actions:
+            try:
+                [scale(a.profile[name]) for name, scale in slots]
+            except ValueError as exc:
+                raise ValueError(f"action {a.id!r}: {exc}") from exc
+        raise
+    rows = zip(*columns) if columns else [()] * len(actions)
+    return dict(zip([a.id for a in actions], rows))
 
 
 def criteria_from_dict(raw, owner: str, errors: list[str]) -> TargetCriteria:

@@ -13,11 +13,15 @@ nearer profiles are proportionally more likely without nonlinear weighting.
 
 Everything that does not depend on the episode's dynamic state (knowledge,
 attempted and succeeded actions) is computed once per run in
-DecisionContext: which actions' target criteria match each node, the
-channel sets as int bitmasks, the validated starting knowledge, and each
-attacker profile's distance to every action, keyed by action id, for
-every profile the run can draw before its first episode (the database
-checks each profile: `ActionDatabase.attacker_ranges`).
+DecisionContext: which actions' target criteria match each node (each
+distinct criteria matched once per node), the channel sets as int
+bitmasks, the validated starting knowledge, and each attacker profile's
+distance to every action, keyed by action id, for every profile the run
+can draw before its first episode (the database checks each profile:
+`ActionDatabase.attacker_ranges`). The context also memoises the
+candidates of each fresh node, one with no attempted or succeeded action,
+by scaled profile, node and live channel mask: every episode starts with
+such scans, and the same keys recur across episodes.
 
 Neither a retry, the decision after a failed attempt on the same
 target, nor a retarget, the draw after a compromise or an exhausted
@@ -101,15 +105,24 @@ class DecisionContext:
       the per-slot distance weights 1 / criticality^2;
     - the starting knowledge, so the system is validated once per run;
     - per node, the actions whose target criteria match it, in canonical
-      id order, as ``(id, channel bitmask, prerequisites)`` rows;
+      id order, as ``(id, channel bitmask, prerequisites)`` rows; each
+      distinct criteria is matched once per node, and each distinct
+      channel set is turned into a bitmask once;
     - per node, the attack-vector edges into it, in canonical id order, as
       ``(id, source node, channel bitmask)`` rows;
     - per attacker profile (on first use, cached by name and values), the
-      scaled tuple and its distance to every action, by action id.
+      scaled tuple and its distance to every action, by action id;
+    - the fresh-node memo: the candidates of a node with no attempted or
+      succeeded action depend only on the attacker's scaled profile, the
+      node and the channel mask of its live edges, so each such scan is
+      kept, keyed by ``(scaled profile, node, live mask)``, as
+      ``(ids, distances)`` tuples. It is filled on first use in each
+      process and holds at most nodes x 2^channels entries per distinct
+      scaled profile.
 
-    Immutable after construction apart from that profile cache. What
-    depends on an episode's history, such as each open node's candidates,
-    lives in its AttackState.
+    Immutable after construction apart from the profile cache and the
+    memo. What depends on an episode's history, such as each open node's
+    candidates, lives in its AttackState.
     """
 
     def __init__(self, system: CpsSystem, db: ActionDatabase):
@@ -121,17 +134,31 @@ class DecisionContext:
                             for p in db.schema]
         self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
         self._thetas: dict[str, tuple[Mapping, tuple, dict[str, float]]] = {}
+        self.fresh: dict[tuple, tuple[tuple[str, ...],
+                                      tuple[float, ...]]] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
         bit = {c: 1 << i for i, c in enumerate(names)}
-        self.action_mask = {
-            a.id: sum(bit[c] for c in a.channels) for a in db.actions}
-        self.actions_for = {
-            node.id: tuple((a.id, self.action_mask[a.id], a.prerequisites)
-                           for a in db.actions
-                           if criteria_match(a.target_criteria, node))
-            for node in system.nodes}
+        masks: dict[frozenset[str], int] = {}  # per distinct channel set
+        distinct: dict[frozenset, int] = {}  # criteria -> index in criteria
+        criteria = []
+        rows = []  # (criteria index, row) per action, in canonical order
+        for a in db.actions:
+            mask = masks.get(a.channels)
+            if mask is None:
+                mask = masks[a.channels] = sum(bit[c] for c in a.channels)
+            key = frozenset(a.target_criteria.requirements.items())
+            if key not in distinct:
+                distinct[key] = len(criteria)
+                criteria.append(a.target_criteria)
+            rows.append((distinct[key], (a.id, mask, a.prerequisites)))
+        self.action_mask = {aid: mask for _, (aid, mask, _) in rows}
+        self.actions_for = {}
+        for node in system.nodes:
+            match = [criteria_match(c, node) for c in criteria]
+            self.actions_for[node.id] = tuple(
+                row for i, row in rows if match[i])
         self.vectors_into = {
             node.id: tuple((e.id, e.from_node, sum(bit[c] for c in e.channels))
                            for e in system.edges_into(node.id)
@@ -197,6 +224,20 @@ class AttackState:
         return self.ctx.db
 
 
+def _live_mask(state: AttackState, target: str) -> int:
+    """The channels of the target's live edges, as a bitmask: known
+    attack-vector edges into it from the external origin or a compromised
+    node."""
+    k = state.knowledge
+    origin = state.ctx.system.external_origin
+    live = 0
+    for eid, source, mask in state.ctx.vectors_into[target]:
+        if eid in k.known_edges and (source == origin
+                                     or source in k.compromised_nodes):
+            live |= mask
+    return live
+
+
 def _candidates(state: AttackState, target: str):
     """Yield the target's candidate action ids in canonical id order.
 
@@ -204,19 +245,12 @@ def _candidates(state: AttackState, target: str):
     done once per run in the context. The target must be known and not
     compromised.
     """
-    k = state.knowledge
-    ctx = state.ctx
-    origin = ctx.system.external_origin
-    live = 0
-    for eid, source, mask in ctx.vectors_into[target]:
-        if eid in k.known_edges and (source == origin
-                                     or source in k.compromised_nodes):
-            live |= mask
+    live = _live_mask(state, target)
     if not live:
         return
     attempted = state.attempted.get(target, ())
     succeeded = state.succeeded.get(target, frozenset())
-    for aid, mask, prereqs in ctx.actions_for[target]:
+    for aid, mask, prereqs in state.ctx.actions_for[target]:
         if mask & live and aid not in attempted and prereqs <= succeeded:
             yield aid
 
@@ -245,6 +279,8 @@ def filter_valid(state: AttackState, target: str) -> list[str]:
     Intersection of: not yet attempted on the target; criteria match with
     all prerequisites succeeded on the target; and at least one viable
     propagation path into the target. The list is a copy the caller owns.
+    A fresh node's candidates come from the context's memo, scanned on
+    its first use.
     """
     k = state.knowledge
     if target not in k.known_nodes:
@@ -255,9 +291,18 @@ def filter_valid(state: AttackState, target: str) -> list[str]:
     if target not in table:
         return []
     if table[target] is None:
-        ids = list(_candidates(state, target))
         dist = state._distances
-        table[target] = ids, [dist[a] for a in ids]
+        if state.attempted.get(target) or state.succeeded.get(target):
+            ids = list(_candidates(state, target))
+            table[target] = ids, [dist[a] for a in ids]
+        else:
+            key = (state.theta, target, _live_mask(state, target))
+            fresh = state.ctx.fresh.get(key)
+            if fresh is None:
+                ids = tuple(_candidates(state, target))
+                fresh = state.ctx.fresh[key] = ids, tuple(dist[a] for a in ids)
+            # step deletes from the table's columns, never from the memo's
+            table[target] = list(fresh[0]), list(fresh[1])
     return list(table[target][0])
 
 

@@ -347,7 +347,8 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
             probability=number(r.get("probability"), 0.0, errors,
                                "{}: probability", owner),
             outcome=string(r.get("outcome"), f"{owner}: outcome", errors),
-            source=string(r.get("source", ""), f"{owner}: source", errors),
+            source=string(r.get("source", EXTERNAL_ORIGIN), f"{owner}: source",
+                          errors),
             via_edges=tuple(string_list(r.get("via_edges", []),
                                         f"{owner}: via_edges", errors)),
         ))
@@ -365,16 +366,20 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
 
 
 def _trace_problems(trace: EpisodeTrace) -> list[str]:
-    """The writer's rules that the typed `trace` breaks: a status and
-    outcomes it writes, probabilities in [0, 1], no action listed twice
-    among a decision's candidates, a chosen action among them at its
-    candidate's probability, via edges known, no target compromised by an
-    earlier decision, and targets and compromised nodes known. A decision
-    that broke none of these must have the scores and probabilities the
-    kernels give from its distances, none negative. A trace that broke
-    none must have the successful decisions' targets as its compromised
-    nodes, and a successful last decision if its target was reached."""
+    """The writer's rules that the typed `trace` breaks: an episode index
+    not negative, a status and outcomes it writes, probabilities in
+    [0, 1], no action listed twice among a decision's candidates, a chosen
+    action among them at its candidate's probability, via edges known, a
+    source that is the external origin or a known node, no target
+    compromised by an earlier decision, and targets and compromised nodes
+    known. A decision that broke none of these must have the scores and
+    probabilities the kernels give from its distances, none negative. A
+    trace that broke none must have the successful decisions' targets as
+    its compromised nodes, and a successful last decision if its target
+    was reached."""
     problems = []
+    if trace.index < 0:
+        problems.append("episode must not be negative")
     if trace.status not in (TARGET_REACHED, EXHAUSTED, STEP_CAPPED):
         problems.append("status must be one of target-reached, exhausted, "
                         "step-capped")
@@ -409,6 +414,9 @@ def _trace_problems(trace: EpisodeTrace) -> list[str]:
         problems.extend(f"{owner}: via edge {eid!r} is not among the known "
                         "edges" for eid in rec.via_edges
                         if eid not in k.known_edges)
+        if rec.source != EXTERNAL_ORIGIN and rec.source not in k.known_nodes:
+            problems.append(f"{owner}: source {rec.source!r} is neither "
+                            f"{EXTERNAL_ORIGIN} nor among the known nodes")
         if rec.target in won:
             problems.append(f"{owner}: target was compromised by an earlier "
                             "decision")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from attacksim import _kernels
 from attacksim.errors import (
@@ -147,44 +147,83 @@ class ProfilePmf:
         return v
 
 
+Scaler = Callable[[ProfileValue], ProfileValue]
+
+
+def _bounded_scaler(lower: float, upper: float, name: str) -> Scaler:
+    """Linear map of a bounded-range value onto [0, 1]. The bounds are
+    checked on each call, so building the scaler raises nothing whatever
+    bounds a schema holds."""
+    def scale(epsilon):
+        if not lower < upper:
+            raise ValueError(f"{name}: lower bound must be below upper bound")
+        if not lower <= epsilon <= upper:
+            raise ValueError(
+                f"{name}: value {epsilon} outside bounds [{lower}, {upper}]")
+        return (epsilon - lower) / (upper - lower)
+    return scale
+
+
+def _unbounded_scaler(population: Sequence[float], name: str) -> Scaler:
+    """Min/max map of an unbounded-range value onto [0, 1], clamped.
+
+    Only the population's extremes matter, so a (min, max) pair is a
+    population as good as every value of the property across the action
+    database; they and the span are computed here, once. A spread-free
+    population carries no ranking information: midpoint.
+    """
+    if not population:
+        def empty(epsilon):
+            raise ValueError(f"{name}: empty scaling population")
+        return empty
+    lo = min(population)
+    hi = max(population)
+    if hi == lo:
+        return lambda epsilon: 0.5
+    span = hi - lo
+
+    def scale(epsilon):
+        # the value of min(1.0, max(0.0, x)) without the two calls: max
+        # keeps its first argument unless the second is greater, and min
+        # unless the second is smaller
+        x = (epsilon - lo) / span
+        x = x if x > 0.0 else 0.0
+        return x if x < 1.0 else 1.0
+    return scale
+
+
+def _ordered_set_scaler(allowed_values: Sequence[str], name: str) -> Scaler:
+    """Linear ordered-set mapping: label index over the label list, looked
+    up in a dict built here, once."""
+    k = len(allowed_values)
+    index: dict[ProfileValue, float] = {}
+    for i, label in enumerate(allowed_values):  # the first index, as .index
+        index.setdefault(label, 0.5 if k == 1 else i / (k - 1))
+
+    def scale(label):
+        scaled = index.get(label)
+        if scaled is None:
+            raise ValueError(f"{name}: unknown label {label!r}")
+        return scaled
+    return scale
+
+
 def scale_bounded(epsilon: float, lower: float, upper: float,
                   name: str = "property") -> float:
     """Linear map of a bounded-range value onto [0, 1]."""
-    if not lower < upper:
-        raise ValueError(f"{name}: lower bound must be below upper bound")
-    if not lower <= epsilon <= upper:
-        raise ValueError(
-            f"{name}: value {epsilon} outside bounds [{lower}, {upper}]")
-    return (epsilon - lower) / (upper - lower)
+    return _bounded_scaler(lower, upper, name)(epsilon)
 
 
 def scale_unbounded(epsilon: float, population: Sequence[float],
                     name: str = "property") -> float:
-    """Min/max map of an unbounded-range value onto [0, 1].
-
-    Only the population's extremes matter, so a (min, max) pair is a
-    population as good as every value of the property across the action
-    database. A spread-free population carries no ranking information:
-    midpoint.
-    """
-    if not population:
-        raise ValueError(f"{name}: empty scaling population")
-    lo = min(population)
-    hi = max(population)
-    if hi == lo:
-        return 0.5
-    return min(1.0, max(0.0, (epsilon - lo) / (hi - lo)))
+    """Min/max map of an unbounded-range value onto [0, 1], clamped."""
+    return _unbounded_scaler(population, name)(epsilon)
 
 
 def scale_ordered_set(label: str, allowed_values: Sequence[str],
                       name: str = "property") -> float:
     """Linear ordered-set mapping: label index over the label list."""
-    if label not in allowed_values:
-        raise ValueError(f"{name}: unknown label {label!r}")
-    k = len(allowed_values)
-    if k == 1:
-        return 0.5
-    return allowed_values.index(label) / (k - 1)
+    return _ordered_set_scaler(allowed_values, name)(label)
 
 
 def match_unordered(a: str, b: str,
@@ -238,31 +277,43 @@ def validate_profile(schema: ProfileSchema,
     return v
 
 
+def _keep(label: ProfileValue) -> ProfileValue:
+    return label
+
+
+def _slot_scaler(prop: PropertySchema, population: Sequence[float]) -> Scaler:
+    if prop.kind == UNORDERED_SET:
+        return _keep
+    if prop.kind == ORDERED_SET:
+        return _ordered_set_scaler(prop.allowed_values or (), prop.name)
+    if prop.kind == BOUNDED_RANGE:
+        return _bounded_scaler(prop.lower, prop.upper, prop.name)
+    return _unbounded_scaler(population, prop.name)
+
+
+def slot_scalers(schema: ProfileSchema,
+                 ranges: Mapping[str, tuple[float, float]],
+                 ) -> tuple[Scaler, ...]:
+    """One raw value -> scaled value function per schema slot, in schema
+    order: a float in [0, 1], or the label itself for an unordered-set
+    slot, which compares by equality.
+
+    `ranges` maps each unbounded property to the (min, max) it scales
+    against: the action database's for an action, and that range extended
+    with the attacker's own value for an attacker. Building the functions
+    raises nothing; each raises ValueError for a value it cannot scale.
+    """
+    return tuple(_slot_scaler(prop, ranges.get(prop.name, ()))
+                 for prop in schema)
+
+
 def scale_profile(schema: ProfileSchema,
                   values: Mapping[str, ProfileValue],
                   ranges: Mapping[str, tuple[float, float]],
                   ) -> tuple[ProfileValue, ...]:
-    """Scale a raw profile into schema order: floats in [0, 1], except
-    unordered-set slots, which keep their label for pairwise matching.
-
-    `ranges` maps each unbounded property to the (min, max) it scales
-    against: the action database's for an action, and that range extended
-    with the attacker's own value for an attacker.
-    """
-    out: list[ProfileValue] = []
-    for prop in schema:
-        val = values[prop.name]
-        if prop.kind == UNORDERED_SET:
-            out.append(val)
-        elif prop.kind == ORDERED_SET:
-            out.append(scale_ordered_set(val, prop.allowed_values or (),
-                                         prop.name))
-        elif prop.kind == BOUNDED_RANGE:
-            out.append(scale_bounded(val, prop.lower, prop.upper, prop.name))
-        else:
-            out.append(scale_unbounded(val, ranges.get(prop.name, ()),
-                                       prop.name))
-    return tuple(out)
+    """Scale a raw profile into schema order with `slot_scalers`."""
+    return tuple(scale(values[prop.name]) for prop, scale
+                 in zip(schema, slot_scalers(schema, ranges)))
 
 
 def pmf_probabilities(pmf: ProfilePmf) -> list[float]:

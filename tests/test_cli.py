@@ -888,6 +888,11 @@ class TestTrace:
         pytest.param(("status",), "target-reached",
                      "status target-reached needs a successful last "
                      "decision", id="target-reached-not-won"),
+        pytest.param(("episode",), -1, "episode must not be negative",
+                     id="episode-negative"),
+        pytest.param(DECISION + ("source",), "N5",
+                     "decision #0: source 'N5' is neither @external nor "
+                     "among the known nodes", id="source-unknown"),
     ])
     @pytest.mark.parametrize("how", ["--summary", "--dot"])
     def test_mistyped_trace_field_exits_one(self, trace_file, tmp_path,

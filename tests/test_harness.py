@@ -571,6 +571,13 @@ class TestTraceSerialization:
          "decisions"),
         (("status",), "target-reached",
          "status target-reached needs a successful last decision"),
+        (("episode",), -1, "episode must not be negative"),
+        (("decisions", 0, "source"), "N5",
+         "decision #0: source 'N5' is neither @external nor among the known "
+         "nodes"),
+        (("decisions", 0, "source"), "",
+         "decision #0: source '' is neither @external nor among the known "
+         "nodes"),
     ])
     def test_mistyped_field_rejected(self, cstr_paths, keys, value, message):
         system, db, profiles = load_cstr(cstr_paths)
