@@ -18,24 +18,27 @@ distinct criteria matched once per node), the channel sets as int
 bitmasks, the validated starting knowledge, and each attacker profile's
 distance to every action, keyed by action id, for every profile the run
 can draw before its first episode (the database checks each profile:
-`ActionDatabase.attacker_ranges`). The context also memoises the
-candidates of each fresh node, one with no attempted or succeeded action,
-by scaled profile, node and live channel mask: every episode starts with
-such scans, and the same keys recur across episodes.
+`ActionDatabase.attacker_ranges`).
+
+One function, `_columns`, derives a node's candidate ids and distances,
+as tuples that nothing mutates. Those of a fresh node, one with no
+attempted or succeeded action, come from the context's memo by scaled
+profile, node and live channel mask, filled on a miss even when empty:
+every episode starts with such scans, and the same keys recur.
 
 Neither a retry, the decision after a failed attempt on the same
 target, nor a retarget, the draw after a compromise or an exhausted
 target, rescans: the episode's AttackState keeps one table of the open
 nodes, the known, uncompromised nodes with a candidate, each with its
-candidate ids and distances once scored, and `step` keeps it current. A
-failure deletes the attempted action from the target's columns and drops
-the target once they are empty; a compromise drops the target and checks
+columns, and `step` keeps it current. A failure replaces the target's
+columns with new tuples that lack the attempted action, or drops the
+target once none is left; a compromise drops the target and rederives
 only its neighbours. The draw is over the sorted keys, the same list a
 full scan gives, so the RNG use is unchanged.
 
-A decision's record keeps its candidates as four columns (ids,
-distances, scores, probabilities), the lists the assessment computed;
-no per-candidate object is built on the decision path.
+A decision's record keeps its candidates as four columns: the table's
+id and distance tuples themselves, then the assessment's scores and
+probabilities; no per-candidate object is built on the decision path.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ from attacksim.profiles import (
 
 SUCCESS = "success"
 FAILURE = "failure"
+
+# a node's candidate ids, in canonical id order, and their distances
+Columns = tuple[tuple[str, ...], tuple[float, ...]]
 
 
 class CandidateScore(NamedTuple):
@@ -116,9 +122,9 @@ class DecisionContext:
       succeeded action depend only on the attacker's scaled profile, the
       node and the channel mask of its live edges, so each such scan is
       kept, keyed by ``(scaled profile, node, live mask)``, as
-      ``(ids, distances)`` tuples. It is filled on first use in each
-      process and holds at most nodes x 2^channels entries per distinct
-      scaled profile.
+      ``(ids, distances)`` tuples, which may be empty. It is filled on
+      first use in each process and still holds at most nodes x
+      2^channels entries per distinct scaled profile.
 
     Immutable after construction apart from the profile cache and the
     memo. What depends on an episode's history, such as each open node's
@@ -134,8 +140,7 @@ class DecisionContext:
                             for p in db.schema]
         self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
         self._thetas: dict[str, tuple[Mapping, tuple, dict[str, float]]] = {}
-        self.fresh: dict[tuple, tuple[tuple[str, ...],
-                                      tuple[float, ...]]] = {}
+        self.fresh: dict[tuple, Columns] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
@@ -193,16 +198,16 @@ class AttackState:
 
     The state keeps one candidate table: every known, uncompromised node
     with at least one candidate, mapped to its ``(ids, distances)``
-    columns, or to None until first scored. It is stamped with the
-    knowledge and the total sizes of all ``attempted`` and ``succeeded``
-    sets, which under the contract change with every edit that can change
-    a node's candidates; a scan of the known nodes rebuilds it whenever
-    the stamp does not match. Otherwise `step` keeps it, and its stamp,
-    current without a scan: a failure can only shrink its target's
-    columns, and a compromise can only open or widen the compromised
-    node's neighbours, because `reveal_on_compromise` reveals only edges
-    touching that node and the far end of each, and only edges out of
-    that node gain a compromised source.
+    tuples, or to None while a compromise may have widened them. It is
+    stamped with the knowledge and the total sizes of all ``attempted``
+    and ``succeeded`` sets, which under the contract change with every
+    edit that can change a node's candidates; `_columns` on every known
+    node rebuilds it whenever the stamp does not match. Otherwise `step`
+    keeps it, and its stamp, current without a scan: a failure can only
+    shrink its target's columns, and a compromise can only open or widen
+    the compromised node's neighbours, because `reveal_on_compromise`
+    reveals only edges touching that node and the far end of each, and
+    only edges out of that node gain a compromised source.
     """
 
     def __init__(self, ctx: DecisionContext, attacker: AttackerProfile):
@@ -212,7 +217,7 @@ class AttackState:
         self.attempted: dict[str, set[str]] = {}
         self.succeeded: dict[str, set[str]] = {}
         self.current_target: str | None = None
-        self._open: dict[str, tuple[list[str], list[float]] | None] = {}
+        self._open: dict[str, Columns | None] = {}
         self._stamp: tuple | None = None
 
     @property
@@ -238,25 +243,30 @@ def _live_mask(state: AttackState, target: str) -> int:
     return live
 
 
-def _candidates(state: AttackState, target: str):
-    """Yield the target's candidate action ids in canonical id order.
+def _columns(state: AttackState, node: str) -> Columns:
+    """The node's candidate columns, which nothing mutates.
 
     Only the dynamic predicates are checked here; criteria matching was
-    done once per run in the context. The target must be known and not
-    compromised.
+    done once per run in the context. A fresh node's columns come from the
+    context's memo, scanned and stored on a miss, even when empty. The
+    node must be known and not compromised.
     """
-    live = _live_mask(state, target)
-    if not live:
-        return
-    attempted = state.attempted.get(target, ())
-    succeeded = state.succeeded.get(target, frozenset())
-    for aid, mask, prereqs in state.ctx.actions_for[target]:
-        if mask & live and aid not in attempted and prereqs <= succeeded:
-            yield aid
-
-
-def _has_candidate(state: AttackState, target: str) -> bool:
-    return next(_candidates(state, target), None) is not None
+    live = _live_mask(state, node)
+    attempted = state.attempted.get(node, ())
+    succeeded = state.succeeded.get(node, frozenset())
+    fresh = not attempted and not succeeded
+    if fresh:
+        key = (state.theta, node, live)
+        cols = state.ctx.fresh.get(key)
+        if cols is not None:
+            return cols
+    ids = tuple(aid for aid, mask, prereqs in state.ctx.actions_for[node]
+                if mask & live and aid not in attempted
+                and prereqs <= succeeded)
+    cols = ids, tuple(map(state._distances.__getitem__, ids))
+    if fresh:
+        state.ctx.fresh[key] = cols
+    return cols
 
 
 def _table(state: AttackState) -> dict:
@@ -266,9 +276,9 @@ def _table(state: AttackState) -> dict:
              sum(map(len, state.succeeded.values())))
     if state._stamp != stamp:
         k = state.knowledge
-        state._open = dict.fromkeys(
-            nid for nid in k.known_nodes
-            if nid not in k.compromised_nodes and _has_candidate(state, nid))
+        state._open = {nid: cols for nid in k.known_nodes
+                       if nid not in k.compromised_nodes
+                       and (cols := _columns(state, nid))[0]}
         state._stamp = stamp
     return state._open
 
@@ -278,9 +288,8 @@ def filter_valid(state: AttackState, target: str) -> list[str]:
 
     Intersection of: not yet attempted on the target; criteria match with
     all prerequisites succeeded on the target; and at least one viable
-    propagation path into the target. The list is a copy the caller owns.
-    A fresh node's candidates come from the context's memo, scanned on
-    its first use.
+    propagation path into the target: the ids in the state's candidate
+    table, as a list the caller owns.
     """
     k = state.knowledge
     if target not in k.known_nodes:
@@ -291,18 +300,7 @@ def filter_valid(state: AttackState, target: str) -> list[str]:
     if target not in table:
         return []
     if table[target] is None:
-        dist = state._distances
-        if state.attempted.get(target) or state.succeeded.get(target):
-            ids = list(_candidates(state, target))
-            table[target] = ids, [dist[a] for a in ids]
-        else:
-            key = (state.theta, target, _live_mask(state, target))
-            fresh = state.ctx.fresh.get(key)
-            if fresh is None:
-                ids = tuple(_candidates(state, target))
-                fresh = state.ctx.fresh[key] = ids, tuple(dist[a] for a in ids)
-            # step deletes from the table's columns, never from the memo's
-            table[target] = list(fresh[0]), list(fresh[1])
+        table[target] = _columns(state, target)
     return list(table[target][0])
 
 
@@ -409,28 +407,29 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     Returns None when no node has qualified actions left (episode end).
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
-    whatever its reported effect. A failure deletes the action from the
-    target's columns in the candidate table, so a retry does not rescan,
-    and drops an exhausted target; a compromise drops its target and
-    checks only its neighbours (see AttackState).
+    whatever its reported effect. The record's ids and distances are the
+    target's columns in the candidate table. A failure replaces them with
+    columns that lack the action, or drops an exhausted target; a
+    compromise drops its target and rederives only its neighbours' columns
+    (see AttackState).
     """
     target = select_target(state, rng)
     if target is None:
         return None
-    cand_ids = filter_valid(state, target)
+    filter_valid(state, target)
     table = state._open
     ids, d = table[target]
     s = _kernels.scores_from_distances(d)
     p = _kernels.probabilities_from_scores(s)
     idx = _kernels.weighted_index(p, rng.random())
-    chosen = cand_ids[idx]
+    chosen = ids[idx]
     action = state.db.by_id[chosen]
     success = rng.random() < action.success_probability
     via = viable_edges(state, target, chosen)
     record = DecisionRecord(
         target=target,
-        action_ids=tuple(cand_ids),
-        distances=tuple(d),
+        action_ids=ids,
+        distances=d,
         scores=tuple(s),
         probabilities=tuple(p),
         chosen=chosen,
@@ -454,13 +453,14 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
         del table[target]
         compromised = state.knowledge.compromised_nodes
         for nid in state.system.neighbours(target):
-            if nid not in compromised and (nid in table
-                                           or _has_candidate(state, nid)):
+            if nid in table:  # its live channels may have widened
                 table[nid] = None
+            elif nid not in compromised and (cols := _columns(state, nid))[0]:
+                table[nid] = cols
     else:
-        del ids[idx]
-        del d[idx]
-        if not ids:
+        if len(ids) > 1:
+            table[target] = ids[:idx] + ids[idx + 1:], d[:idx] + d[idx + 1:]
+        else:
             del table[target]
         state.current_target = target
     state._stamp = (state.knowledge, tried + 1, won)

@@ -229,3 +229,55 @@ def test_compromise_opens_a_predecessor_known_by_an_edit():
     assert open_targets(state) == drawable(state) == ["G"]
     assert step(state, Random(0))[1].target == "G"
     assert open_targets(state) == drawable(state) == ["P"]
+
+
+class ScriptedRandom:
+    """An rng that draws the given retarget indices in turn and 0.5 for
+    every other draw."""
+
+    def __init__(self, picks):
+        self.picks = list(picks)
+
+    def randrange(self, n):
+        return self.picks.pop(0)
+
+    def random(self):
+        return 0.5
+
+
+def test_compromise_reopens_a_dropped_node_with_its_untried_actions():
+    """Every action on G fails, so G is dropped. Compromising Q then
+    opens a second channel into G, and G comes back with only the
+    action it has not tried: the one path on which `step` alone rescans a
+    node with history."""
+    schema = ProfileSchema([PropertySchema("Skill", "bounded-range",
+                                           lower=0, upper=10)])
+    system = CpsSystem(
+        nodes=[Node("G", attributes={"kind": "g"}, is_target=True),
+               Node("Q", attributes={"kind": "q"})],
+        edges=[Edge("E1", EXTERNAL_ORIGIN, "G", frozenset({"net"}),
+                    is_attack_vector=True, is_entry_point=True),
+               Edge("E2", EXTERNAL_ORIGIN, "Q", frozenset({"net"}),
+                    is_attack_vector=True, is_entry_point=True),
+               Edge("L", "Q", "G", frozenset({"usb"}),
+                    is_attack_vector=True)])
+
+    def action(aid, kind, channels, success):
+        return Action(id=aid, name=aid, profile={"Skill": 5},
+                      target_criteria=TargetCriteria(
+                          {"kind": frozenset({kind})}),
+                      channels=frozenset(channels),
+                      success_probability=success)
+    db = ActionDatabase([action("a", "g", {"net", "usb"}, 0.0),
+                         action("b", "g", {"usb"}, 0.0),
+                         action("q", "q", {"net"}, 1.0)], schema)
+    state = AttackState(DecisionContext(system, db),
+                        AttackerProfile("x", {"Skill": 5}))
+    rng = ScriptedRandom([0, 0, 0])
+    records = [step(state, rng)[1] for _ in range(3)]
+    assert [(r.target, r.action_ids, r.outcome) for r in records] == [
+        ("G", ("a",), "failure"),
+        ("Q", ("q",), "success"),
+        ("G", ("b",), "failure")]
+    assert step(state, rng) is None
+    assert rng.picks == []

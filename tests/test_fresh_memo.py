@@ -2,12 +2,14 @@
 
 A node with no attempted or succeeded action has candidates that depend
 only on the attacker's scaled profile, the node and the channels of its
-live edges, so DecisionContext keeps each such scan. Every entry the
-memo serves must equal the oracle's candidates and a fresh single-pair
-distance for each; episodes run on generated instances, with direct
-knowledge edits between steps so the live channels vary. A profile name
-whose values change between runs of one context must get its own
-entries, and two names with equal values must share them.
+live edges, so DecisionContext keeps each such scan, empty or not. The
+memo is read wherever the engine derives a node's candidates, so each
+served entry is found by its key: for every fresh open node whose key
+was served, the entry must equal the oracle's candidates and a fresh
+single-pair distance for each. Episodes run on generated instances, with
+direct knowledge edits between steps so the live channels vary. A
+profile name whose values change between runs of one context must get
+its own entries, and two names with equal values must share them.
 """
 
 from random import Random
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from attacksim.engine import (
     AttackState,
     DecisionContext,
+    _live_mask,
     distance,
     filter_valid,
     step,
@@ -29,16 +32,17 @@ from oracle_filter import brute_force_valid
 
 
 class RecordingMemo(dict):
-    """The fresh-node memo, recording every entry a lookup finds."""
+    """The fresh-node memo, recording the key of every entry a lookup
+    finds until the next check clears them."""
 
     def __init__(self):
         super().__init__()
-        self.served = []
+        self.served = set()
 
     def get(self, key, default=None):
         found = super().get(key, default)
         if found is not None:
-            self.served.append(found)
+            self.served.add(key)
         return found
 
 
@@ -53,25 +57,30 @@ def is_fresh(state, nid):
 
 
 def check_fresh_nodes(state):
-    """Score every fresh open node; each entry served must be the
-    oracle's candidates with fresh distances. Returns the hits."""
+    """Score every fresh open node; then each one whose memo key was
+    served since the last check must find the oracle's candidates with
+    fresh distances under it. Returns the hits: served, non-empty
+    entries."""
     ctx = state.ctx
     beta = [p.criticality for p in ctx.db.schema]
     k = state.knowledge
+    fresh = [nid for nid in sorted(k.known_nodes - k.compromised_nodes)
+             if is_fresh(state, nid)]
+    want = {nid: sorted(brute_force_valid(state, nid)) for nid in fresh}
+    for nid in fresh:
+        assert filter_valid(state, nid) == want[nid]
     hits = 0
-    for nid in sorted(k.known_nodes - k.compromised_nodes):
-        if not is_fresh(state, nid):
+    for nid in fresh:
+        key = (state.theta, nid, _live_mask(state, nid))
+        if key not in ctx.fresh.served:
             continue
-        before = len(ctx.fresh.served)
-        want = sorted(brute_force_valid(state, nid))
-        assert filter_valid(state, nid) == want
-        if len(ctx.fresh.served) > before:
-            ids, dists = ctx.fresh.served[-1]
-            assert list(ids) == want
-            assert dists == tuple(
-                distance(state.theta, ctx.action_profiles[a], beta)
-                for a in ids)
-            hits += 1
+        ids, dists = ctx.fresh[key]
+        assert list(ids) == want[nid]
+        assert dists == tuple(
+            distance(state.theta, ctx.action_profiles[a], beta)
+            for a in ids)
+        hits += bool(ids)
+    ctx.fresh.served.clear()
     return hits
 
 
