@@ -39,6 +39,9 @@ full scan gives, so the RNG use is unchanged.
 A decision's record keeps its candidates as four columns: the table's
 id and distance tuples themselves, then the assessment's scores and
 probabilities; no per-candidate object is built on the decision path.
+The assessment of a fresh target depends on its distances alone, so it
+is kept in the context beside the fresh-node memo, under the same key,
+and each such assessment is computed once per run and process.
 """
 
 from __future__ import annotations
@@ -79,7 +82,9 @@ class DecisionRecord:
     The candidates are stored as four parallel columns in canonical id
     order: ``action_ids[i]`` has distance ``distances[i]``, score
     ``scores[i]`` and selection probability ``probabilities[i]``.
-    ``candidates`` derives the per-candidate view from them.
+    ``candidates`` derives the per-candidate view from them. A record of
+    a decision on a fresh target shares all four tuples with the
+    context's memos, which nothing mutates.
     """
 
     target: str
@@ -124,11 +129,17 @@ class DecisionContext:
       kept, keyed by ``(scaled profile, node, live mask)``, as
       ``(ids, distances)`` tuples, which may be empty. It is filled on
       first use in each process and still holds at most nodes x
-      2^channels entries per distinct scaled profile.
+      2^channels entries per distinct scaled profile;
+    - the assessment memo, ``assessed``: under the same key, the
+      ``(distances, scores, probabilities)`` tuples of a decision on a
+      fresh target, stored by `step` on its first such decision. It
+      holds at most one entry per non-empty ``fresh`` entry, and an
+      entry is served only while its distances are the very tuple the
+      target's columns hold.
 
     Immutable after construction apart from the profile cache and the
-    memo. What depends on an episode's history, such as each open node's
-    candidates, lives in its AttackState.
+    two memos. What depends on an episode's history, such as each open
+    node's candidates, lives in its AttackState.
     """
 
     def __init__(self, system: CpsSystem, db: ActionDatabase):
@@ -141,6 +152,7 @@ class DecisionContext:
         self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
         self._thetas: dict[str, tuple[Mapping, tuple, dict[str, float]]] = {}
         self.fresh: dict[tuple, Columns] = {}
+        self.assessed: dict[tuple, tuple[tuple[float, ...], ...]] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
@@ -408,7 +420,9 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
     whatever its reported effect. The record's ids and distances are the
-    target's columns in the candidate table. A failure replaces them with
+    target's columns in the candidate table; a fresh target's scores and
+    probabilities come from the context's assessment memo, assessed and
+    stored on a miss. A failure replaces the columns with
     columns that lack the action, or drops an exhausted target; a
     compromise drops its target and rederives only its neighbours' columns
     (see AttackState).
@@ -419,8 +433,18 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     filter_valid(state, target)
     table = state._open
     ids, d = table[target]
-    s = _kernels.scores_from_distances(d)
-    p = _kernels.probabilities_from_scores(s)
+    # a fresh target's distances are the fresh-node memo's tuple under
+    # this key, so its assessment is kept beside it
+    key = (None if state.attempted.get(target) or state.succeeded.get(target)
+           else (state.theta, target, _live_mask(state, target)))
+    hit = key and state.ctx.assessed.get(key)
+    if hit and hit[0] is d:
+        _, s, p = hit
+    else:
+        s = tuple(_kernels.scores_from_distances(d))
+        p = tuple(_kernels.probabilities_from_scores(s))
+        if key:
+            state.ctx.assessed[key] = d, s, p
     idx = _kernels.weighted_index(p, rng.random())
     chosen = ids[idx]
     action = state.db.by_id[chosen]
@@ -430,8 +454,8 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
         target=target,
         action_ids=ids,
         distances=d,
-        scores=tuple(s),
-        probabilities=tuple(p),
+        scores=s,
+        probabilities=p,
         chosen=chosen,
         chosen_name=action.name or action.id,
         probability=p[idx],

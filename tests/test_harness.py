@@ -439,12 +439,14 @@ USB_DROP = {"action": "usb-drop", "distance": 1.0, "score": 1.0,
             "probability": 1.0}
 
 
-def writer_trace(ids=("a1", "a2"), value=0.25, records=2):
+def writer_trace(ids=("a1", "a2"), value=0.25, records=2, distances=None):
     """A trace of `records` identical decisions whose candidates are `ids`,
-    every number `value`; via_edges and compromised_nodes are empty."""
+    every number `value` unless `distances` gives the distances;
+    via_edges and compromised_nodes are empty."""
     n = len(ids)
     rec = DecisionRecord(
-        target="N1", action_ids=ids, distances=(value,) * n,
+        target="N1", action_ids=ids,
+        distances=(value,) * n if distances is None else distances,
         scores=(value,) * n, probabilities=(value,) * n, chosen="a1",
         chosen_name="A one", probability=value, outcome="failure",
         source=EXTERNAL_ORIGIN)
@@ -490,10 +492,14 @@ class TestTraceSerialization:
     @example(trace=writer_trace(value=-math.inf))
     @example(trace=writer_trace(value=1e308))
     @example(trace=writer_trace(value=-1e308))
+    @example(trace=writer_trace(ids=("a1", "a2", "a3"),
+                                distances=(0.0, -0.0, 0.0)))
     def test_writer_matches_json_dumps(self, tmp_path_factory, trace):
         """A finite trace is written as json.dumps lays it out; one that
         json can only spell with NaN or Infinity raises, writing nothing.
-        1e308 overflows a sum of the values but is finite itself."""
+        1e308 overflows a sum of the values but is finite itself. The
+        writer spells each distinct distance once per trace, yet 0.0 and
+        -0.0, which compare equal, keep their own spellings."""
         path = tmp_path_factory.getbasetemp() / "writer.json"
         path.unlink(missing_ok=True)
         try:
