@@ -39,9 +39,10 @@ full scan gives, so the RNG use is unchanged.
 A decision's record keeps its candidates as four columns: the table's
 id and distance tuples themselves, then the assessment's scores and
 probabilities; no per-candidate object is built on the decision path.
-The assessment of a fresh target depends on its distances alone, so it
-is kept in the context beside the fresh-node memo, under the same key,
-and each such assessment is computed once per run and process.
+The assessment of a fresh target depends on its distances alone, which
+are the fresh-node memo's tuple, so the context keeps it beside that
+memo, keyed by the tuple's id, and each such assessment is computed once
+per run and process.
 """
 
 from __future__ import annotations
@@ -130,12 +131,14 @@ class DecisionContext:
       ``(ids, distances)`` tuples, which may be empty. It is filled on
       first use in each process and still holds at most nodes x
       2^channels entries per distinct scaled profile;
-    - the assessment memo, ``assessed``: under the same key, the
-      ``(distances, scores, probabilities)`` tuples of a decision on a
-      fresh target, stored by `step` on its first such decision. It
-      holds at most one entry per non-empty ``fresh`` entry, and an
-      entry is served only while its distances are the very tuple the
-      target's columns hold.
+    - the assessment memo, ``assessed``: the ``(distances, scores,
+      probabilities)`` tuples of a decision on a fresh target, keyed by
+      the id of the distances, stored by `step` on its first such
+      decision. An entry keeps its distances alive, so their id is not
+      reused while it is kept, and is served only to the very tuple it
+      holds. As a fresh target's distances are a ``fresh`` entry's, it
+      holds at most one entry per non-empty ``fresh`` entry. Ids do not
+      survive pickling, so a pickled context leaves it out.
 
     Immutable after construction apart from the profile cache and the
     two memos. What depends on an episode's history, such as each open
@@ -152,7 +155,7 @@ class DecisionContext:
         self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
         self._thetas: dict[str, tuple[Mapping, tuple, dict[str, float]]] = {}
         self.fresh: dict[tuple, Columns] = {}
-        self.assessed: dict[tuple, tuple[tuple[float, ...], ...]] = {}
+        self.assessed: dict[int, tuple[tuple[float, ...], ...]] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
@@ -181,6 +184,10 @@ class DecisionContext:
                            for e in system.edges_into(node.id)
                            if e.is_attack_vector)
             for node in system.nodes}
+
+    def __getstate__(self):
+        # the assessment memo's keys are ids, which pickling does not keep
+        return {**self.__dict__, "assessed": {}}
 
     def attacker_theta(self, attacker: AttackerProfile
                        ) -> tuple[tuple[ProfileValue, ...], dict[str, float]]:
@@ -433,18 +440,17 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     filter_valid(state, target)
     table = state._open
     ids, d = table[target]
-    # a fresh target's distances are the fresh-node memo's tuple under
-    # this key, so its assessment is kept beside it
-    key = (None if state.attempted.get(target) or state.succeeded.get(target)
-           else (state.theta, target, _live_mask(state, target)))
-    hit = key and state.ctx.assessed.get(key)
+    # a fresh target's distances are a fresh-node memo tuple, kept by
+    # the run; a failure's sliced tuples are not stored
+    fresh = not (state.attempted.get(target) or state.succeeded.get(target))
+    hit = fresh and state.ctx.assessed.get(id(d))
     if hit and hit[0] is d:
         _, s, p = hit
     else:
         s = tuple(_kernels.scores_from_distances(d))
         p = tuple(_kernels.probabilities_from_scores(s))
-        if key:
-            state.ctx.assessed[key] = d, s, p
+        if fresh:
+            state.ctx.assessed[id(d)] = d, s, p
     idx = _kernels.weighted_index(p, rng.random())
     chosen = ids[idx]
     action = state.db.by_id[chosen]

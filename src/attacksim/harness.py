@@ -19,7 +19,8 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from itertools import chain
 from math import isfinite, sqrt
 from pathlib import Path
 from random import Random
@@ -467,7 +468,7 @@ _CANDIDATE = ('        {\n          "action": %s,\n          "distance": %s,\n'
 class _Reprs(dict):
     """``repr`` of each float looked up, kept once per distinct nonzero
     value: ``0.0 == -0.0``, but their reprs differ, so zeros are never
-    kept."""
+    kept. Likewise ``1 == 1.0``, so only floats may be looked up."""
 
     __slots__ = ()
 
@@ -486,13 +487,13 @@ def _quoted_list(items, indent: str) -> str:
             + "\n" + indent + "]")
 
 
-def _candidates_json(rec: DecisionRecord, reprs: _Reprs) -> str:
+def _candidates_json(rec: DecisionRecord, spell) -> str:
     n = len(rec.action_ids)
     if not n:
         return "[]"
     args = [None] * (4 * n)
     args[0::4] = map(_quote, rec.action_ids)
-    args[1::4] = map(reprs.__getitem__, rec.distances)
+    args[1::4] = map(spell, rec.distances)
     args[2::4] = rec.scores
     args[3::4] = rec.probabilities
     return ("[\n" + ",\n".join([_CANDIDATE] * n) % tuple(args)
@@ -506,9 +507,9 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
     The fixed layout is written directly, one decision at a time: strings
     go through json's C escaper, numbers through ``repr``, and each
     decision's candidates through one ``%`` over a repeated template.
-    Distances recur across a trace's decisions, so each distinct one is
-    turned into text once per call (the numbers are floats, as the engine
-    and `trace_from_dict` give them).
+    Distances recur across a trace's decisions, so when they are all
+    floats, as the engine and `trace_from_dict` give them, each distinct
+    one is turned into text once per call.
     A trace holding a non-finite number, which no loader accepts, raises
     ValueError before the file is opened.
     """
@@ -521,7 +522,11 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
         raise ValueError(f"trace {trace.index} holds a non-finite number")
     path = Path(path)
     k = trace.knowledge
-    reprs = _Reprs()
+    # 1 == 1.0, yet json spells them apart, so a trace holding a
+    # non-float distance spells each one on its own
+    distances = chain.from_iterable(r.distances for r in trace.records)
+    spell = (_Reprs().__getitem__ if set(map(type, distances)) <= {float}
+             else repr)
     with path.open("w", encoding="utf-8") as f:
         f.write(_TRACE_HEAD % (trace.index, _quote(trace.profile),
                                _quote(trace.status)))
@@ -529,7 +534,7 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
         for r in trace.records:
             f.write(sep)
             f.write(_DECISION % (
-                _quote(r.target), _candidates_json(r, reprs), _quote(r.chosen),
+                _quote(r.target), _candidates_json(r, spell), _quote(r.chosen),
                 _quote(r.chosen_name), r.probability, _quote(r.outcome),
                 _quote(r.source), _quoted_list(r.via_edges, "      ")))
             sep = ",\n"
@@ -544,7 +549,9 @@ def load_trace(path: str | Path) -> EpisodeTrace:
 
 
 def report_to_dict(report: AggregateReport) -> dict:
-    return asdict(report)
+    """The report's fields by name. The dict shares the report's frequency
+    tables; it copies none of them."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def report_from_dict(doc: dict) -> AggregateReport:
@@ -583,10 +590,8 @@ def export_report(report: AggregateReport, path: str | Path,
     """Write the report as lossless JSON or flattened CSV."""
     path = Path(path)
     if fmt == "json":
-        # report_to_dict's asdict would deep-copy every frequency table;
-        # json.dumps needs only the top level as a dict
-        doc = {f.name: getattr(report, f.name) for f in fields(report)}
-        path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        path.write_text(json.dumps(report_to_dict(report), indent=2),
+                        encoding="utf-8")
     elif fmt == "csv":
         path.write_text(report_to_csv(report), encoding="utf-8")
     else:

@@ -2,22 +2,23 @@
 
 A decision on a fresh target, one with no attempted or succeeded action,
 assesses the fresh-node memo's distance tuple, so DecisionContext keeps
-its scores and probabilities beside that memo, under the same key. Every
-served entry must hold the engine's scores and probabilities of the
-record's distances, and the record must hold the memo's tuples
+its scores and probabilities beside that memo, keyed by the tuple's id.
+Every served entry must hold the engine's scores and probabilities of
+the record's distances, and the record must hold the memo's tuples
 themselves. Episodes run on generated instances, with direct knowledge
 edits between steps so the live channels of a node vary. A context
-whose memo never stores must give the same traces, and a profile name
-whose values change between runs of one context must get its own
-entries.
+whose memo never stores must give the same traces, a profile name whose
+values change between runs of one context must get its own entries, and
+a pickled context must leave the memo out.
 """
 
+import pickle
 from random import Random
 
 from hypothesis import given, settings, strategies as st
 
 from attacksim import engine
-from attacksim.engine import AttackState, DecisionContext, _live_mask, step
+from attacksim.engine import AttackState, DecisionContext, step
 from attacksim.harness import SimConfig, _episode_batch, trace_to_dict
 from attacksim.model import reveal_on_compromise
 from attacksim.profiles import AttackerProfile
@@ -66,14 +67,13 @@ def is_fresh(state, nid):
 
 def checked_step(state, rng):
     """One step; if its target was fresh, the record must hold the memo's
-    tuples under the target's key, served or stored, and a served entry
-    must equal a fresh assessment of the record's distances. Returns the
-    record, or None at the episode's end, and whether an entry was
-    served."""
+    tuples under the id of its distances, served or stored, and a served
+    entry must equal a fresh assessment of the record's distances.
+    Returns the record, or None at the episode's end, and whether an
+    entry was served."""
     memo = state.ctx.assessed
     k = state.knowledge
-    fresh = {nid: (state.theta, nid, _live_mask(state, nid))
-             for nid in k.known_nodes - k.compromised_nodes
+    fresh = {nid for nid in k.known_nodes - k.compromised_nodes
              if is_fresh(state, nid)}
     memo.reset()
     result = step(state, rng)
@@ -83,7 +83,7 @@ def checked_step(state, rng):
     if rec.target not in fresh:
         assert not memo.found and not memo.stored
         return rec, False
-    key = fresh[rec.target]
+    key = id(rec.distances)
     (looked_up, found), = memo.found
     assert looked_up == key
     served = not memo.stored
@@ -126,10 +126,11 @@ def test_served_entries_match_a_fresh_assessment(seed):
     ctx = context(system, db, RecordingMemo())
     for _ in range(4):
         run_episode(ctx, attacker, rng)
-    # one entry per stored key, each under a non-empty fresh-node entry
-    assert len(ctx.assessed) <= sum(1 for ids, _ in ctx.fresh.values()
-                                    if ids)
-    assert all(ctx.fresh[key][1] is entry[0]
+    # each entry holds the distances of a non-empty fresh-node entry,
+    # under their id
+    fresh = {id(d): d for ids, d in ctx.fresh.values() if ids}
+    assert len(ctx.assessed) <= len(fresh)
+    assert all(fresh.get(key) is entry[0]
                for key, entry in ctx.assessed.items())
 
 
@@ -161,6 +162,26 @@ def test_changed_profile_values_get_their_own_entries(seed):
         thetas.add(theta)
         before = set(ctx.assessed)
         run_episode(ctx, profile, rng)
-        # an entry added by this run is under this run's profile
-        assert all(key[0] == theta for key in set(ctx.assessed) - before)
-    assert {key[0] for key in ctx.assessed} <= thetas
+        # an entry added by this run holds distances the fresh-node memo
+        # keeps under this run's profile
+        owner = {id(d): key[0] for key, (_, d) in ctx.fresh.items()}
+        assert all(owner[key] == theta for key in set(ctx.assessed) - before)
+    assert {owner[key] for key in ctx.assessed} <= thetas
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_a_pickled_context_leaves_the_memo_out(seed):
+    rng = Random(seed)
+    system, db, attacker = random_instance(rng, max_actions=40)
+    config = SimConfig(12, seed=seed)
+    ctx = DecisionContext(system, db)
+    traces = _episode_batch(ctx, attacker, config, 0, 12)
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy.assessed == {}
+    copy.assessed = RecordingMemo()
+    assert list(map(trace_to_dict, _episode_batch(
+        copy, attacker, config, 0, 12))) == list(map(trace_to_dict, traces))
+    fresh = {id(d): d for ids, d in copy.fresh.values() if ids}
+    assert all(fresh.get(key) is entry[0]
+               for key, entry in copy.assessed.items())

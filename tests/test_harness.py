@@ -494,12 +494,14 @@ class TestTraceSerialization:
     @example(trace=writer_trace(value=-1e308))
     @example(trace=writer_trace(ids=("a1", "a2", "a3"),
                                 distances=(0.0, -0.0, 0.0)))
+    @example(trace=writer_trace(distances=(1, 1.0)))
     def test_writer_matches_json_dumps(self, tmp_path_factory, trace):
         """A finite trace is written as json.dumps lays it out; one that
         json can only spell with NaN or Infinity raises, writing nothing.
         1e308 overflows a sum of the values but is finite itself. The
         writer spells each distinct distance once per trace, yet 0.0 and
-        -0.0, which compare equal, keep their own spellings."""
+        -0.0, and 1 and 1.0, which compare equal, keep their own
+        spellings."""
         path = tmp_path_factory.getbasetemp() / "writer.json"
         path.unlink(missing_ok=True)
         try:
