@@ -36,9 +36,10 @@ target once none is left; a compromise drops the target and rederives
 only its neighbours. The draw is over the sorted keys, the same list a
 full scan gives, so the RNG use is unchanged.
 
-A decision's record keeps its candidates as four columns: the table's
-id and distance tuples themselves, then the assessment's scores and
-probabilities; no per-candidate object is built on the decision path.
+A decision's record is a NamedTuple, built positionally, that keeps its
+candidates as four columns: the table's id and distance tuples
+themselves, then the assessment's scores and probabilities; no
+per-candidate object is built on the decision path.
 The assessment of a fresh target depends on its distances alone, which
 are the fresh-node memo's tuple, so the context keeps it beside that
 memo, keyed by the tuple's id, and each such assessment is computed once
@@ -47,7 +48,6 @@ per run and process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 from typing import Mapping, NamedTuple, Sequence
 
@@ -75,10 +75,13 @@ class CandidateScore(NamedTuple):
     probability: float
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     """One decision: the candidate set with its full probability breakdown,
     the sampled action, and the Bernoulli outcome.
+
+    A NamedTuple, so it is immutable (assigning a field raises
+    AttributeError) and cheap to build; `step` builds it positionally, in
+    the field order below, which is therefore part of its contract.
 
     The candidates are stored as four parallel columns in canonical id
     order: ``action_ids[i]`` has distance ``distances[i]``, score
@@ -438,37 +441,30 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     if target is None:
         return None
     filter_valid(state, target)
+    ctx = state.ctx
     table = state._open
     ids, d = table[target]
     # a fresh target's distances are a fresh-node memo tuple, kept by
     # the run; a failure's sliced tuples are not stored
     fresh = not (state.attempted.get(target) or state.succeeded.get(target))
-    hit = fresh and state.ctx.assessed.get(id(d))
+    hit = fresh and ctx.assessed.get(id(d))
     if hit and hit[0] is d:
         _, s, p = hit
     else:
         s = tuple(_kernels.scores_from_distances(d))
         p = tuple(_kernels.probabilities_from_scores(s))
         if fresh:
-            state.ctx.assessed[id(d)] = d, s, p
+            ctx.assessed[id(d)] = d, s, p
     idx = _kernels.weighted_index(p, rng.random())
     chosen = ids[idx]
-    action = state.db.by_id[chosen]
+    action = ctx.db.by_id[chosen]
     success = rng.random() < action.success_probability
     via = viable_edges(state, target, chosen)
+    # positional, in DecisionRecord's field order
     record = DecisionRecord(
-        target=target,
-        action_ids=ids,
-        distances=d,
-        scores=s,
-        probabilities=p,
-        chosen=chosen,
-        chosen_name=action.name or action.id,
-        probability=p[idx],
-        outcome=SUCCESS if success else FAILURE,
-        source=state.system.edge_by_id[via[0]].from_node,
-        via_edges=via,
-    )
+        target, ids, d, s, p, chosen, action.name or action.id, p[idx],
+        SUCCESS if success else FAILURE,
+        ctx.system.edge_by_id[via[0]].from_node, via)
     # chosen was a candidate, so it was not yet attempted on the target
     state.attempted.setdefault(target, set()).add(chosen)
     # filter_valid has just matched the stamp to the state before this add
@@ -477,12 +473,12 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
         succeeded = state.succeeded.setdefault(target, set())
         won += chosen not in succeeded
         succeeded.add(chosen)
-        state.knowledge = reveal_on_compromise(state.knowledge, state.system,
+        state.knowledge = reveal_on_compromise(state.knowledge, ctx.system,
                                                target)
         state.current_target = None
         del table[target]
         compromised = state.knowledge.compromised_nodes
-        for nid in state.system.neighbours(target):
+        for nid in ctx.system.neighbours(target):
             if nid in table:  # its live channels may have widened
                 table[nid] = None
             elif nid not in compromised and (cols := _columns(state, nid))[0]:

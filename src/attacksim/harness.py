@@ -116,9 +116,8 @@ def _run_one(ctx: DecisionContext,
         if rec.outcome == SUCCESS and ctx.system.node_by_id[rec.target].is_target:
             status = TARGET_REACHED
             break
-    return EpisodeTrace(index=index, profile=attacker.name,
-                        records=tuple(records), status=status,
-                        knowledge=state.knowledge)
+    return EpisodeTrace(index, attacker.name, tuple(records), status,
+                        state.knowledge)
 
 
 def _resolve_mode(profiles: ProfileSet,
