@@ -21,6 +21,7 @@ from attacksim.harness import (
     export_report,
     export_trace_dot,
     load_trace,
+    resolve_mode,
     run_monte_carlo,
     save_trace,
 )
@@ -156,10 +157,10 @@ def cmd_simulate(args) -> int:
         max_steps=args.max_steps,
         parallelism=args.jobs,
     )
-    report, traces = run_monte_carlo(system, db, profile_set, config)
-
+    resolve_mode(profile_set, config)  # a bad config creates no --out
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    report, traces = run_monte_carlo(system, db, profile_set, config)
     export_report(report, out_dir / "report.json", "json")
     export_report(report, out_dir / "report.csv", "csv")
     for trace in traces[:args.traces]:

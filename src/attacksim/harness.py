@@ -120,8 +120,14 @@ def _run_one(ctx: DecisionContext,
                         state.knowledge)
 
 
-def _resolve_mode(profiles: ProfileSet,
-                  config: SimConfig) -> AttackerProfile | ProfilePmf:
+def resolve_mode(profiles: ProfileSet,
+                 config: SimConfig) -> AttackerProfile | ProfilePmf:
+    """The static profile or the PMF a run of `config` draws its attackers
+    from. An invalid config or an unknown profile name raises
+    ValidationFailure."""
+    errs = config.validate()
+    if errs:
+        raise ValidationFailure("invalid simulation config", errs)
     if config.profile is not None:
         prof = profiles.profiles.get(config.profile)
         if prof is None:
@@ -153,10 +159,7 @@ def run_monte_carlo(system: CpsSystem, db: ActionDatabase,
     workers, checks every profile the run can draw before the first
     episode.
     """
-    errs = config.validate()
-    if errs:
-        raise ValidationFailure("invalid simulation config", errs)
-    mode = _resolve_mode(profiles, config)
+    mode = resolve_mode(profiles, config)
     drawable = ([p for p, _ in mode.entries] if isinstance(mode, ProfilePmf)
                 else [mode])
     ctx = DecisionContext(system, db)
@@ -456,26 +459,37 @@ _TRACE_HEAD = ('{\n  "episode": %r,\n  "profile": %s,\n  "status": %s,\n'
                '  "decisions": ')
 _TRACE_TAIL = (',\n  "knowledge": {\n    "known_nodes": %s,\n'
                '    "known_edges": %s,\n    "compromised_nodes": %s\n  }\n}')
-_DECISION = ('    {\n      "target": %s,\n      "candidates": %s,\n'
-             '      "chosen": %s,\n      "chosen_name": %s,\n'
-             '      "probability": %r,\n      "outcome": %s,\n'
-             '      "source": %s,\n      "via_edges": %s\n    }')
-_CANDIDATE = ('        {\n          "action": %s,\n          "distance": %s,\n'
-              '          "score": %r,\n          "probability": %r\n        }')
+_DECISION_HEAD = '%s    {\n      "target": %s,\n      "candidates": '
+_DECISION_TAIL = (',\n      "chosen": %s,\n      "chosen_name": %s,\n'
+                  '      "probability": %r,\n      "outcome": %s,\n'
+                  '      "source": %s,\n      "via_edges": %s\n    }')
+# a candidate is its head (up to the score), its score, _TO_PROBABILITY,
+# its probability and _NEXT, or _LAST after the decision's last candidate
+_CANDIDATE_HEAD = ('        {\n          "action": %s,\n'
+                   '          "distance": %r,\n          "score": ')
+_TO_PROBABILITY = ',\n          "probability": '
+_NEXT = '\n        },\n'
+_LAST = '\n        }\n      ]'
 
 
-class _Reprs(dict):
-    """``repr`` of each float looked up, kept once per distinct nonzero
-    value: ``0.0 == -0.0``, but their reprs differ, so zeros are never
-    kept. Likewise ``1 == 1.0``, so only floats may be looked up."""
+def _candidate_head(key) -> str:
+    """The head of a candidate whose (action id, distance) is `key`."""
+    return _CANDIDATE_HEAD % (_quote(key[0]), key[1])
+
+
+class _Heads(dict):
+    """Each candidate head looked up, kept once per (action id, distance)
+    pair. ``0.0 == -0.0``, but their reprs differ, so a head with a zero
+    distance is never kept. Likewise ``1 == 1.0``, so only float distances
+    may be looked up."""
 
     __slots__ = ()
 
-    def __missing__(self, x):
-        r = repr(x)
-        if x:
-            self[x] = r
-        return r
+    def __missing__(self, key):
+        head = _candidate_head(key)
+        if key[1]:
+            self[key] = head
+        return head
 
 
 def _quoted_list(items, indent: str) -> str:
@@ -486,29 +500,32 @@ def _quoted_list(items, indent: str) -> str:
             + "\n" + indent + "]")
 
 
-def _candidates_json(rec: DecisionRecord, spell) -> str:
+def _candidates_json(rec: DecisionRecord, head) -> str:
+    """A decision's candidates as indent=2 lays them out, from five parts
+    a candidate, joined once; `head` gives each (id, distance) its head."""
     n = len(rec.action_ids)
     if not n:
         return "[]"
-    args = [None] * (4 * n)
-    args[0::4] = map(_quote, rec.action_ids)
-    args[1::4] = map(spell, rec.distances)
-    args[2::4] = rec.scores
-    args[3::4] = rec.probabilities
-    return ("[\n" + ",\n".join([_CANDIDATE] * n) % tuple(args)
-            + "\n      ]")
+    parts = [None, None, _TO_PROBABILITY, None, _NEXT] * n
+    parts[0::5] = map(head, zip(rec.action_ids, rec.distances))
+    parts[1::5] = map(repr, rec.scores)
+    parts[3::5] = map(repr, rec.probabilities)
+    parts[0] = "[\n" + parts[0]
+    parts[-1] = _LAST
+    return "".join(parts)
 
 
 def save_trace(trace: EpisodeTrace, path: str | Path):
     """Write a trace as JSON, byte-identical to
     ``json.dumps(trace_to_dict(trace), indent=2)``.
 
-    The fixed layout is written directly, one decision at a time: strings
-    go through json's C escaper, numbers through ``repr``, and each
-    decision's candidates through one ``%`` over a repeated template.
-    Distances recur across a trace's decisions, so when they are all
-    floats, as the engine and `trace_from_dict` give them, each distinct
-    one is turned into text once per call.
+    The fixed layout is written directly, one decision at a time, in
+    three writes: its head up to the candidates, its candidates' text and
+    the rest. Strings go through json's C escaper and numbers through
+    ``repr``. A candidate's text up to its score depends only on its
+    action id and distance, which recur across a trace's decisions, so
+    when the distances are all floats, as the engine and
+    `trace_from_dict` give them, each pair's head is built once per call.
     A trace holding a non-finite number, which no loader accepts, raises
     ValueError before the file is opened.
     """
@@ -522,20 +539,21 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
     path = Path(path)
     k = trace.knowledge
     # 1 == 1.0, yet json spells them apart, so a trace holding a
-    # non-float distance spells each one on its own
+    # non-float distance builds each head on its own
     distances = chain.from_iterable(r.distances for r in trace.records)
-    spell = (_Reprs().__getitem__ if set(map(type, distances)) <= {float}
-             else repr)
+    head = (_Heads().__getitem__ if set(map(type, distances)) <= {float}
+            else _candidate_head)
     with path.open("w", encoding="utf-8") as f:
         f.write(_TRACE_HEAD % (trace.index, _quote(trace.profile),
                                _quote(trace.status)))
         sep = "[\n"
         for r in trace.records:
-            f.write(sep)
-            f.write(_DECISION % (
-                _quote(r.target), _candidates_json(r, spell), _quote(r.chosen),
-                _quote(r.chosen_name), r.probability, _quote(r.outcome),
-                _quote(r.source), _quoted_list(r.via_edges, "      ")))
+            f.write(_DECISION_HEAD % (sep, _quote(r.target)))
+            f.write(_candidates_json(r, head))
+            f.write(_DECISION_TAIL % (
+                _quote(r.chosen), _quote(r.chosen_name), r.probability,
+                _quote(r.outcome), _quote(r.source),
+                _quoted_list(r.via_edges, "      ")))
             sep = ",\n"
         f.write("[]" if sep == "[\n" else "\n  ]")
         f.write(_TRACE_TAIL % tuple(

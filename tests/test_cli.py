@@ -682,6 +682,23 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: --traces must be >= 0\n"
         assert not out.exists()
 
+    def test_out_created_before_the_run(self, cstr_args, tmp_path, capsys,
+                                        monkeypatch):
+        def no_run(*args):
+            raise AssertionError("an episode ran")
+        monkeypatch.setattr("attacksim.cli.run_monte_carlo", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("simulate", *cstr_args, "--episodes", 20000,
+                       "--seed", 1, "--out", taken) == 3
+        assert "File exists" in capsys.readouterr().err
+        bad = tmp_path / "sys.json"
+        bad.write_text('{"nodes": [], "edges": []}')
+        out = tmp_path / "r"
+        assert run_cli("simulate", bad, cstr_args[1], cstr_args[2],
+                       "--episodes", 20000, "--seed", 1, "--out", out) == 1
+        assert not out.exists()
+
     def test_sole_profile_used_without_pmf(self, cstr_args, tmp_path):
         doc = json.loads(Path(cstr_args[2]).read_text())
         del doc["pmf"]

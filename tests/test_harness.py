@@ -439,22 +439,34 @@ USB_DROP = {"action": "usb-drop", "distance": 1.0, "score": 1.0,
             "probability": 1.0}
 
 
-def writer_trace(ids=("a1", "a2"), value=0.25, records=2, distances=None):
-    """A trace of `records` identical decisions whose candidates are `ids`,
-    every number `value` unless `distances` gives the distances;
-    via_edges and compromised_nodes are empty."""
+def writer_trace(ids=("a1", "a2"), value=0.25, records=2, distances=None,
+                 record_distances=None):
+    """A trace of `records` decisions whose candidates are `ids`, every
+    number `value` unless `distances` gives every decision's distances or
+    `record_distances` gives one tuple of distances per decision (and so
+    the number of decisions); via_edges and compromised_nodes are empty."""
     n = len(ids)
-    rec = DecisionRecord(
-        target="N1", action_ids=ids,
-        distances=(value,) * n if distances is None else distances,
-        scores=(value,) * n, probabilities=(value,) * n, chosen="a1",
-        chosen_name="A one", probability=value, outcome="failure",
-        source=EXTERNAL_ORIGIN)
+    if record_distances is None:
+        record_distances = ((value,) * n if distances is None
+                            else distances,) * records
     return harness.EpisodeTrace(
-        index=3, profile="p", records=(rec,) * records, status=EXHAUSTED,
+        index=3, profile="p", records=tuple(DecisionRecord(
+            target="N1", action_ids=ids, distances=d, scores=(value,) * n,
+            probabilities=(value,) * n, chosen="a1", chosen_name="A one",
+            probability=value, outcome="failure", source=EXTERNAL_ORIGIN)
+            for d in record_distances),
+        status=EXHAUSTED,
         knowledge=model.CpsKnowledge(known_nodes=frozenset({"N1", "N2"}),
                                      known_edges=frozenset({"E1"}),
                                      compromised_nodes=frozenset()))
+
+
+# wide-4x2000's size of decision: 2000 candidates, the second decision
+# keeping half of the first one's distances, zeros among both
+WIDE_IDS = tuple(f"a{i}" for i in range(2000))
+WIDE_DISTANCES = (tuple(i % 7 / 3 for i in range(2000)),
+                  tuple(i % 7 / 3 if i % 2 else -(i % 5 / 4)
+                        for i in range(2000)))
 
 
 class TestTraceSerialization:
@@ -495,13 +507,22 @@ class TestTraceSerialization:
     @example(trace=writer_trace(ids=("a1", "a2", "a3"),
                                 distances=(0.0, -0.0, 0.0)))
     @example(trace=writer_trace(distances=(1, 1.0)))
+    # one action id in two decisions of a trace: two nonzero distances,
+    # 0.0 then -0.0, 1.0 then 1, a decision of one candidate, and
+    # decisions of 2000
+    @example(trace=writer_trace(record_distances=((0.5, 2.0), (0.75, 2.0))))
+    @example(trace=writer_trace(record_distances=((0.0, 0.5), (-0.0, 0.5))))
+    @example(trace=writer_trace(record_distances=((1.0, 0.5), (1, 0.5))))
+    @example(trace=writer_trace(ids=("a1",), record_distances=((0.5,),) * 2))
+    @example(trace=writer_trace(ids=WIDE_IDS, record_distances=WIDE_DISTANCES))
     def test_writer_matches_json_dumps(self, tmp_path_factory, trace):
         """A finite trace is written as json.dumps lays it out; one that
         json can only spell with NaN or Infinity raises, writing nothing.
         1e308 overflows a sum of the values but is finite itself. The
-        writer spells each distinct distance once per trace, yet 0.0 and
-        -0.0, and 1 and 1.0, which compare equal, keep their own
-        spellings."""
+        writer builds a candidate's text up to its score once per (action
+        id, distance) pair of a trace, yet an id whose distance is 0.0 in
+        one decision and -0.0 in another, or 1.0 and then 1, which compare
+        equal, keeps each decision's own spelling."""
         path = tmp_path_factory.getbasetemp() / "writer.json"
         path.unlink(missing_ok=True)
         try:
