@@ -24,7 +24,10 @@ One function, `_columns`, derives a node's candidate ids and distances,
 as tuples that nothing mutates. Those of a fresh node, one with no
 attempted or succeeded action, come from the context's memo by scaled
 profile, node and live channel mask, filled on a miss even when empty:
-every episode starts with such scans, and the same keys recur.
+every episode starts with such scans, and the same keys recur. A fresh
+node's assessment depends on its distances alone, so the memo's entry
+holds its scores and probabilities too, computed once per run and
+process when the entry is filled.
 
 Neither a retry, the decision after a failed attempt on the same
 target, nor a retarget, the draw after a compromise or an exhausted
@@ -37,13 +40,9 @@ only its neighbours. The draw is over the sorted keys, the same list a
 full scan gives, so the RNG use is unchanged.
 
 A decision's record is a NamedTuple, built positionally, that keeps its
-candidates as four columns: the table's id and distance tuples
-themselves, then the assessment's scores and probabilities; no
+candidates as four columns: the table's columns themselves, whose
+scores and probabilities `step` computes for a target with history; no
 per-candidate object is built on the decision path.
-The assessment of a fresh target depends on its distances alone, which
-are the fresh-node memo's tuple, so the context keeps it beside that
-memo, keyed by the tuple's id, and each such assessment is computed once
-per run and process.
 """
 
 from __future__ import annotations
@@ -64,8 +63,10 @@ from attacksim.profiles import (
 SUCCESS = "success"
 FAILURE = "failure"
 
-# a node's candidate ids, in canonical id order, and their distances
-Columns = tuple[tuple[str, ...], tuple[float, ...]]
+# a node's candidate ids, in canonical id order, their distances, and
+# their scores and probabilities, or None, None until `step` scores them
+Columns = tuple[tuple[str, ...], tuple[float, ...],
+                tuple[float, ...] | None, tuple[float, ...] | None]
 
 
 class CandidateScore(NamedTuple):
@@ -88,7 +89,7 @@ class DecisionRecord(NamedTuple):
     ``scores[i]`` and selection probability ``probabilities[i]``.
     ``candidates`` derives the per-candidate view from them. A record of
     a decision on a fresh target shares all four tuples with the
-    context's memos, which nothing mutates.
+    context's memo, which nothing mutates.
     """
 
     target: str
@@ -130,21 +131,18 @@ class DecisionContext:
     - the fresh-node memo: the candidates of a node with no attempted or
       succeeded action depend only on the attacker's scaled profile, the
       node and the channel mask of its live edges, so each such scan is
-      kept, keyed by ``(scaled profile, node, live mask)``, as
-      ``(ids, distances)`` tuples, which may be empty. It is filled on
-      first use in each process and still holds at most nodes x
-      2^channels entries per distinct scaled profile;
-    - the assessment memo, ``assessed``: the ``(distances, scores,
-      probabilities)`` tuples of a decision on a fresh target, keyed by
-      the id of the distances, stored by `step` on its first such
-      decision. An entry keeps its distances alive, so their id is not
-      reused while it is kept, and is served only to the very tuple it
-      holds. As a fresh target's distances are a ``fresh`` entry's, it
-      holds at most one entry per non-empty ``fresh`` entry. Ids do not
-      survive pickling, so a pickled context leaves it out.
+      kept, keyed by ``(scaled profile, node, live mask)``, as four
+      tuples, which may be empty: the ids and distances, and their
+      scores and probabilities. It is filled on first use in each
+      process and holds at most nodes x 2^channels entries per distinct
+      scaled profile. By `sys.getsizeof`, an entry costs about 80 bytes
+      per candidate: 8 for each of its four tuple slots and 24 for each
+      score and probability float; the ids and distances themselves are
+      shared with the database and the profile cache. On wide-4x2000
+      its 4 entries hold 6,554 candidates in about 525 kB.
 
     Immutable after construction apart from the profile cache and the
-    two memos. What depends on an episode's history, such as each open
+    memo. What depends on an episode's history, such as each open
     node's candidates, lives in its AttackState.
     """
 
@@ -158,7 +156,6 @@ class DecisionContext:
         self.unordered_mask = [p.kind == UNORDERED_SET for p in db.schema]
         self._thetas: dict[str, tuple[Mapping, tuple, dict[str, float]]] = {}
         self.fresh: dict[tuple, Columns] = {}
-        self.assessed: dict[int, tuple[tuple[float, ...], ...]] = {}
 
         names = sorted({c for e in system.edges for c in e.channels}
                        | {c for a in db.actions for c in a.channels})
@@ -188,10 +185,6 @@ class DecisionContext:
                            if e.is_attack_vector)
             for node in system.nodes}
 
-    def __getstate__(self):
-        # the assessment memo's keys are ids, which pickling does not keep
-        return {**self.__dict__, "assessed": {}}
-
     def attacker_theta(self, attacker: AttackerProfile
                        ) -> tuple[tuple[ProfileValue, ...], dict[str, float]]:
         """Scale an attacker profile, checked by
@@ -219,12 +212,12 @@ class AttackState:
     only gain actions, and ``knowledge`` is replaced, never mutated.
 
     The state keeps one candidate table: every known, uncompromised node
-    with at least one candidate, mapped to its ``(ids, distances)``
-    tuples, or to None while a compromise may have widened them. It is
-    stamped with the knowledge and the total sizes of all ``attempted``
-    and ``succeeded`` sets, which under the contract change with every
-    edit that can change a node's candidates; `_columns` on every known
-    node rebuilds it whenever the stamp does not match. Otherwise `step`
+    with at least one candidate, mapped to its columns, or to None while
+    a compromise may have widened them. It is stamped with the knowledge
+    and the total sizes of all ``attempted`` and ``succeeded`` sets,
+    which under the contract change with every edit that can change a
+    node's candidates; `_columns` on every known node rebuilds it
+    whenever the stamp does not match. Otherwise `step`
     keeps it, and its stamp, current without a scan: a failure can only
     shrink its target's columns, and a compromise can only open or widen
     the compromised node's neighbours, because `reveal_on_compromise`
@@ -270,8 +263,9 @@ def _columns(state: AttackState, node: str) -> Columns:
 
     Only the dynamic predicates are checked here; criteria matching was
     done once per run in the context. A fresh node's columns come from the
-    context's memo, scanned and stored on a miss, even when empty. The
-    node must be known and not compromised.
+    context's memo, scanned, scored and stored on a miss, even when
+    empty; those of a node with history carry None for their scores and
+    probabilities. The node must be known and not compromised.
     """
     live = _live_mask(state, node)
     attempted = state.attempted.get(node, ())
@@ -285,10 +279,17 @@ def _columns(state: AttackState, node: str) -> Columns:
     ids = tuple(aid for aid, mask, prereqs in state.ctx.actions_for[node]
                 if mask & live and aid not in attempted
                 and prereqs <= succeeded)
-    cols = ids, tuple(map(state._distances.__getitem__, ids))
-    if fresh:
-        state.ctx.fresh[key] = cols
+    d = tuple(map(state._distances.__getitem__, ids))
+    if not fresh:
+        return ids, d, None, None
+    cols = state.ctx.fresh[key] = ids, d, *_assess(d)
     return cols
+
+
+def _assess(d: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """The scores and probabilities of a candidate set's distances."""
+    s = tuple(_kernels.scores_from_distances(d))
+    return s, tuple(_kernels.probabilities_from_scores(s))
 
 
 def _table(state: AttackState) -> dict:
@@ -429,13 +430,12 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     Returns None when no node has qualified actions left (episode end).
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
-    whatever its reported effect. The record's ids and distances are the
-    target's columns in the candidate table; a fresh target's scores and
-    probabilities come from the context's assessment memo, assessed and
-    stored on a miss. A failure replaces the columns with
-    columns that lack the action, or drops an exhausted target; a
-    compromise drops its target and rederives only its neighbours' columns
-    (see AttackState).
+    whatever its reported effect. The record's columns are the target's
+    in the candidate table; their scores and probabilities are computed
+    here unless they came with the fresh-node memo's entry. A failure
+    replaces the columns with unscored columns that lack the action, or
+    drops an exhausted target; a compromise drops its target and
+    rederives only its neighbours' columns (see AttackState).
     """
     target = select_target(state, rng)
     if target is None:
@@ -443,18 +443,9 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
     filter_valid(state, target)
     ctx = state.ctx
     table = state._open
-    ids, d = table[target]
-    # a fresh target's distances are a fresh-node memo tuple, kept by
-    # the run; a failure's sliced tuples are not stored
-    fresh = not (state.attempted.get(target) or state.succeeded.get(target))
-    hit = fresh and ctx.assessed.get(id(d))
-    if hit and hit[0] is d:
-        _, s, p = hit
-    else:
-        s = tuple(_kernels.scores_from_distances(d))
-        p = tuple(_kernels.probabilities_from_scores(s))
-        if fresh:
-            ctx.assessed[id(d)] = d, s, p
+    ids, d, s, p = table[target]
+    if s is None:
+        s, p = _assess(d)
     idx = _kernels.weighted_index(p, rng.random())
     chosen = ids[idx]
     action = ctx.db.by_id[chosen]
@@ -485,7 +476,8 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
                 table[nid] = cols
     else:
         if len(ids) > 1:
-            table[target] = ids[:idx] + ids[idx + 1:], d[:idx] + d[idx + 1:]
+            table[target] = (ids[:idx] + ids[idx + 1:], d[:idx] + d[idx + 1:],
+                             None, None)
         else:
             del table[target]
         state.current_target = target

@@ -102,7 +102,6 @@ def _run_one(ctx: DecisionContext,
         attacker = profile_or_pmf
     state = AttackState(ctx, attacker)
     records: list[DecisionRecord] = []
-    status = EXHAUSTED
     while True:
         if config.max_steps is not None and len(records) >= config.max_steps:
             status = STEP_CAPPED
@@ -111,8 +110,8 @@ def _run_one(ctx: DecisionContext,
         if result is None:
             status = EXHAUSTED
             break
-        records.append(result[1])
-        rec = records[-1]
+        rec = result[1]
+        records.append(rec)
         if rec.outcome == SUCCESS and ctx.system.node_by_id[rec.target].is_target:
             status = TARGET_REACHED
             break

@@ -1,21 +1,32 @@
-"""The fresh-node memo against the brute-force filter oracle.
+"""The fresh-node memo against the brute-force filter oracle and a fresh
+assessment.
 
 A node with no attempted or succeeded action has candidates that depend
 only on the attacker's scaled profile, the node and the channels of its
-live edges, so DecisionContext keeps each such scan, empty or not. The
-memo is read wherever the engine derives a node's candidates, so each
-served entry is found by its key: for every fresh open node whose key
-was served, the entry must equal the oracle's candidates and a fresh
-single-pair distance for each. Episodes run on generated instances, with
-direct knowledge edits between steps so the live channels vary. A
-profile name whose values change between runs of one context must get
-its own entries, and two names with equal values must share them.
+live edges, so DecisionContext keeps each such scan, empty or not, with
+its scores and probabilities. The memo is read wherever the engine
+derives a node's candidates, so each served entry is found by its key:
+for every fresh open node whose key was served, the entry must hold the
+oracle's candidates, a fresh single-pair distance for each, and the
+engine's scores and probabilities of those distances, and a decision on
+a fresh target must record the entry's tuples themselves. Episodes run
+on generated instances, with direct knowledge edits between steps so the
+live channels vary. A profile name whose values change between runs of
+one context must get its own entries, two names with equal values must
+share them, a memo that never stores must give the same traces, and a
+pickled context must keep its entries. The score kernel runs once per
+entry, plus once per decision on a target with history.
 """
 
+import operator
+import pickle
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from attacksim import _kernels, engine
+from attacksim.actions import load_action_db
 from attacksim.engine import (
     AttackState,
     DecisionContext,
@@ -24,8 +35,9 @@ from attacksim.engine import (
     filter_valid,
     step,
 )
-from attacksim.model import reveal_on_compromise
-from attacksim.profiles import AttackerProfile
+from attacksim.harness import SimConfig, _episode_batch, resolve_mode, trace_to_dict
+from attacksim.model import load_system, reveal_on_compromise
+from attacksim.profiles import AttackerProfile, load_profiles
 
 from genrand import random_instance, random_value
 from oracle_filter import brute_force_valid
@@ -46,6 +58,13 @@ class RecordingMemo(dict):
         return found
 
 
+class NeverStores(dict):
+    """A fresh-node memo that keeps nothing, so every scan is scored anew."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def recording_context(system, db):
     ctx = DecisionContext(system, db)
     ctx.fresh = RecordingMemo()
@@ -59,8 +78,9 @@ def is_fresh(state, nid):
 def check_fresh_nodes(state):
     """Score every fresh open node; then each one whose memo key was
     served since the last check must find the oracle's candidates with
-    fresh distances under it. Returns the hits: served, non-empty
-    entries."""
+    fresh distances, scores and probabilities under it. Returns the
+    hits, served non-empty entries, and the memo key of every fresh open
+    node."""
     ctx = state.ctx
     beta = [p.criticality for p in ctx.db.schema]
     k = state.knowledge
@@ -69,30 +89,44 @@ def check_fresh_nodes(state):
     want = {nid: sorted(brute_force_valid(state, nid)) for nid in fresh}
     for nid in fresh:
         assert filter_valid(state, nid) == want[nid]
+    keys = {nid: (state.theta, nid, _live_mask(state, nid)) for nid in fresh}
     hits = 0
-    for nid in fresh:
-        key = (state.theta, nid, _live_mask(state, nid))
+    for nid, key in keys.items():
         if key not in ctx.fresh.served:
             continue
-        ids, dists = ctx.fresh[key]
+        ids, dists, s, p = ctx.fresh[key]
         assert list(ids) == want[nid]
         assert dists == tuple(
             distance(state.theta, ctx.action_profiles[a], beta)
             for a in ids)
+        if ids:
+            assert s == tuple(engine.scores(dists))
+            assert p == tuple(engine.probabilities(s))
+        else:
+            assert s == p == ()
         hits += bool(ids)
     ctx.fresh.served.clear()
-    return hits
+    return hits, keys
 
 
 def run_episode(ctx, attacker, rng, edit=0.25):
-    """One episode, checked before every step; with probability `edit`
-    a step is followed by a direct knowledge edit. Returns the hits."""
+    """One episode, checked before every step, with each record of a
+    decision on a fresh target checked against the memo's entry; with
+    probability `edit` a step is followed by a direct knowledge edit.
+    Returns the hits."""
     state = AttackState(ctx, attacker)
     hits = 0
     for _ in range(80):
-        hits += check_fresh_nodes(state)
-        if step(state, rng) is None:
+        served, keys = check_fresh_nodes(state)
+        hits += served
+        result = step(state, rng)
+        if result is None:
             break
+        rec = result[1]
+        if rec.target in keys:
+            entry = ctx.fresh[keys[rec.target]]
+            columns = rec.action_ids, rec.distances, rec.scores, rec.probabilities
+            assert all(map(operator.is_, entry, columns))
         k = state.knowledge
         open_nodes = sorted(k.known_nodes - k.compromised_nodes)
         if open_nodes and rng.random() < edit:
@@ -106,6 +140,10 @@ def has_open_candidate(ctx, attacker):
     k = state.knowledge
     return any(brute_force_valid(state, n)
                for n in k.known_nodes - k.compromised_nodes)
+
+
+def trace_dicts(traces):
+    return list(map(trace_to_dict, traces))
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,7 +184,78 @@ def test_equal_profiles_share_entries(seed):
     state = AttackState(ctx, twin)
     k = state.knowledge
     # every open node with a candidate is served from the attacker's entries
-    assert check_fresh_nodes(state) == sum(
+    assert check_fresh_nodes(state)[0] == sum(
         1 for n in k.known_nodes - k.compromised_nodes
         if brute_force_valid(state, n))
     assert set(ctx.fresh) == keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_a_memo_that_never_stores_gives_the_same_traces(seed):
+    rng = Random(seed)
+    system, db, attacker = random_instance(rng, max_actions=40)
+    config = SimConfig(12, seed=seed)
+    plain = DecisionContext(system, db)
+    plain.fresh = NeverStores()
+    assert trace_dicts(_episode_batch(
+        DecisionContext(system, db), attacker, config, 0, 12)) == trace_dicts(
+        _episode_batch(plain, attacker, config, 0, 12))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_a_pickled_context_keeps_its_entries(seed):
+    rng = Random(seed)
+    system, db, attacker = random_instance(rng, max_actions=40)
+    config = SimConfig(12, seed=seed)
+    ctx = DecisionContext(system, db)
+    traces = _episode_batch(ctx, attacker, config, 0, 12)
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy.fresh == ctx.fresh
+    assert trace_dicts(_episode_batch(
+        copy, attacker, config, 0, 12)) == trace_dicts(traces)
+    # the same episodes again find every scan they need in the copy
+    assert copy.fresh.keys() == ctx.fresh.keys()
+
+
+def check_scored_once(ctx, mode, config):
+    """The score kernel runs at most once per fresh-memo entry, plus once
+    per decision on a target with history: one that an earlier decision
+    of its episode attempted. Every episode's first decision is on a
+    fresh target, so scoring each decision anew breaks the bound."""
+    calls = []
+    kernel = _kernels.scores_from_distances
+
+    def counting(d):
+        calls.append(None)
+        return kernel(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "scores_from_distances", counting)
+        traces = _episode_batch(ctx, mode, config, 0, config.episode_count)
+    history = 0
+    for trace in traces:
+        seen = set()
+        for rec in trace.records:
+            history += rec.target in seen
+            seen.add(rec.target)
+    assert len(calls) <= len(ctx.fresh) + history
+
+
+def test_fixture_batch_scores_each_entry_once(cstr_paths):
+    profiles = load_profiles(cstr_paths["profiles"])
+    system = load_system(cstr_paths["system"])
+    db = load_action_db(cstr_paths["actions"], profiles.schema)
+    config = SimConfig(200, seed=11)
+    check_scored_once(DecisionContext(system, db),
+                      resolve_mode(profiles, config), config)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_generated_batch_scores_each_entry_once(seed):
+    rng = Random(seed)
+    system, db, attacker = random_instance(rng, max_actions=40)
+    check_scored_once(DecisionContext(system, db), attacker,
+                      SimConfig(12, seed=seed))
