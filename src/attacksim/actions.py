@@ -81,6 +81,9 @@ class ActionDatabase:
     """Immutable collection of actions plus the property schema they cover.
 
     Actions are kept in canonical id order for reproducible iteration.
+    Any success compromises its target, so no run can meet a prerequisite:
+    an action with prerequisites is validated (unknown ids, self-reference,
+    cycles) but never offered.
     """
 
     def __init__(self, actions: Iterable[Action], schema: ProfileSchema):
@@ -127,38 +130,35 @@ class ActionDatabase:
         return v
 
     def _find_cycles(self) -> list[str]:
-        # iterative DFS over the prerequisite graph; GRAY = on current path
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {a.id: WHITE for a in self.actions}
+        # depth-first from each action with prerequisites (one without lies
+        # on no cycle); `stack` pairs each action on the branch with an
+        # iterator over its unexplored prerequisites, `path` holds its ids
+        by_id = self.by_id
+        done: set[str] = set()
         cycles: list[str] = []
-        for root in self.actions:
-            if color[root.id] != WHITE:
+        for root in by_id.values():
+            if not root.prerequisites or root.id in done:
                 continue
-            path: list[str] = []
-            stack: list[tuple[str, int]] = [(root.id, 0)]
+            path = {root.id: None}
+            stack = [(root.id, iter(sorted(root.prerequisites)))]
             while stack:
-                aid, idx = stack.pop()
-                if idx == 0:
-                    color[aid] = GRAY
-                    path.append(aid)
-                prereqs = sorted(self.by_id[aid].prerequisites)
-                advanced = False
-                while idx < len(prereqs):
-                    pre = prereqs[idx]
-                    idx += 1
-                    if pre not in color:
+                aid, todo = stack[-1]
+                for pre in todo:
+                    # validate reports unknown ids and self-references
+                    if pre == aid or pre in done or pre not in by_id:
                         continue
-                    if color[pre] == GRAY:
-                        cyc = path[path.index(pre):] + [pre]
-                        cycles.append("prerequisite cycle: " + " -> ".join(cyc))
-                    elif color[pre] == WHITE:
-                        stack.append((aid, idx))
-                        stack.append((pre, 0))
-                        advanced = True
+                    if pre not in path:
+                        path[pre] = None
+                        stack.append(
+                            (pre, iter(sorted(by_id[pre].prerequisites))))
                         break
-                if not advanced:
-                    color[aid] = BLACK
-                    path.pop()
+                    ids = list(path)
+                    cycles.append("prerequisite cycle: " + " -> ".join(
+                        ids[ids.index(pre):] + [pre]))
+                else:
+                    done.add(aid)
+                    path.popitem()
+                    stack.pop()
         return cycles
 
     @cached_property

@@ -580,22 +580,21 @@ REPORT_CSV_HEADER = ["section", "name", "count", "frequency"]
 def report_to_csv(report: AggregateReport) -> str:
     """Flatten the frequency tables: one row per action, node, entry point
     and profile, plus one summary row."""
+    profile_frequencies = {
+        name: count / report.episodes if report.episodes else 0.0
+        for name, count in report.profile_counts.items()}
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(REPORT_CSV_HEADER)
-    for name in sorted(report.action_counts):
-        w.writerow(["action", name, report.action_counts[name],
-                    repr(report.action_frequencies[name])])
-    for name in sorted(report.node_compromise_counts):
-        w.writerow(["node", name, report.node_compromise_counts[name],
-                    repr(report.node_compromise_frequencies[name])])
-    for name in sorted(report.entry_point_counts):
-        w.writerow(["entry_point", name, report.entry_point_counts[name],
-                    repr(report.entry_point_frequencies[name])])
-    for name in sorted(report.profile_counts):
-        count = report.profile_counts[name]
-        w.writerow(["profile", name, count,
-                    repr(count / report.episodes if report.episodes else 0.0)])
+    for section, counts, frequencies in (
+            ("action", report.action_counts, report.action_frequencies),
+            ("node", report.node_compromise_counts,
+             report.node_compromise_frequencies),
+            ("entry_point", report.entry_point_counts,
+             report.entry_point_frequencies),
+            ("profile", report.profile_counts, profile_frequencies)):
+        for name in sorted(counts):
+            w.writerow([section, name, counts[name], repr(frequencies[name])])
     w.writerow(["summary", "success_rate", report.successes,
                 repr(report.success_rate)])
     return buf.getvalue()

@@ -2,6 +2,7 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attacksim.actions import (
     Action,
@@ -103,6 +104,99 @@ class TestDatabaseValidation:
     def test_empty_database_rejected(self):
         errs = ActionDatabase([], small_schema()).validate()
         assert any("at least one action" in e for e in errs)
+
+
+CHAIN = [f"A{i:04d}" for i in range(5000)]
+# each graph maps an action id to its prerequisites: a string of one-letter
+# ids, or a list
+CYCLE_CASES = {
+    "diamond": ({"A": "BC", "B": "D", "C": "D", "D": ""}, []),
+    "two disjoint cycles": (
+        {"A": "B", "B": "A", "C": "D", "D": "E", "E": "C"},
+        ["prerequisite cycle: A -> B -> A",
+         "prerequisite cycle: C -> D -> E -> C"]),
+    "cycle reached from an acyclic action": (
+        {"A": "B", "B": "C", "C": "D", "D": "B"},
+        ["prerequisite cycle: B -> C -> D -> B"]),
+    "two cycles through one action": (
+        {"A": "BC", "B": "A", "C": "A"},
+        ["prerequisite cycle: A -> B -> A",
+         "prerequisite cycle: A -> C -> A"]),
+    "two cycles sharing the middle action": (
+        {"A": "B", "B": "AC", "C": "B"},
+        ["prerequisite cycle: A -> B -> A",
+         "prerequisite cycle: B -> C -> B"]),
+    "unknown prerequisite on a cycle": (
+        {"A": ["B", "ghost"], "B": "A"},
+        ["action 'A': unknown prerequisite 'ghost'",
+         "prerequisite cycle: A -> B -> A"]),
+    "self-reference": (
+        {"A": "A"}, ["action 'A' lists itself as a prerequisite"]),
+    "self-reference on a cycle": (
+        {"A": "AB", "B": "A"},
+        ["action 'A' lists itself as a prerequisite",
+         "prerequisite cycle: A -> B -> A"]),
+    "5000-action chain": (
+        {a: CHAIN[i + 1:i + 2] for i, a in enumerate(CHAIN)}, []),
+    "5000-action ring": (
+        {a: [CHAIN[(i + 1) % len(CHAIN)]] for i, a in enumerate(CHAIN)},
+        ["prerequisite cycle: " + " -> ".join(CHAIN + CHAIN[:1])]),
+}
+
+
+def prerequisite_db(graph) -> ActionDatabase:
+    return ActionDatabase([make_action(a, prerequisites=frozenset(pres))
+                           for a, pres in graph.items()], small_schema())
+
+
+@st.composite
+def prerequisite_graphs(draw):
+    ids = [f"a{i}" for i in range(draw(st.integers(1, 8)))]
+    pres = st.frozensets(st.sampled_from(ids + ["ghost"]), max_size=4)
+    return {a: draw(pres) for a in ids}
+
+
+def kahn_cyclic(graph) -> set[str]:
+    """The actions Kahn's algorithm cannot order, over the edges from an
+    action to each of its known prerequisites other than itself: every
+    action on a cycle, and every prerequisite, direct or not, of one."""
+    edges = {a: {p for p in pres if p in graph and p != a}
+             for a, pres in graph.items()}
+    indegree = {a: 0 for a in graph}
+    for pres in edges.values():
+        for p in pres:
+            indegree[p] += 1
+    ready = [a for a, d in indegree.items() if d == 0]
+    left = set(graph)
+    while ready:
+        a = ready.pop()
+        left.discard(a)
+        for p in edges[a]:
+            indegree[p] -= 1
+            if indegree[p] == 0:
+                ready.append(p)
+    return left
+
+
+class TestPrerequisiteCycles:
+    @pytest.mark.parametrize("graph, expected", CYCLE_CASES.values(),
+                             ids=CYCLE_CASES.keys())
+    def test_validate_lists(self, graph, expected):
+        assert prerequisite_db(graph).validate() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=prerequisite_graphs())
+    def test_cycles_match_kahn(self, graph):
+        cycles = [e.removeprefix("prerequisite cycle: ").split(" -> ")
+                  for e in prerequisite_db(graph).validate()
+                  if e.startswith("prerequisite cycle: ")]
+        left = kahn_cyclic(graph)
+        assert bool(cycles) == bool(left)
+        for cycle in cycles:
+            assert cycle[0] == cycle[-1] and len(cycle) >= 3
+            assert set(cycle) <= left
+            for a, pre in zip(cycle, cycle[1:]):
+                assert a != pre and pre in graph[a]
 
 
 class TestLoadActionDb:

@@ -10,6 +10,7 @@ distances of the profile in its key.
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from attacksim import engine
@@ -19,6 +20,8 @@ from attacksim.profiles import AttackerProfile
 
 from genrand import random_instance, random_value
 from test_fresh_memo import RecordingMemo, run_episode
+
+pytestmark = pytest.mark.hashseed
 
 
 def assessed(dists):

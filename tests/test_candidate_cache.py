@@ -14,6 +14,7 @@ steps that follow an edit.
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from attacksim.engine import (
@@ -37,6 +38,8 @@ from attacksim.profiles import AttackerProfile, ProfileSchema, PropertySchema
 
 from genrand import random_instance
 from oracle_filter import brute_force_valid
+
+pytestmark = pytest.mark.hashseed
 
 
 def open_nodes(state):

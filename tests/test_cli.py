@@ -731,6 +731,16 @@ class TestIngest:
         doc = json.loads(out.read_text())
         assert len(doc["skeletons"]) == 3
 
+    def test_unannotated_skeleton_reported_and_skipped(self, tmp_path,
+                                                       capsys):
+        doc = {**ANNOTATIONS, "annotations": {
+            aid: ann for aid, ann in ANNOTATIONS["annotations"].items()
+            if aid != "CAPEC-94"}}
+        assert ingest_annotations(tmp_path, doc) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "unannotated: CAPEC-94\n"
+        assert captured.out == "imported=6 annotated=5 skipped=1\n"
+
     def test_zero_sources_is_usage_error(self, tmp_path):
         assert run_cli("ingest", "--out", tmp_path / "x.json") == 2
 
@@ -812,6 +822,13 @@ class TestTrace:
         out = capsys.readouterr().out.strip().splitlines()
         doc = json.loads(Path(trace_file).read_text())
         assert len(out) == 2 + len(doc["decisions"])  # header lines + rows
+
+    def test_array_document_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "trace.json"
+        bad.write_text("[]")
+        assert run_cli("trace", bad) == 1
+        assert capsys.readouterr().err == (
+            "trace document must be a JSON object\n")
 
     def test_dot_output_is_structurally_valid(self, trace_file, capsys):
         assert run_cli("trace", trace_file, "--dot") == 0

@@ -42,6 +42,8 @@ from attacksim.profiles import AttackerProfile, load_profiles
 from genrand import random_instance, random_value
 from oracle_filter import brute_force_valid
 
+pytestmark = pytest.mark.hashseed
+
 
 class RecordingMemo(dict):
     """The fresh-node memo, recording the key of every entry a lookup

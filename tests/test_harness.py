@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import pickle
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
+from multiprocessing import get_context
 from random import Random
 
 import pytest
@@ -312,6 +314,29 @@ class TestRunMonteCarlo:
         serial, _ = run_monte_carlo(system, db, profiles, SimConfig(30, seed=5))
         assert report_to_dict(report) == report_to_dict(serial)
 
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_jobs_reproduce_serial_under_start_method(self, cstr_paths,
+                                                      monkeypatch, method):
+        entered = []
+
+        class Pool(ProcessPoolExecutor):
+            def __enter__(self):
+                entered.append(method)
+                return super().__enter__()
+
+        system, db, profiles = load_cstr(cstr_paths)
+        serial = run_monte_carlo(system, db, profiles, SimConfig(400, seed=9))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            Pool, mp_context=get_context(method)))
+        # with one CPU the run would stay serial and never use the pool
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        report, traces = run_monte_carlo(
+            system, db, profiles, SimConfig(400, seed=9, parallelism=2))
+        assert entered == [method]
+        assert report_to_dict(report) == report_to_dict(serial[0])
+        assert ([trace_to_dict(t) for t in traces]
+                == [trace_to_dict(t) for t in serial[1]])
+
     def test_system_validated_once_per_run(self, cstr_paths, monkeypatch):
         system, db, profiles = load_cstr(cstr_paths)
         calls = []
@@ -396,6 +421,7 @@ class TestAggregate:
         assert lo < 0.5 < hi
         assert wilson_ci95(0, 10)[0] == 0.0
         assert wilson_ci95(10, 10)[1] == 1.0
+        assert wilson_ci95(0, 0) == (0.0, 1.0)
 
 
 class TestEpisodeSeed:

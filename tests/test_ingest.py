@@ -67,6 +67,9 @@ WRONG_SHAPE_FEEDS = [
                  id="2.0-cpe-list"),
 ]
 
+# a CPE string with a vendor but no product field
+SHORT_CPE = "cpe:2.3:o:acmecontrols"
+
 
 def annotation(access="Direct", knowledge=5, **extra):
     return dict({"profile": {"Access": access, "Knowledge": knowledge},
@@ -117,6 +120,16 @@ class TestImportCapec:
         with pytest.warns(UserWarning, match="namespace"):
             skeletons = import_capec(path)
         assert [sk.id for sk in skeletons] == ["CAPEC-1"]
+
+    def test_pattern_without_id_skipped(self, tmp_path):
+        path = tmp_path / "noid.xml"
+        path.write_text('<Attack_Pattern_Catalog '
+                        'xmlns="http://capec.mitre.org/capec-3">'
+                        '<Attack_Patterns>'
+                        '<Attack_Pattern Name="anonymous"/>'
+                        '<Attack_Pattern ID="1" Name="x"/>'
+                        '</Attack_Patterns></Attack_Pattern_Catalog>')
+        assert [sk.id for sk in import_capec(path)] == ["CAPEC-1"]
 
     def test_import_is_pure(self):
         first = import_capec(DATA / "capec_sample.xml")
@@ -175,6 +188,31 @@ class TestImportCveFeed:
             "product": ("rio_firmware", "rio_100", "historian")}
         assert second.references == ("CVE-2031-20002",)
         assert second.suggested_criteria == {}
+
+    @pytest.mark.parametrize("feed", [
+        pytest.param({"CVE_Items": [{"cve": {"CVE_data_meta": {
+                         "ID": "CVE-1"}}, "configurations": {"nodes": [
+                         {"cpe_match": [{"cpe23Uri": SHORT_CPE}]}]}}]},
+                     id="1.1"),
+        pytest.param({"vulnerabilities": [{"cve": {
+                         "id": "CVE-1", "configurations": [{"nodes": [
+                             {"cpeMatch": [{"criteria": SHORT_CPE}]}]}]}}]},
+                     id="2.0"),
+    ])
+    def test_cpe_of_fewer_than_five_fields_adds_no_criteria(self, tmp_path,
+                                                            feed):
+        path = tmp_path / "feed.json"
+        path.write_text(json.dumps(feed))
+        [skeleton] = import_cve_feed(path)
+        assert skeleton.suggested_criteria == {}
+        assert skeleton.references == ("CVE-1", SHORT_CPE)
+
+    def test_nvd_2_0_item_without_id_skipped(self, tmp_path):
+        path = tmp_path / "feed.json"
+        path.write_text(json.dumps({"vulnerabilities": [
+            {"cve": {"descriptions": [{"lang": "en", "value": "x"}]}},
+            {"cve": {"id": "CVE-1"}}]}))
+        assert [sk.id for sk in import_cve_feed(path)] == ["CVE-1"]
 
     @pytest.mark.parametrize("feed, message", WRONG_SHAPE_FEEDS)
     def test_wrong_shape_feed_exits_one(self, tmp_path, capsys, feed,

@@ -27,6 +27,8 @@ from attacksim.harness import SimConfig, run_monte_carlo, save_trace
 from attacksim.profiles import ProfileSet
 from genrand import random_instance
 
+pytestmark = pytest.mark.hashseed
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "seeded_output_sha256.json")
                     .read_text(encoding="utf-8"))
 
