@@ -65,6 +65,9 @@ def criteria_match(criteria: TargetCriteria, node: Node) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Action:
+    """One profiled attack action. `action_from_dict` builds it
+    positionally, so the field order below is part of its contract."""
+
     id: str
     name: str = ""
     description: str = ""
@@ -230,11 +233,11 @@ def criteria_from_dict(raw, owner: str, errors: list[str]) -> TargetCriteria:
     attribute to one accepted string or a list of them. Anything else is
     collected as an error."""
     requirements = {}
-    for key, v in container(raw, dict, f"{owner}: target_criteria",
-                            errors).items():
+    for key, v in container(raw, dict, "{}: target_criteria", errors,
+                            owner).items():
         requirements[key] = frozenset(string_list(
             [v] if isinstance(v, str) else v,
-            f"{owner}: target_criteria {key!r}", errors))
+            "{}: target_criteria {!r}", errors, owner, key))
     return TargetCriteria(requirements)
 
 
@@ -246,23 +249,23 @@ def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
         return None
     criteria = criteria_from_dict(ad.get("target_criteria", {}), owner, errors)
     profile = profile_values(ad.get("profile", {}), owner, "profile", errors)
+    # positional, in Action's field order
     return Action(
-        id=ad["id"],
-        name=string(ad.get("name", ""), "{}: name", errors, owner),
-        description=string(ad.get("description", ""), "{}: description",
-                           errors, owner),
-        references=tuple(string_list(
-            ad.get("references", []), f"{owner}: references", errors)),
-        profile=profile,
-        target_criteria=criteria,
-        channels=frozenset(string_list(
-            ad.get("channels", []), f"{owner}: channels", errors)),
-        prerequisites=frozenset(string_list(
-            ad.get("prerequisites", []), f"{owner}: prerequisites", errors)),
-        success_probability=number(ad.get("success_probability", 1.0), 1.0,
-                                   errors, "{}: success_probability", owner),
-        effect=string(ad.get("effect", EFFECT_COMPROMISE), "{}: effect",
-                      errors, owner),
+        ad["id"],
+        string(ad.get("name", ""), "{}: name", errors, owner),
+        string(ad.get("description", ""), "{}: description", errors, owner),
+        tuple(string_list(ad.get("references", []), "{}: references", errors,
+                          owner)),
+        profile,
+        criteria,
+        frozenset(string_list(ad.get("channels", []), "{}: channels", errors,
+                              owner)),
+        frozenset(string_list(ad.get("prerequisites", []),
+                              "{}: prerequisites", errors, owner)),
+        number(ad.get("success_probability", 1.0), 1.0, errors,
+               "{}: success_probability", owner),
+        string(ad.get("effect", EFFECT_COMPROMISE), "{}: effect", errors,
+               owner),
     )
 
 

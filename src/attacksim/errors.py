@@ -83,15 +83,19 @@ def entries(value, owner: str, keys: set[str], kind: str,
             yield name, obj
 
 
-def container(value, cls: type, owner: str, errors: list[str]):
+def container(value, cls: type, owner: str, errors: list[str], *args):
     """A document field that must be a JSON array (`cls` list) or object
     (`cls` dict).
 
     Anything else is collected as an error and read as an empty `cls`.
+    With `args` the error names ``owner.format(*args)``, formatted only on
+    the error path, as in `number`; an owner that is already formatted
+    comes without `args`.
     """
     if isinstance(value, cls):
         return value
-    errors.append(f"{owner} must be {'a list' if cls is list else 'an object'}")
+    errors.append(f"{owner.format(*args) if args else owner} must be "
+                  f"{'a list' if cls is list else 'an object'}")
     return cls()
 
 
@@ -127,11 +131,13 @@ def boolean(value, owner: str, errors: list[str], *args) -> bool:
     return False
 
 
-def string_list(value, owner: str, errors: list[str]) -> list[str]:
+def string_list(value, owner: str, errors: list[str], *args) -> list[str]:
     """A document field that must be a list of strings.
 
     Anything else, notably a bare string (which iteration would split into
     characters), is collected as an error and read as the empty list.
+    `args` as in `container`: formatted into `owner` only on the error
+    path.
     """
     # a plain loop rather than all() over a generator: this runs for three
     # fields of every action, and the generator made loading a 2000-action
@@ -142,7 +148,8 @@ def string_list(value, owner: str, errors: list[str]) -> list[str]:
                 break
         else:
             return value
-    errors.append(f"{owner} must be a list of strings")
+    errors.append(f"{owner.format(*args) if args else owner} must be a "
+                  "list of strings")
     return []
 
 

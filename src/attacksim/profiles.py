@@ -93,12 +93,30 @@ class PropertySchema:
 
 
 class ProfileSchema:
-    """Ordered collection of property definitions."""
+    """Ordered collection of property definitions.
+
+    `validate_profile` reads two things built here, once, from the
+    properties: `name_set`, the set of property names, and `checks`, one
+    row ``(name, labels, bounds)`` per property in schema order. `labels`
+    is the frozenset of a set kind's allowed values (empty when it has
+    none) and None for every other kind, whose values must be numbers;
+    `bounds` is ``(lower, upper)`` for a bounded-range property with both
+    bounds and None otherwise.
+    """
 
     def __init__(self, properties: Sequence[PropertySchema]):
         self.properties: tuple[PropertySchema, ...] = tuple(properties)
         self.by_name: dict[str, PropertySchema] = {p.name: p for p in self.properties}
         self.names: tuple[str, ...] = tuple(p.name for p in self.properties)
+        self.name_set: frozenset[str] = frozenset(self.names)
+        self.checks: tuple[tuple[str, frozenset[str] | None,
+                                 tuple[float, float] | None], ...] = tuple(
+            (p.name,
+             frozenset(p.allowed_values or ())
+             if p.kind in (UNORDERED_SET, ORDERED_SET) else None,
+             (p.lower, p.upper) if p.kind == BOUNDED_RANGE
+             and p.lower is not None and p.upper is not None else None)
+            for p in self.properties)
 
     def __iter__(self) -> Iterator[PropertySchema]:
         return iter(self.properties)
@@ -241,39 +259,44 @@ def match_unordered(a: str, b: str,
     return 1.0 if a == b else 0.0
 
 
+_ABSENT = object()  # a missing key: a value may be None
+
+
 def validate_profile(schema: ProfileSchema,
                      values: Mapping[str, ProfileValue],
                      owner: str = "profile") -> list[str]:
-    """Check that `values` covers the schema exactly and each value is legal."""
+    """Check that `values` covers the schema exactly and each value is legal.
+
+    Reads the schema's `checks` table, in schema order, after the sorted
+    missing and then unknown property names, which are looked for only
+    when the keys differ from `name_set`. A set kind without
+    allowed_values, and a bounded-range property without both bounds,
+    are reported by the schema's own validation; here the first rejects
+    every label and the second takes any number.
+    """
     v: list[str] = []
-    missing = set(schema.names) - set(values)
-    extra = set(values) - set(schema.names)
-    for name in sorted(missing):
-        v.append(f"{owner}: missing property {name!r}")
-    for name in sorted(extra):
-        v.append(f"{owner}: unknown property {name!r}")
-    for prop in schema:
-        if prop.name not in values:
+    names = schema.name_set
+    if values.keys() != names:
+        keys = set(values)
+        for name in sorted(names - keys):
+            v.append(f"{owner}: missing property {name!r}")
+        for name in sorted(keys - names):
+            v.append(f"{owner}: unknown property {name!r}")
+    for name, labels, bounds in schema.checks:
+        val = values.get(name, _ABSENT)
+        if val is _ABSENT:
             continue
-        val = values[prop.name]
-        if prop.kind in (UNORDERED_SET, ORDERED_SET):
+        if labels is not None:
             if not isinstance(val, str):
-                v.append(f"{owner}: property {prop.name!r} needs a label")
-            # a set kind without allowed_values is reported by the
-            # schema's own validation
-            elif val not in (prop.allowed_values or ()):
-                v.append(f"{owner}: property {prop.name!r} has unknown "
+                v.append(f"{owner}: property {name!r} needs a label")
+            elif val not in labels:
+                v.append(f"{owner}: property {name!r} has unknown "
                          f"label {val!r}")
-        else:
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                v.append(f"{owner}: property {prop.name!r} needs a number")
-            # a bounded-range property without both bounds is reported by
-            # the schema's own validation
-            elif (prop.kind == BOUNDED_RANGE and prop.lower is not None
-                  and prop.upper is not None
-                  and not prop.lower <= val <= prop.upper):
-                v.append(f"{owner}: property {prop.name!r} value {val} "
-                         f"outside bounds [{prop.lower}, {prop.upper}]")
+        elif isinstance(val, bool) or not isinstance(val, (int, float)):
+            v.append(f"{owner}: property {name!r} needs a number")
+        elif bounds is not None and not bounds[0] <= val <= bounds[1]:
+            v.append(f"{owner}: property {name!r} value {val} "
+                     f"outside bounds [{bounds[0]}, {bounds[1]}]")
     return v
 
 
@@ -373,11 +396,15 @@ def schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
 def profile_values(raw, owner: str, key: str, errors: list[str]
                    ) -> dict[str, ProfileValue]:
     """The values under `key` of a document entry: a string is a label,
-    anything else is read as a number; problems go to `errors`."""
-    return {k: (v if isinstance(v, str) else number(
-                v, 0.0, errors, "{}: property {!r}", owner, k))
-            for k, v in container(raw, dict, f"{owner}: {key}",
-                                  errors).items()}
+    anything else is read as a number; problems go to `errors`. This runs
+    for every value of every action, so a string or a finite float is
+    kept as it is, which is what `number` would return for the float;
+    only the rest goes through `number`."""
+    return {k: (v if isinstance(v, str)
+                or v.__class__ is float and isfinite(v) else number(
+                    v, 0.0, errors, "{}: property {!r}", owner, k))
+            for k, v in container(raw, dict, "{}: {}", errors, owner,
+                                  key).items()}
 
 
 def profile_set_from_dict(doc: dict) -> ProfileSet:
