@@ -39,10 +39,11 @@ target once none is left; a compromise drops the target and rederives
 only its neighbours. The draw is over the sorted keys, the same list a
 full scan gives, so the RNG use is unchanged.
 
-A decision's record is a NamedTuple, built positionally, that keeps its
-candidates as four columns: the table's columns themselves, whose
-scores and probabilities `step` computes for a target with history; no
-per-candidate object is built on the decision path.
+A decision's record, which `step` returns, is a NamedTuple, built
+positionally, that keeps its candidates as four columns: the table's
+columns themselves, whose scores and probabilities `step` computes for
+a target with history; no per-candidate object is built on the decision
+path.
 """
 
 from __future__ import annotations
@@ -90,6 +91,9 @@ class DecisionRecord(NamedTuple):
     ``candidates`` derives the per-candidate view from them. A record of
     a decision on a fresh target shares all four tuples with the
     context's memo, which nothing mutates.
+
+    ``source`` is required: the node, or the external origin, that the
+    chosen action is launched from. ``via_edges`` defaults to no edge.
     """
 
     target: str
@@ -101,7 +105,7 @@ class DecisionRecord(NamedTuple):
     chosen_name: str
     probability: float
     outcome: str
-    source: str = ""
+    source: str
     via_edges: tuple[str, ...] = ()
 
     @property
@@ -306,13 +310,13 @@ def _table(state: AttackState) -> dict:
     return state._open
 
 
-def filter_valid(state: AttackState, target: str) -> list[str]:
+def filter_valid(state: AttackState, target: str) -> tuple[str, ...]:
     """Candidate actions for the target, in canonical id order.
 
     Intersection of: not yet attempted on the target; criteria match with
     all prerequisites succeeded on the target; and at least one viable
-    propagation path into the target: the ids in the state's candidate
-    table, as a list the caller owns.
+    propagation path into the target: the state's candidate table's own
+    id tuple, which nothing mutates, or () when the target has none.
     """
     k = state.knowledge
     if target not in k.known_nodes:
@@ -321,10 +325,10 @@ def filter_valid(state: AttackState, target: str) -> list[str]:
         raise ValueError(f"target {target!r} is already compromised")
     table = _table(state)
     if target not in table:
-        return []
+        return ()
     if table[target] is None:
         table[target] = _columns(state, target)
-    return list(table[target][0])
+    return table[target][0]
 
 
 def viable_edges(state: AttackState, target: str, action_id: str) -> tuple[str, ...]:
@@ -424,10 +428,11 @@ def sample_action(candidates: Sequence[str], probs: Sequence[float], rng) -> str
     return candidates[_kernels.weighted_index(probs, rng.random())]
 
 
-def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
+def step(state: AttackState, rng) -> DecisionRecord | None:
     """Run one decision cycle, mutating the state in place.
 
-    Returns None when no node has qualified actions left (episode end).
+    Returns the decision's record, or None when no node has qualified
+    actions left (episode end).
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
     whatever its reported effect. The record's columns are the target's
@@ -482,4 +487,4 @@ def step(state: AttackState, rng) -> tuple[AttackState, DecisionRecord] | None:
             del table[target]
         state.current_target = target
     state._stamp = (state.knowledge, tried + 1, won)
-    return state, record
+    return record

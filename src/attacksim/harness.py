@@ -5,9 +5,11 @@ derived by hashing (master seed, episode index), so a run is fully
 determined by its seed and inputs regardless of worker count or
 scheduling. Aggregation folds traces in episode order.
 
-Per-episode stream consumption order: one draw to sample the attacker
-profile (PMF mode only), then per step: one draw when a fresh target is
-selected, one for the action choice, one for the success outcome.
+Per-episode stream consumption order: one `random()` to sample the
+attacker profile (PMF mode only), then per decision: one `randrange` only
+when the target is drawn rather than kept, one `random()` for the action
+choice and one for the success outcome. The `step` call that ends the
+episode draws nothing.
 """
 
 from __future__ import annotations
@@ -106,11 +108,10 @@ def _run_one(ctx: DecisionContext,
         if config.max_steps is not None and len(records) >= config.max_steps:
             status = STEP_CAPPED
             break
-        result = step(state, rng)
-        if result is None:
+        rec = step(state, rng)
+        if rec is None:
             status = EXHAUSTED
             break
-        rec = result[1]
         records.append(rec)
         if rec.outcome == SUCCESS and ctx.system.node_by_id[rec.target].is_target:
             status = TARGET_REACHED
@@ -139,6 +140,14 @@ def resolve_mode(profiles: ProfileSet,
     return profiles.pmf
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _episode_batch(ctx, profile_or_pmf, config, start, stop):
     return [
         _run_one(ctx, profile_or_pmf, config,
@@ -165,7 +174,7 @@ def run_monte_carlo(system: CpsSystem, db: ActionDatabase,
     for attacker in drawable:
         ctx.attacker_theta(attacker)
     n = config.episode_count
-    jobs = min(config.parallelism, n, os.cpu_count() or 1)
+    jobs = min(config.parallelism, n, _usable_cpus())
     if jobs <= 1:
         traces = _episode_batch(ctx, mode, config, 0, n)
     else:
@@ -640,8 +649,7 @@ def export_trace_dot(trace: EpisodeTrace,
         '  node [shape=box, fontname="Helvetica"];',
         '  edge [fontname="Helvetica"];',
     ]
-    sources = [r.source or EXTERNAL_ORIGIN for r in trace.records]
-    if EXTERNAL_ORIGIN in sources:
+    if any(r.source == EXTERNAL_ORIGIN for r in trace.records):
         lines.append(f"  {_dot_label(EXTERNAL_ORIGIN)} "
                      "[shape=ellipse, style=dashed];")
     for nid in sorted(trace.knowledge.known_nodes):
@@ -654,12 +662,12 @@ def export_trace_dot(trace: EpisodeTrace,
         if node is not None and node.is_target:
             attrs.append("peripheries=2")
         lines.append(f"  {_dot_label(nid)} [{', '.join(attrs)}];")
-    for i, (rec, src) in enumerate(zip(trace.records, sources), start=1):
+    for i, rec in enumerate(trace.records, start=1):
         style = "solid" if rec.outcome == SUCCESS else "dashed"
         text = f"{i}. {rec.chosen_name} p={rec.probability:.3f}"
         if rec.outcome != SUCCESS:
             text += " (failed)"
-        lines.append(f"  {_dot_label(src)} -> {_dot_label(rec.target)} "
+        lines.append(f"  {_dot_label(rec.source)} -> {_dot_label(rec.target)} "
                      f"[label={_dot_label(text)}, style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

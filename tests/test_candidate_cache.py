@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attacksim.engine import (
+    FAILURE,
     AttackState,
     DecisionContext,
     distance,
@@ -48,7 +49,7 @@ def open_nodes(state):
 
 
 def expected(state, target):
-    return sorted(brute_force_valid(state, target))
+    return tuple(sorted(brute_force_valid(state, target)))
 
 
 def drawable(state):
@@ -129,12 +130,11 @@ def run_checked_episode(state, rng, beta):
     for _ in range(80):
         assert_matches_oracle(state)
         before = {n: expected(state, n) for n in open_nodes(state)}
-        result = step(state, rng)
-        if result is None:
+        rec = step(state, rng)
+        if rec is None:
             assert not any(before.values())
             break
-        rec = result[1]
-        assert list(rec.action_ids) == before[rec.target]
+        assert rec.action_ids == before[rec.target]
         assert rec.distances == tuple(
             distance(state.theta, ctx.action_profiles[a], beta)
             for a in rec.action_ids)
@@ -144,21 +144,31 @@ def run_checked_episode(state, rng, beta):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_returned_list_is_the_callers(seed):
+def test_returned_ids_are_the_tables_tuple(seed):
+    """Every read of an open target returns the table's own tuple of the
+    oracle's ids; a failed decision on it replaces the table's entry and
+    leaves the tuple an earlier read returned, which the record shares,
+    as it was."""
     rng = Random(seed)
     system, db, attacker = random_instance(rng, max_actions=40)
     state = AttackState(DecisionContext(system, db), attacker)
     for _ in range(20):
+        reads, want = {}, {}
         for nid in open_nodes(state):
-            got = filter_valid(state, nid)
-            want = list(got)
-            got.append("not-an-action")
-            got.reverse()
-            assert filter_valid(state, nid) == want
-            filter_valid(state, nid).clear()
-            assert filter_valid(state, nid) == want
-        if step(state, rng) is None:
+            got = reads[nid] = filter_valid(state, nid)
+            want[nid] = expected(state, nid)
+            assert type(got) is tuple
+            assert got == want[nid]
+            assert filter_valid(state, nid) is got
+        rec = step(state, rng)
+        if rec is None:
             break
+        if rec.outcome == FAILURE:
+            earlier = reads[rec.target]
+            assert rec.action_ids is earlier
+            assert earlier == want[rec.target] and rec.chosen in earlier
+            if rec.target in open_targets(state):
+                assert rec.chosen not in filter_valid(state, rec.target)
 
 
 class RecordingRandom(Random):
@@ -186,14 +196,14 @@ def test_retargets_draw_from_brute_force_list(seed):
         for _ in range(80):
             want = drawable(state)
             rng.draws.clear()
-            result = step(state, rng)
-            if result is None:
+            rec = step(state, rng)
+            if rec is None:
                 assert not want
                 break
             if rng.draws:
                 [((n,), r)] = rng.draws
                 assert n == len(want)
-                assert result[1].target == want[r]
+                assert rec.target == want[r]
             edit = rng.random()
             if edit < 0.25:
                 edit_state(state, rng, check_candidates)
@@ -230,7 +240,7 @@ def test_compromise_opens_a_predecessor_known_by_an_edit():
     state.knowledge = CpsKnowledge(k.known_nodes | {"Q"},
                                    k.known_edges | {"M"}, frozenset({"Q"}))
     assert open_targets(state) == drawable(state) == ["G"]
-    assert step(state, Random(0))[1].target == "G"
+    assert step(state, Random(0)).target == "G"
     assert open_targets(state) == drawable(state) == ["P"]
 
 
@@ -277,7 +287,7 @@ def test_compromise_reopens_a_dropped_node_with_its_untried_actions():
     state = AttackState(DecisionContext(system, db),
                         AttackerProfile("x", {"Skill": 5}))
     rng = ScriptedRandom([0, 0, 0])
-    records = [step(state, rng)[1] for _ in range(3)]
+    records = [step(state, rng) for _ in range(3)]
     assert [(r.target, r.action_ids, r.outcome) for r in records] == [
         ("G", ("a",), "failure"),
         ("Q", ("q",), "success"),

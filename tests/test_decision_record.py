@@ -70,7 +70,13 @@ def check_record(rec, system, db, dist):
 
 def test_fields_keep_their_order_and_defaults():
     assert DecisionRecord._fields == FIELDS
-    assert DecisionRecord._field_defaults == {"source": "", "via_edges": ()}
+    assert DecisionRecord._field_defaults == {"via_edges": ()}
+
+
+def test_record_without_a_source_is_rejected():
+    with pytest.raises(TypeError, match="source"):
+        DecisionRecord("N", ("a",), (1.0,), (1.0,), (1.0,), "a", "A", 1.0,
+                       SUCCESS)
 
 
 def test_no_field_can_be_assigned(cstr_paths):
@@ -106,8 +112,8 @@ def test_generated_records_hold_their_fields(seed):
     dist = ctx.attacker_theta(attacker)[1]
     for _ in range(3):
         state = AttackState(ctx, attacker)
-        while (result := step(state, rng)) is not None:
-            check_record(result[1], system, db, dist)
+        while (rec := step(state, rng)) is not None:
+            check_record(rec, system, db, dist)
 
 
 def revealed(system, node):

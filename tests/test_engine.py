@@ -137,30 +137,30 @@ class TestAttackerTheta:
 
 class TestFilterValid:
     def test_fresh_matching_actions_over_entry_edge(self):
-        assert filter_valid(fresh_state(), "G") == ["ax", "ay"]
+        assert filter_valid(fresh_state(), "G") == ("ax", "ay")
 
     def test_attempted_action_excluded(self):
         state = fresh_state()
         state.attempted["G"] = {"ax"}
-        assert filter_valid(state, "G") == ["ay"]
+        assert filter_valid(state, "G") == ("ay",)
 
     def test_channel_mismatch_excluded(self):
         # only a net edge reaches T once G is owned; az needs radio
         state = fresh_state()
-        state, _ = step(state, Random(1))  # compromises G
+        step(state, Random(1))  # compromises G
         assert "az" not in filter_valid(state, "T")
         assert "aw" in filter_valid(state, "T")
 
     def test_non_attack_vector_edge_unusable(self):
         # L2 (radio) is known after G falls but flagged non-vector
         state = fresh_state()
-        state, _ = step(state, Random(1))
+        step(state, Random(1))
         assert "L2" not in viable_edges(state, "T", "aw")
         assert viable_edges(state, "T", "aw") == ("L1",)
 
     def test_prerequisite_gates_action(self):
         state = fresh_state()
-        state, _ = step(state, Random(1))
+        step(state, Random(1))
         assert "ap" not in filter_valid(state, "T")
         state.succeeded["T"] = {"aw"}  # synthetic partial-success state
         assert "ap" in filter_valid(state, "T")
@@ -175,7 +175,7 @@ class TestFilterValid:
             known_edges=k.known_edges | {"L1"},
             compromised_nodes=k.compromised_nodes,
         )
-        assert filter_valid(state, "T") == []
+        assert filter_valid(state, "T") == ()
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="not known"):
@@ -224,7 +224,7 @@ class TestSelectTarget:
         state = AttackState(DecisionContext(sys_, db), attacker())
         rng = Random(3)
         state.current_target = "G"
-        state, rec = step(state, rng)
+        rec = step(state, rng)
         assert rec.target == "G" and rec.outcome == "failure"
         # ay still untried on G: stays on G despite G2 being valid
         assert select_target(state, rng) == "G"
@@ -232,9 +232,9 @@ class TestSelectTarget:
     def test_compromised_nodes_never_targeted(self):
         state = fresh_state()
         rng = Random(1)
-        state, rec1 = step(state, rng)
+        rec1 = step(state, rng)
         assert rec1.target == "G"
-        state, rec2 = step(state, rng)
+        rec2 = step(state, rng)
         assert rec2.target == "T"
 
     def test_none_when_everything_exhausted(self):
@@ -387,7 +387,8 @@ class TestSampleAction:
 
 def compromised_g():
     """A fresh state after the step that compromises G."""
-    state, rec = step(fresh_state(), Random(1))
+    state = fresh_state()
+    rec = step(state, Random(1))
     assert rec.outcome == "success" and rec.target == "G"
     return state
 
@@ -432,7 +433,7 @@ class TestRejectedInput:
 class TestStep:
     def test_success_records_attempt_and_grows_knowledge(self):
         state = fresh_state()
-        state, rec = step(state, Random(1))
+        rec = step(state, Random(1))
         assert rec.target == "G"
         assert rec.outcome == "success"
         assert rec.chosen in state.attempted["G"]
@@ -443,7 +444,7 @@ class TestStep:
 
     def test_candidate_probabilities_normalized(self):
         state = fresh_state()
-        _, rec = step(state, Random(2))
+        rec = step(state, Random(2))
         assert sum(c.probability for c in rec.candidates) == pytest.approx(
             1.0, abs=1e-9)
         assert rec.chosen in {c.action_id for c in rec.candidates}
@@ -467,8 +468,8 @@ class TestStep:
                       channels=frozenset({"net"}), success_probability=0.0))
         state = AttackState(DecisionContext(plant_system(), db), attacker())
         rng = Random(6)
-        state, r1 = step(state, rng)
-        state, r2 = step(state, rng)
+        r1 = step(state, rng)
+        r2 = step(state, rng)
         assert {r1.chosen, r2.chosen} == {"ax", "ay"}
         assert r1.outcome == r2.outcome == "failure"
         assert step(state, rng) is None
@@ -477,8 +478,7 @@ class TestStep:
         rng = Random(8)
         state = fresh_state()
         seen = set()
-        while (result := step(state, rng)) is not None:
-            state, rec = result
+        while (rec := step(state, rng)) is not None:
             pair = (rec.target, rec.chosen)
             assert pair not in seen
             seen.add(pair)
@@ -490,7 +490,7 @@ class TestStep:
             target_criteria=TargetCriteria({"kind": frozenset({"gateway"})}),
             channels=frozenset({"net"}), effect="disrupt")], plant_schema())
         state = AttackState(DecisionContext(plant_system(), db), attacker())
-        state, rec = step(state, Random(1))
+        rec = step(state, Random(1))
         assert rec.chosen == "ax" and rec.outcome == "success"
         assert "G" in state.knowledge.compromised_nodes
         assert "T" in state.knowledge.known_nodes
@@ -505,10 +505,9 @@ def test_random_episodes_terminate_with_clean_history(seed):
     pairs = set()
     bound = len(system.nodes) * len(db.actions) + 1
     steps = 0
-    while (result := step(state, rng)) is not None:
+    while (rec := step(state, rng)) is not None:
         steps += 1
         assert steps <= bound, "episode failed to terminate"
-        _, rec = result
         pair = (rec.target, rec.chosen)
         assert pair not in pairs
         pairs.add(pair)

@@ -88,7 +88,8 @@ def check_fresh_nodes(state):
     k = state.knowledge
     fresh = [nid for nid in sorted(k.known_nodes - k.compromised_nodes)
              if is_fresh(state, nid)]
-    want = {nid: sorted(brute_force_valid(state, nid)) for nid in fresh}
+    want = {nid: tuple(sorted(brute_force_valid(state, nid)))
+            for nid in fresh}
     for nid in fresh:
         assert filter_valid(state, nid) == want[nid]
     keys = {nid: (state.theta, nid, _live_mask(state, nid)) for nid in fresh}
@@ -97,7 +98,7 @@ def check_fresh_nodes(state):
         if key not in ctx.fresh.served:
             continue
         ids, dists, s, p = ctx.fresh[key]
-        assert list(ids) == want[nid]
+        assert ids == want[nid]
         assert dists == tuple(
             distance(state.theta, ctx.action_profiles[a], beta)
             for a in ids)
@@ -121,10 +122,9 @@ def run_episode(ctx, attacker, rng, edit=0.25):
     for _ in range(80):
         served, keys = check_fresh_nodes(state)
         hits += served
-        result = step(state, rng)
-        if result is None:
+        rec = step(state, rng)
+        if rec is None:
             break
-        rec = result[1]
         if rec.target in keys:
             entry = ctx.fresh[keys[rec.target]]
             columns = rec.action_ids, rec.distances, rec.scores, rec.probabilities

@@ -263,12 +263,31 @@ class TestRunMonteCarlo:
                 return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         system, db, profiles = load_cstr(cstr_paths)
-        wide = run_monte_carlo(system, db, profiles,
-                               SimConfig(60, seed=5, parallelism=5000))
-        assert sizes == [3]
         serial = run_monte_carlo(system, db, profiles, SimConfig(60, seed=5))
+
+        def wide_run():
+            return run_monte_carlo(system, db, profiles,
+                                   SimConfig(60, seed=5, parallelism=5000))
+
+        # the affinity set, not the machine's count, caps the pool
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {0, 2, 5}, raising=False)
+        wide = wide_run()
+        assert sizes == [3]
+        assert report_to_dict(wide[0]) == report_to_dict(serial[0])
+        # one allowed CPU runs serially, with no pool
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: {1}, raising=False)
+        wide = wide_run()
+        assert sizes == [3]
+        assert report_to_dict(wide[0]) == report_to_dict(serial[0])
+        # without an affinity call the machine's count caps it
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        wide = wide_run()
+        assert sizes == [3, 3]
         assert report_to_dict(wide[0]) == report_to_dict(serial[0])
 
     def test_one_context_checks_every_profile_first(self, cstr_paths,
@@ -295,7 +314,7 @@ class TestRunMonteCarlo:
         real_context, real_run = harness.DecisionContext, harness._run_one
         real_theta = DecisionContext.attacker_theta
         monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "DecisionContext", lambda *a: (
             events.append("context") or real_context(*a)))
         monkeypatch.setattr(DecisionContext, "attacker_theta",
@@ -329,7 +348,7 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             Pool, mp_context=get_context(method)))
         # with one CPU the run would stay serial and never use the pool
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         report, traces = run_monte_carlo(
             system, db, profiles, SimConfig(400, seed=9, parallelism=2))
         assert entered == [method]
