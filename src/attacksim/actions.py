@@ -1,18 +1,18 @@
 """The action database: profiled attack actions with target criteria,
 propagation channels, and prerequisites.
 
-Actions are immutable after load; their scaled profiles are computed once
-per run and shared by every episode. The database computes each unbounded
+Actions and their target criteria are immutable NamedTuples, built
+positionally by the loader; their scaled profiles are computed once per
+run and shared by every episode. The database computes each unbounded
 property's (min, max) once, and checks attacker profiles against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, isfinite
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from attacksim.errors import (
     ValidationFailure,
@@ -44,16 +44,21 @@ _ACTION_KEYS = {"id", "name", "description", "references", "profile",
                 "success_probability", "effect"}
 
 
-@dataclass(frozen=True, slots=True)
-class TargetCriteria:
+class TargetCriteria(NamedTuple):
     """Attribute requirements a node must satisfy to be a valid target.
 
     A node matches when every required key is present with a value in the
     acceptable set. The empty criteria matches every node. Matching is
     exact, case-sensitive string membership.
+
+    An immutable NamedTuple, as `Action` is. The default `requirements`
+    is one empty dict shared by every criteria built without them, so it
+    must never be mutated; a plain dict, because the run's context, which
+    holds the actions, is pickled for `--jobs` workers and a
+    ``types.MappingProxyType`` does not pickle.
     """
 
-    requirements: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    requirements: Mapping[str, frozenset[str]] = {}
 
 
 def criteria_match(criteria: TargetCriteria, node: Node) -> bool:
@@ -63,17 +68,20 @@ def criteria_match(criteria: TargetCriteria, node: Node) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
-    """One profiled attack action. `action_from_dict` builds it
-    positionally, so the field order below is part of its contract."""
+class Action(NamedTuple):
+    """One profiled attack action: an immutable NamedTuple.
+    `action_from_dict` builds it positionally, so the field order below is
+    part of its contract, as with `engine.DecisionRecord`. The default
+    `profile` and `target_criteria` are single objects shared by every
+    action built without them, so neither may be mutated (see
+    `TargetCriteria`)."""
 
     id: str
     name: str = ""
     description: str = ""
     references: tuple[str, ...] = ()
-    profile: Mapping[str, ProfileValue] = field(default_factory=dict)
-    target_criteria: TargetCriteria = field(default_factory=TargetCriteria)
+    profile: Mapping[str, ProfileValue] = {}
+    target_criteria: TargetCriteria = TargetCriteria()
     channels: frozenset[str] = frozenset()
     prerequisites: frozenset[str] = frozenset()
     success_probability: float = 1.0
@@ -108,15 +116,18 @@ class ActionDatabase:
                 v.append(f"duplicate action id {a.id!r}")
             seen.add(a.id)
             v.extend(validate_profile(self.schema, a.profile,
-                                      owner=f"action {a.id!r}"))
+                                      "action {!r}", a.id))
             for key in a.target_criteria.requirements:
                 if not key:
                     v.append(f"action {a.id!r}: empty criteria key")
-            if a.id in a.prerequisites:
-                v.append(f"action {a.id!r} lists itself as a prerequisite")
-            for pre in sorted(a.prerequisites):
-                if pre not in self.by_id:
-                    v.append(f"action {a.id!r}: unknown prerequisite {pre!r}")
+            if a.prerequisites:
+                if a.id in a.prerequisites:
+                    v.append(f"action {a.id!r} lists itself as a "
+                             "prerequisite")
+                for pre in sorted(a.prerequisites):
+                    if pre not in self.by_id:
+                        v.append(f"action {a.id!r}: unknown prerequisite "
+                                 f"{pre!r}")
             if not 0.0 <= a.success_probability <= 1.0:
                 v.append(f"action {a.id!r}: success_probability must be "
                          "in [0, 1]")
@@ -212,15 +223,16 @@ def scaled_action_profiles(db: ActionDatabase
     slots = tuple(zip(db.schema.names,
                       slot_scalers(db.schema, db.unbounded_ranges)))
     actions = db.actions
+    profiles = [a.profile for a in actions]  # one field read per action
     try:
         # slot by slot: one call per value and no frame per action
-        columns = [list(map(scale, [a.profile[name] for a in actions]))
+        columns = [list(map(scale, [p[name] for p in profiles]))
                    for name, scale in slots]
     except (KeyError, TypeError, ValueError):
         # raise the error of the first action that does not scale
-        for a in actions:
+        for a, p in zip(actions, profiles):
             try:
-                [scale(a.profile[name]) for name, scale in slots]
+                [scale(p[name]) for name, scale in slots]
             except ValueError as exc:
                 raise ValueError(f"action {a.id!r}: {exc}") from exc
         raise

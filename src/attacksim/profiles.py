@@ -264,7 +264,7 @@ _ABSENT = object()  # a missing key: a value may be None
 
 def validate_profile(schema: ProfileSchema,
                      values: Mapping[str, ProfileValue],
-                     owner: str = "profile") -> list[str]:
+                     owner: str = "profile", *args) -> list[str]:
     """Check that `values` covers the schema exactly and each value is legal.
 
     Reads the schema's `checks` table, in schema order, after the sorted
@@ -273,31 +273,38 @@ def validate_profile(schema: ProfileSchema,
     allowed_values, and a bounded-range property without both bounds,
     are reported by the schema's own validation; here the first rejects
     every label and the second takes any number.
+
+    Each problem is prefixed with the owner's name. With `args` the name
+    is ``owner.format(*args)``, formatted only when there is a problem, as
+    in `errors.number`; an owner without `args` is used as it is, braces
+    and all.
     """
     v: list[str] = []
     names = schema.name_set
     if values.keys() != names:
         keys = set(values)
         for name in sorted(names - keys):
-            v.append(f"{owner}: missing property {name!r}")
+            v.append(f"missing property {name!r}")
         for name in sorted(keys - names):
-            v.append(f"{owner}: unknown property {name!r}")
+            v.append(f"unknown property {name!r}")
     for name, labels, bounds in schema.checks:
         val = values.get(name, _ABSENT)
         if val is _ABSENT:
             continue
         if labels is not None:
             if not isinstance(val, str):
-                v.append(f"{owner}: property {name!r} needs a label")
+                v.append(f"property {name!r} needs a label")
             elif val not in labels:
-                v.append(f"{owner}: property {name!r} has unknown "
-                         f"label {val!r}")
+                v.append(f"property {name!r} has unknown label {val!r}")
         elif isinstance(val, bool) or not isinstance(val, (int, float)):
-            v.append(f"{owner}: property {name!r} needs a number")
+            v.append(f"property {name!r} needs a number")
         elif bounds is not None and not bounds[0] <= val <= bounds[1]:
-            v.append(f"{owner}: property {name!r} value {val} "
+            v.append(f"property {name!r} value {val} "
                      f"outside bounds [{bounds[0]}, {bounds[1]}]")
-    return v
+    if not v:
+        return v
+    name = owner.format(*args) if args else owner
+    return [f"{name}: {problem}" for problem in v]
 
 
 def _keep(label: ProfileValue) -> ProfileValue:
@@ -380,7 +387,7 @@ def schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
             # a field that is given is checked, even when empty or null
             allowed_values=None if "allowed_values" not in pd else tuple(
                 string_list(pd["allowed_values"],
-                            f"{owner}: allowed_values", errors)),
+                            "{}: allowed_values", errors, owner)),
             lower=None if "lower" not in pd else number(
                 pd["lower"], None, errors, "{}: lower", owner),
             upper=None if "upper" not in pd else number(

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from attacksim.actions import Action, ActionDatabase
 from attacksim.errors import ValidationFailure
 from attacksim.profiles import (
     AttackerProfile,
@@ -261,6 +262,66 @@ class TestSchemaValidation:
         del values["Extra"], values["Tools"]
         errs = validate_profile(schema, values)
         assert any("Tools" in e for e in errs)
+
+
+class TestProfileOwner:
+    """`validate_profile` names its owner in every problem. An owner
+    without args is used as it is; one with args is formatted once, and
+    only when there is a problem."""
+
+    # Finances missing, Extra unknown, Access not a label, Knowledge out
+    # of bounds, Tools an unknown label
+    BAD = {"Access": 3, "Knowledge": 11, "Tools": "Top", "Extra": 1}
+    GOOD = {"Access": "Direct", "Knowledge": 5, "Finances": 1,
+            "Tools": "Low"}
+
+    def test_owner_without_args_keeps_its_braces(self):
+        errs = validate_profile(_schema(), self.BAD, "profile 'x{0}y'")
+        assert len(errs) == 5
+        assert all(e.startswith("profile 'x{0}y': ") for e in errs)
+
+    def test_profiles_document_name_keeps_its_braces(self):
+        doc = {"schema": [{"name": "x", "kind": "bounded-range",
+                           "lower": 0, "upper": 1}],
+               "profiles": [{"name": "x{0}y", "values": {"x": 2, "z": 0}}]}
+        with pytest.raises(ValidationFailure) as exc:
+            profile_set_from_dict(doc)
+        assert exc.value.errors == [
+            "profile 'x{0}y': unknown property 'z'",
+            "profile 'x{0}y': property 'x' value 2.0 outside bounds "
+            "[0.0, 1.0]"]
+
+    def test_attacker_profile_name_keeps_its_braces(self):
+        schema = ProfileSchema([PropertySchema("Finances", "unbounded-range")])
+        db = ActionDatabase([Action("a", profile={"Finances": 0.0}),
+                             Action("b", profile={"Finances": 1.7e308})],
+                            schema)
+        for values, problem in (
+                ({"Finances": "lots"}, "property 'Finances' needs a number"),
+                ({"Finances": -1.7e308},
+                 "max - min of property 'Finances' over the action values "
+                 "and this profile's value must be finite")):
+            with pytest.raises(ValidationFailure) as exc:
+                db.attacker_ranges(AttackerProfile("x{0}y", values))
+            assert exc.value.errors == [f"attacker profile 'x{{0}}y': "
+                                        f"{problem}"]
+
+    def test_owner_with_args_is_formatted_only_on_a_problem(self):
+        calls = []
+
+        class Owner(str):
+            def format(self, *args):
+                calls.append(args)
+                return super().format(*args)
+
+        owner = Owner("action {!r}")
+        assert validate_profile(_schema(), self.GOOD, owner, "A") == []
+        assert calls == []
+        errs = validate_profile(_schema(), self.BAD, owner, "A")
+        assert calls == [("A",)]
+        assert errs == validate_profile(_schema(), self.BAD, "action 'A'")
+        assert len(errs) == 5 and all(e.startswith("action 'A': ")
+                                      for e in errs)
 
 
 class TestProfilesDocument:

@@ -8,7 +8,6 @@ still equal the reference's bit for bit, and each value that cannot be
 scaled must raise the reference's ValueError, naming the same action.
 """
 
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -123,7 +122,7 @@ def random_every_kind_db(seed):
     db = random_db(rng, schema, max_actions=30)
     if rng.random() < 0.2:  # a spread-free unbounded population: midpoint
         value = random_value(rng, schema.by_name["k3"])
-        db = ActionDatabase([replace(a, profile={**a.profile, "k3": value})
+        db = ActionDatabase([a._replace(profile={**a.profile, "k3": value})
                              for a in db.actions], schema)
     return rng, db
 
@@ -172,7 +171,7 @@ def test_unscalable_value_names_the_reference_action(seed, bad):
     for _ in range(bad):
         i = rng.randrange(len(actions))
         prop = rng.choice(slots)
-        actions[i] = replace(actions[i], profile={
+        actions[i] = actions[i]._replace(profile={
             **actions[i].profile, prop.name: unscalable(rng, prop)})
     db = ActionDatabase(actions, db.schema)
     with pytest.raises(ValueError) as want:
