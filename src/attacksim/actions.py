@@ -10,7 +10,9 @@ property's (min, max) once, and checks attacker profiles against it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from math import inf, isfinite
+from operator import contains, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -30,6 +32,7 @@ from attacksim.profiles import (
     AttackerProfile,
     ProfileSchema,
     ProfileValue,
+    finite_problems,
     profile_values,
     slot_scalers,
     validate_profile,
@@ -38,10 +41,21 @@ from attacksim.profiles import (
 EFFECT_COMPROMISE = "compromise"
 EFFECT_DISRUPT = "disrupt"
 EFFECTS = (EFFECT_COMPROMISE, EFFECT_DISRUPT)
+_EFFECTS = frozenset(EFFECTS)
 
 _ACTION_KEYS = {"id", "name", "description", "references", "profile",
                 "target_criteria", "channels", "prerequisites",
                 "success_probability", "effect"}
+
+# an absent object or list field, read without allocating; never mutated
+_EMPTY: dict = {}
+_NO_STRINGS: list = []
+# ints of at most this size convert to a float exactly; a larger one goes
+# through `number`, which also rejects one past the float range
+_INT_FLOATS = 2 ** 53
+# builds a NamedTuple from one tuple of its fields, without a call to its
+# generated __new__
+_new = tuple.__new__
 
 
 class TargetCriteria(NamedTuple):
@@ -107,16 +121,88 @@ class ActionDatabase:
         return len(self.actions)
 
     def validate(self) -> list[str]:
+        """Every problem of the database, in a fixed order: the per-action
+        problems, action by action in id order, then the unbounded ranges
+        whose max - min overflows, then the prerequisite cycles.
+
+        Each per-action rule is first tested over all actions at once
+        (`_columns_clean`); only when a test fails does the per-action loop
+        run (`_action_problems`), and that loop alone words a problem.
+        """
+        v = [] if self._columns_clean() else self._action_problems()
+        try:
+            v.extend(f"property {name!r}: max - min of the action values "
+                     "must be finite"
+                     for name, (lo, hi) in self.unbounded_ranges.items()
+                     if self.actions and not isfinite(hi - lo))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            # a missing, non-numeric or non-finite value, which
+            # validate_profile or finite_problems reports
+            pass
+        v.extend(self._find_cycles())
+        return v
+
+    def _columns_clean(self) -> bool:
+        """True when no action breaks a rule of `_action_problems`, each
+        rule tested as one column over every action: unique ids, profile
+        key sets, each schema row's labels, number type, bounds and
+        finiteness, criteria keys, prerequisites, the success_probability
+        range and effects. False sends `validate` to the loop, so a test
+        may be too strict (a sum that overflows), never too lenient: a type
+        it does not know exactly fails it."""
+        actions = self.actions
+        schema = self.schema
+        if not actions or len(self.by_id) != len(actions) or not schema.names:
+            return False
+        try:
+            (ids, _, _, _, profiles, criteria, _, prerequisites, success,
+             effects) = zip(*actions)
+            # each profile a plain dict (a subclass may define __missing__)
+            # whose keys are all the schema's names, and no others
+            if not (set(map(type, profiles)) <= {dict}
+                    and set(map(len, profiles)) == {len(schema.name_set)}):
+                return False
+            for name, labels, bounds in schema.checks:
+                column = list(map(itemgetter(name), profiles))
+                types = set(map(type, column))
+                if labels is not None:
+                    if not (types <= {str} and labels.issuperset(column)):
+                        return False
+                # a float sum is finite only if every value is: not NaN,
+                # not infinite and no int past the float range, which
+                # raises OverflowError (an int sum could cancel one out)
+                elif not (types <= {int, float} and isfinite(sum(column, 0.0))):
+                    return False
+                elif bounds is not None and not (bounds[0] <= min(column)
+                                                 and max(column) <= bounds[1]):
+                    return False
+            keys = chain.from_iterable([c.requirements for c in criteria])
+            needed = set().union(*prerequisites)
+            total = sum(success)
+            return (all(keys)
+                    and (not needed or self.by_id.keys() >= needed
+                         and not any(map(contains, prerequisites, ids)))
+                    and set(map(type, success)) <= {int, float, bool}
+                    and 0.0 <= min(success) and max(success) <= 1.0
+                    and total == total  # no NaN, which min and max skip
+                    and set(effects) <= _EFFECTS)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return False
+
+    def _action_problems(self) -> list[str]:
+        """The per-action problems, action by action in id order: the
+        only code that words them."""
         v: list[str] = []
         if not self.actions:
             v.append("action database must contain at least one action")
         seen: set[str] = set()
+        schema = self.schema
         for a in self.actions:
             if a.id in seen:
                 v.append(f"duplicate action id {a.id!r}")
             seen.add(a.id)
-            v.extend(validate_profile(self.schema, a.profile,
-                                      "action {!r}", a.id))
+            v.extend(validate_profile(schema, a.profile, "action {!r}", a.id))
+            v.extend(finite_problems(schema, a.profile, "action {!r}", a.id))
             for key in a.target_criteria.requirements:
                 if not key:
                     v.append(f"action {a.id!r}: empty criteria key")
@@ -133,14 +219,6 @@ class ActionDatabase:
                          "in [0, 1]")
             if a.effect not in EFFECTS:
                 v.append(f"action {a.id!r}: unknown effect {a.effect!r}")
-        try:
-            v.extend(f"property {name!r}: max - min of the action values "
-                     "must be finite"
-                     for name, (lo, hi) in self.unbounded_ranges.items()
-                     if self.actions and not isfinite(hi - lo))
-        except (KeyError, TypeError, ValueError):
-            pass  # a missing or non-numeric value: validate_profile reports it
-        v.extend(self._find_cycles())
         return v
 
     def _find_cycles(self) -> list[str]:
@@ -181,9 +259,11 @@ class ActionDatabase:
         computed once; (inf, -inf), which any value extends to (value,
         value), when the database is empty."""
         ranges: dict[str, tuple[float, float]] = {}
+        profiles = [a.profile for a in self.actions]
         for prop in self.schema:
             if prop.kind == UNBOUNDED_RANGE:
-                vals = [float(a.profile[prop.name]) for a in self.actions]
+                vals = list(map(float, map(itemgetter(prop.name),
+                                            profiles)))
                 ranges[prop.name] = (min(vals, default=inf),
                                      max(vals, default=-inf))
         return ranges
@@ -196,7 +276,8 @@ class ActionDatabase:
         range's max - min overflow."""
         owner = f"attacker profile {attacker.name!r}"
         values = attacker.values
-        errs = validate_profile(self.schema, values, owner=owner)
+        errs = (validate_profile(self.schema, values, owner=owner)
+                + finite_problems(self.schema, values, owner=owner))
         ranges: dict[str, tuple[float, float]] = {}
         if not errs:
             for name, (lo, hi) in self.unbounded_ranges.items():
@@ -253,32 +334,96 @@ def criteria_from_dict(raw, owner: str, errors: list[str]) -> TargetCriteria:
     return TargetCriteria(requirements)
 
 
+def _ascii_strings(value) -> bool:
+    """True for a list of ASCII strings, which `string_list` accepts."""
+    if value.__class__ is not list:
+        return False
+    for x in value:
+        if not (x.__class__ is str and x.isascii()):
+            return False
+    return True
+
+
 def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
     """The `index`-th action of a document list, or None if `entry`
-    rejects it; every problem is collected in `errors`."""
-    owner = entry(ad, _ACTION_KEYS, "action", errors, index)
-    if owner is None:
-        return None
-    criteria = criteria_from_dict(ad.get("target_criteria", {}), owner, errors)
-    profile = profile_values(ad.get("profile", {}), owner, "profile", errors)
-    # positional, in Action's field order
-    return Action(
-        ad["id"],
-        string(ad.get("name", ""), "{}: name", errors, owner),
-        string(ad.get("description", ""), "{}: description", errors, owner),
-        tuple(string_list(ad.get("references", []), "{}: references", errors,
-                          owner)),
-        profile,
-        criteria,
-        frozenset(string_list(ad.get("channels", []), "{}: channels", errors,
-                              owner)),
-        frozenset(string_list(ad.get("prerequisites", []),
-                              "{}: prerequisites", errors, owner)),
-        number(ad.get("success_probability", 1.0), 1.0, errors,
-               "{}: success_probability", owner),
-        string(ad.get("effect", EFFECT_COMPROMISE), "{}: effect", errors,
-               owner),
-    )
+    rejects it; every problem is collected in `errors`.
+
+    This runs for every entry of a database, so each field is checked here
+    first: an ASCII string, a list of them, a finite float (an int is read
+    as a float) or an object. Only a field that fails its check goes
+    through its wording helper (`string`, `string_list`, `number`,
+    `criteria_from_dict`, `profile_values`, and `entry` for the id and the
+    keys), which accepts what the check was too strict for and collects
+    the rest in the order the fields are listed below; the owner's name is
+    formatted only there. The action is built as one positional tuple.
+    """
+    aid = ad.get("id") if isinstance(ad, dict) else None
+    if not (aid.__class__ is str and aid.isascii()
+            and _ACTION_KEYS.issuperset(ad)):
+        if entry(ad, _ACTION_KEYS, "action", errors, index) is None:
+            return None
+    get = ad.get
+
+    raw = get("target_criteria", _EMPTY)
+    requirements = None
+    if raw.__class__ is dict:
+        requirements = {}
+        for key, v in raw.items():
+            if v.__class__ is str and v.isascii():
+                requirements[key] = frozenset((v,))
+            elif _ascii_strings(v):
+                requirements[key] = frozenset(v)
+            else:
+                requirements = None
+                break
+    criteria = (_new(TargetCriteria, (requirements,))
+                if requirements is not None
+                else criteria_from_dict(raw, f"action {aid!r}", errors))
+
+    raw = get("profile", _EMPTY)
+    profile = None
+    if raw.__class__ is dict:
+        profile = dict(raw)
+        for k, v in raw.items():
+            cls = v.__class__
+            if cls is int and -_INT_FLOATS <= v <= _INT_FLOATS:
+                profile[k] = float(v)
+            elif not (cls is str or cls is float and v - v == 0.0):
+                profile = None
+                break
+    if profile is None:
+        profile = profile_values(raw, f"action {aid!r}", "profile", errors)
+
+    name = get("name", "")
+    if not (name.__class__ is str and name.isascii()):
+        name = string(name, "action {!r}: name", errors, aid)
+    description = get("description", "")
+    if not (description.__class__ is str and description.isascii()):
+        description = string(description, "action {!r}: description",
+                             errors, aid)
+    references = get("references", _NO_STRINGS)
+    if not _ascii_strings(references):
+        references = string_list(references, "action {!r}: references",
+                                 errors, aid)
+    channels = get("channels", _NO_STRINGS)
+    if not _ascii_strings(channels):
+        channels = string_list(channels, "action {!r}: channels", errors,
+                               aid)
+    prerequisites = get("prerequisites", _NO_STRINGS)
+    if not _ascii_strings(prerequisites):
+        prerequisites = string_list(prerequisites,
+                                    "action {!r}: prerequisites", errors, aid)
+    success = get("success_probability", 1.0)
+    if not (success.__class__ is float and success - success == 0.0):
+        success = number(success, 1.0, errors,
+                         "action {!r}: success_probability", aid)
+    effect = get("effect", EFFECT_COMPROMISE)
+    if not (effect.__class__ is str and effect.isascii()):
+        effect = string(effect, "action {!r}: effect", errors, aid)
+    # in Action's field order
+    return _new(Action, (aid, name, description, tuple(references), profile,
+                         criteria, frozenset(channels),
+                         frozenset(prerequisites), success, effect))
 
 
 def action_db_from_dict(doc: dict, schema: ProfileSchema) -> ActionDatabase:

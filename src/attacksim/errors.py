@@ -60,7 +60,11 @@ def entry(obj, keys: set[str], kind: str, errors: list[str], index: int,
     """Check the `index`-th entry of a document list: an object with a
     string `key` and no keys outside `keys`. Returns the owner name for its
     field messages, ``"<kind> '<key>'"``, or collects an error and returns
-    None; unknown keys are collected, but the entry is still read."""
+    None; unknown keys are collected, but the entry is still read.
+
+    `actions.action_from_dict` checks an action's id and keys itself and
+    calls this only for an entry that fails that check: one that is not an
+    object, has no ASCII string id or has an unknown key."""
     if isinstance(obj, dict):
         name = obj.get(key)
         if isinstance(name, str) and (name.isascii() or not _surrogate(name)):

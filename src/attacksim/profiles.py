@@ -272,7 +272,10 @@ def validate_profile(schema: ProfileSchema,
     when the keys differ from `name_set`. A set kind without
     allowed_values, and a bounded-range property without both bounds,
     are reported by the schema's own validation; here the first rejects
-    every label and the second takes any number.
+    every label and the second takes any number. A number is not checked
+    for being finite: NaN, an infinity or an int past the float range
+    passes here and is reported by `finite_problems`, which
+    `ActionDatabase` runs after this check for every action and attacker.
 
     Each problem is prefixed with the owner's name. With `args` the name
     is ``owner.format(*args)``, formatted only when there is a problem, as
@@ -301,6 +304,39 @@ def validate_profile(schema: ProfileSchema,
         elif bounds is not None and not bounds[0] <= val <= bounds[1]:
             v.append(f"property {name!r} value {val} "
                      f"outside bounds [{bounds[0]}, {bounds[1]}]")
+    if not v:
+        return v
+    name = owner.format(*args) if args else owner
+    return [f"{name}: {problem}" for problem in v]
+
+
+def _finite(value) -> bool:
+    try:
+        return isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def finite_problems(schema: ProfileSchema,
+                    values: Mapping[str, ProfileValue],
+                    owner: str = "profile", *args) -> list[str]:
+    """The numbers `validate_profile` accepts that no scaling can use: NaN,
+    an infinity or an int past the float range, in a numeric slot whose
+    value is a number within its bounds. Each is reported as ``property
+    {name!r} must be a finite number``, the loaders' wording, after the
+    owner's name, which is formatted as in `validate_profile`.
+
+    A profile read from a document never has one, since `profile_values`
+    rejects them; a profile or action built through the API can.
+    """
+    v: list[str] = []
+    for name, labels, bounds in schema.checks:
+        val = values.get(name)
+        if (labels is None and isinstance(val, (int, float))
+                and not isinstance(val, bool)
+                and (bounds is None or bounds[0] <= val <= bounds[1])
+                and not _finite(val)):
+            v.append(f"property {name!r} must be a finite number")
     if not v:
         return v
     name = owner.format(*args) if args else owner
@@ -403,10 +439,11 @@ def schema_from_list(raw: list, errors: list[str]) -> ProfileSchema:
 def profile_values(raw, owner: str, key: str, errors: list[str]
                    ) -> dict[str, ProfileValue]:
     """The values under `key` of a document entry: a string is a label,
-    anything else is read as a number; problems go to `errors`. This runs
-    for every value of every action, so a string or a finite float is
-    kept as it is, which is what `number` would return for the float;
-    only the rest goes through `number`."""
+    anything else is read as a number; problems go to `errors`. A string
+    or a finite float is kept as it is, which is what `number` would
+    return for the float; only the rest goes through `number`. Every
+    attacker profile is read here; an action's profile only when it fails
+    `actions.action_from_dict`'s own check."""
     return {k: (v if isinstance(v, str)
                 or v.__class__ is float and isfinite(v) else number(
                     v, 0.0, errors, "{}: property {!r}", owner, k))
