@@ -2,9 +2,11 @@
 propagation channels, and prerequisites.
 
 Actions and their target criteria are immutable NamedTuples, built
-positionally by the loader; their scaled profiles are computed once per
-run and shared by every episode. The database computes each unbounded
-property's (min, max) once, and checks attacker profiles against it.
+positionally by the loader, which keeps one object per distinct channel
+set, prerequisite set and criteria of a document; their scaled profiles
+are computed once per run and shared by every episode. The database
+computes each unbounded property's (min, max) once, and checks attacker
+profiles against it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ _ACTION_KEYS = {"id", "name", "description", "references", "profile",
 # an absent object or list field, read without allocating; never mutated
 _EMPTY: dict = {}
 _NO_STRINGS: list = []
+# every empty channel or prerequisite set an action is loaded with
+_NO_IDS: frozenset = frozenset()
 # ints of at most this size convert to a float exactly; a larger one goes
 # through `number`, which also rejects one past the float range
 _INT_FLOATS = 2 ** 53
@@ -66,9 +70,11 @@ class TargetCriteria(NamedTuple):
     exact, case-sensitive string membership.
 
     An immutable NamedTuple, as `Action` is. The default `requirements`
-    is one empty dict shared by every criteria built without them, so it
-    must never be mutated; a plain dict, because the run's context, which
-    holds the actions, is pickled for `--jobs` workers and a
+    is one empty dict shared by every criteria built without them, and
+    the actions loaded from one document share each distinct criteria
+    (see `action_from_dict`), so neither its dict nor any of its sets may
+    ever be mutated; a plain dict, because the run's context, which holds
+    the actions, is pickled for `--jobs` workers and a
     ``types.MappingProxyType`` does not pickle.
     """
 
@@ -87,8 +93,10 @@ class Action(NamedTuple):
     `action_from_dict` builds it positionally, so the field order below is
     part of its contract, as with `engine.DecisionRecord`. The default
     `profile` and `target_criteria` are single objects shared by every
-    action built without them, so neither may be mutated (see
-    `TargetCriteria`)."""
+    action built without them, and the actions loaded from one document
+    share each distinct channel set, prerequisite set and target criteria
+    (see `action_from_dict`), so none of these may ever be mutated (see
+    `TargetCriteria`). Each loaded action has a profile dict of its own."""
 
     id: str
     name: str = ""
@@ -131,12 +139,16 @@ class ActionDatabase:
         """
         v = [] if self._columns_clean() else self._action_problems()
         try:
+            # only a span between finite bounds: a NaN or an infinity is
+            # its action's problem (finite_problems), wherever it sits,
+            # and an empty database has the bounds (inf, -inf)
             v.extend(f"property {name!r}: max - min of the action values "
                      "must be finite"
                      for name, (lo, hi) in self.unbounded_ranges.items()
-                     if self.actions and not isfinite(hi - lo))
+                     if isfinite(lo) and isfinite(hi)
+                     and not isfinite(hi - lo))
         except (KeyError, TypeError, ValueError, OverflowError):
-            # a missing, non-numeric or non-finite value, which
+            # a missing, non-numeric or out-of-float-range value, which
             # validate_profile or finite_problems reports
             pass
         v.extend(self._find_cycles())
@@ -344,9 +356,21 @@ def _ascii_strings(value) -> bool:
     return True
 
 
-def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
+def action_from_dict(ad: dict, errors: list[str], index: int,
+                     shared: dict | None = None) -> Action | None:
     """The `index`-th action of a document list, or None if `entry`
     rejects it; every problem is collected in `errors`.
+
+    `shared` is the table of the values already built from the same
+    document, so that thousands of actions hold a few distinct objects:
+    a channel or prerequisite set equal to one built before is that
+    object (looked up by the list's tuple, then by the set, so lists in
+    any order share one set), every empty one is one shared
+    ``frozenset()``, and a criteria with the same requirements in the
+    same order (keyed by ``tuple(requirements.items())``) is the same
+    `TargetCriteria`. A new value joins the table. The caller keeps one
+    table per document and drops it with the load, so no value outlives
+    it in the table; None means a fresh table.
 
     This runs for every entry of a database, so each field is checked here
     first: an ASCII string, a list of them, a finite float (an int is read
@@ -362,6 +386,8 @@ def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
             and _ACTION_KEYS.issuperset(ad)):
         if entry(ad, _ACTION_KEYS, "action", errors, index) is None:
             return None
+    if shared is None:
+        shared = {}
     get = ad.get
 
     raw = get("target_criteria", _EMPTY)
@@ -376,9 +402,14 @@ def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
             else:
                 requirements = None
                 break
-    criteria = (_new(TargetCriteria, (requirements,))
-                if requirements is not None
-                else criteria_from_dict(raw, f"action {aid!r}", errors))
+    if requirements is not None:
+        # most criteria are empty, and () needs no items view
+        key = tuple(requirements.items()) if requirements else ()
+        criteria = shared.get(key)
+        if criteria is None:
+            criteria = shared[key] = _new(TargetCriteria, (requirements,))
+    else:
+        criteria = criteria_from_dict(raw, f"action {aid!r}", errors)
 
     raw = get("profile", _EMPTY)
     profile = None
@@ -420,18 +451,35 @@ def action_from_dict(ad: dict, errors: list[str], index: int) -> Action | None:
     effect = get("effect", EFFECT_COMPROMISE)
     if not (effect.__class__ is str and effect.isascii()):
         effect = string(effect, "action {!r}: effect", errors, aid)
+    # a string list is looked up by its tuple, which no criteria key
+    # equals unless both are empty, so an empty list takes _NO_IDS
+    key = tuple(channels)
+    channels = ((shared.get(key) or _shared_set(key, shared)) if key
+                else _NO_IDS)
+    key = tuple(prerequisites)
+    prerequisites = ((shared.get(key) or _shared_set(key, shared)) if key
+                     else _NO_IDS)
     # in Action's field order
     return _new(Action, (aid, name, description, tuple(references), profile,
-                         criteria, frozenset(channels),
-                         frozenset(prerequisites), success, effect))
+                         criteria, channels, prerequisites, success, effect))
+
+
+def _shared_set(strings: tuple[str, ...], shared: dict) -> frozenset[str]:
+    """The set of `strings`, not yet in the table under this tuple: the
+    table's equal set, or this one, which joins the table, so that lists
+    in any order and with repeats give one set."""
+    new = frozenset(strings)
+    new = shared[strings] = shared.setdefault(new, new)
+    return new
 
 
 def action_db_from_dict(doc: dict, schema: ProfileSchema) -> ActionDatabase:
     errors = document(doc, {"actions"}, "action document")
     actions: list[Action] = []
+    shared: dict = {}  # this document's distinct values, see action_from_dict
     for i, ad in enumerate(container(doc.get("actions", []), list,
                                      "actions", errors)):
-        action = action_from_dict(ad, errors, i)
+        action = action_from_dict(ad, errors, i, shared)
         if action is not None:
             actions.append(action)
     db = ActionDatabase(actions, schema)

@@ -127,7 +127,9 @@ class DecisionContext:
     - per node, the actions whose target criteria match it, in canonical
       id order, as ``(id, channel bitmask, prerequisites)`` rows; each
       distinct criteria is matched once per node, and each distinct
-      channel set is turned into a bitmask once;
+      channel set is turned into a bitmask once; a criteria object is
+      keyed by its content once, however many actions share it, as a
+      loaded database's actions do;
     - per node, the attack-vector edges into it, in canonical id order, as
       ``(id, source node, channel bitmask)`` rows;
     - per attacker profile (on first use, cached by name and values), the
@@ -166,17 +168,25 @@ class DecisionContext:
         bit = {c: 1 << i for i, c in enumerate(names)}
         masks: dict[frozenset[str], int] = {}  # per distinct channel set
         distinct: dict[frozenset, int] = {}  # criteria -> index in criteria
+        # id of a criteria object -> index in criteria: a loaded database
+        # shares each distinct criteria, so its content key is built once;
+        # the database holds every object, so no id is reused meanwhile
+        seen: dict[int, int] = {}
         criteria = []
         rows = []  # (criteria index, row) per action, in canonical order
         for a in db.actions:
             mask = masks.get(a.channels)
             if mask is None:
                 mask = masks[a.channels] = sum(bit[c] for c in a.channels)
-            key = frozenset(a.target_criteria.requirements.items())
-            if key not in distinct:
-                distinct[key] = len(criteria)
-                criteria.append(a.target_criteria)
-            rows.append((distinct[key], (a.id, mask, a.prerequisites)))
+            c = a.target_criteria
+            i = seen.get(id(c))
+            if i is None:
+                key = frozenset(c.requirements.items())
+                if key not in distinct:
+                    distinct[key] = len(criteria)
+                    criteria.append(c)
+                i = seen[id(c)] = distinct[key]
+            rows.append((i, (a.id, mask, a.prerequisites)))
         self.action_mask = {aid: mask for _, (aid, mask, _) in rows}
         self.actions_for = {}
         for node in system.nodes:

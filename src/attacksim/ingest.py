@@ -308,6 +308,7 @@ def merge_annotations(skeletons: Iterable[ActionSkeleton],
     errors += [f"annotation references unknown skeleton {aid!r}"
                for aid in sorted(set(annotations) - set(by_id))]
     actions: list[Action] = []
+    shared: dict = {}  # values shared within this merge (action_from_dict)
     for i, sk in enumerate(by_id.values()):
         if sk.id not in annotations:
             continue
@@ -326,7 +327,7 @@ def merge_annotations(skeletons: Iterable[ActionSkeleton],
             **ann,
             "id": sk.id,
             "references": list(sk.references),
-        }, errors, i))
+        }, errors, i, shared))
     if actions:
         errors.extend(ActionDatabase(actions, schema).validate())
     if errors:

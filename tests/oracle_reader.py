@@ -7,7 +7,10 @@ as columns: each field goes through `errors.entry`, `string`,
 by action. The tests require the loader to give the same actions, value
 types included, and the same error lists, in the same order. The one rule
 added since is the finite-number check (`profiles.finite_problems`), run
-here where the loader runs it, after each action's `validate_profile`.
+here where the loader runs it, after each action's `validate_profile`;
+with it, a range whose max - min overflows is reported only when both
+bounds are finite, so a NaN or an infinity is reported once, as its
+action's non-finite number.
 """
 
 from math import isfinite
@@ -111,7 +114,8 @@ def validate(db: ActionDatabase) -> list[str]:
         for prop in db.schema:
             if prop.kind == UNBOUNDED_RANGE and db.actions:
                 vals = [float(a.profile[prop.name]) for a in db.actions]
-                if not isfinite(max(vals) - min(vals)):
+                lo, hi = min(vals), max(vals)
+                if isfinite(lo) and isfinite(hi) and not isfinite(hi - lo):
                     v.append(f"property {prop.name!r}: max - min of the "
                              "action values must be finite")
     except (KeyError, TypeError, ValueError, OverflowError):

@@ -307,6 +307,18 @@ class TestMergeAnnotations:
         db = action_db_from_dict(doc, ANNOTATION_SCHEMA)
         assert len(db) == len(skeletons)
 
+    def test_one_merge_shares_equal_values(self):
+        skeletons = (import_capec(DATA / "capec_sample.xml")
+                     + import_cve_feed(DATA / "nvd_sample.json"))
+        annotations = {sk.id: annotation() for sk in skeletons}
+        first, _ = merge_annotations(skeletons, annotations,
+                                     ANNOTATION_SCHEMA)
+        second, _ = merge_annotations(skeletons, annotations,
+                                      ANNOTATION_SCHEMA)
+        assert len(first) > 2
+        assert len({id(a.channels) for a in first}) == 1
+        assert first[0].channels is not second[0].channels
+
     def test_suggested_criteria_used_when_not_overridden(self):
         skeletons = import_cve_feed(DATA / "nvd_sample.json")
         actions, _ = merge_annotations(
