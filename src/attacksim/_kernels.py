@@ -5,7 +5,8 @@ probability normalization, and cumulative weighted selection. Their
 summation order is part of the determinism contract: seeded reports and
 traces depend on these exact floats.
 
-Arguments are plain sequences and results are new lists. All functions
+Arguments are plain sequences and results are new lists or numbers
+(`draw_from_scores` returns an index and a probability). All functions
 assume validated inputs; argument checking lives in the engine layer.
 """
 
@@ -47,9 +48,7 @@ def scores_from_distances(d):
     m = len(d)
     if m == 1:
         return [1.0]
-    total = 0.0
-    for x in d:
-        total += x
+    total = sequential_sum(d)
     if total == 0.0:
         return [1.0] * m
     return [1.0 - x / total for x in d]
@@ -57,10 +56,34 @@ def scores_from_distances(d):
 
 def probabilities_from_scores(s):
     """Normalize scores into a probability vector: P_i = s_i / sum(s)."""
-    total = 0.0
-    for x in s:
-        total += x
+    total = sequential_sum(s)
     return [x / total for x in s]
+
+
+def sequential_sum(x):
+    """The sum of `x`, added left to right with plain float rounding: the
+    total every normalization here divides by. Builtin `sum` compensates
+    rounding from Python 3.12 on, so it can differ in the last bit."""
+    total = 0.0
+    for v in x:
+        total += v
+    return total
+
+
+def draw_from_scores(s, total, u):
+    """The index that uniform draw `u` selects from the probabilities
+    s_i / total, and that probability, where `total` is
+    `sequential_sum(s)`. The walk adds the same floats in the same order as
+    ``weighted_index(probabilities_from_scores(s), u)``, so it selects the
+    same index, yet divides only up to it."""
+    acc = 0.0
+    last = len(s) - 1
+    for i in range(last):
+        q = s[i] / total
+        acc += q
+        if u < acc:
+            return i, q
+    return last, s[last] / total
 
 
 def weighted_index(p, u):

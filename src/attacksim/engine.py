@@ -26,8 +26,9 @@ attempted or succeeded action, come from the context's memo by scaled
 profile, node and live channel mask, filled on a miss even when empty:
 every episode starts with such scans, and the same keys recur. A fresh
 node's assessment depends on its distances alone, so the memo's entry
-holds its scores and probabilities too, computed once per run and
-process when the entry is filled.
+holds its scores and their total too, computed once per run and process
+when the entry is filled. A draw divides each score by the total only
+up to the drawn index, so no probability vector is built.
 
 Neither a retry, the decision after a failed attempt on the same
 target, nor a retarget, the draw after a compromise or an exhausted
@@ -40,10 +41,11 @@ only its neighbours. The draw is over the sorted keys, the same list a
 full scan gives, so the RNG use is unchanged.
 
 A decision's record, which `step` returns, is a NamedTuple, built
-positionally, that keeps its candidates as four columns: the table's
-columns themselves, whose scores and probabilities `step` computes for
-a target with history; no per-candidate object is built on the decision
-path.
+positionally, that keeps its candidates as two columns, the table's ids
+and distances themselves; their scores and probabilities are derived
+from the distances when read, so a retained record holds no float of
+its own per candidate, and no per-candidate object is built on the
+decision path.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ SUCCESS = "success"
 FAILURE = "failure"
 
 # a node's candidate ids, in canonical id order, their distances, and
-# their scores and probabilities, or None, None until `step` scores them
+# their scores and the scores' total, or None, None until `step` scores them
 Columns = tuple[tuple[str, ...], tuple[float, ...],
-                tuple[float, ...] | None, tuple[float, ...] | None]
+                tuple[float, ...] | None, float | None]
 
 
 class CandidateScore(NamedTuple):
@@ -85,12 +87,15 @@ class DecisionRecord(NamedTuple):
     AttributeError) and cheap to build; `step` builds it positionally, in
     the field order below, which is therefore part of its contract.
 
-    The candidates are stored as four parallel columns in canonical id
-    order: ``action_ids[i]`` has distance ``distances[i]``, score
-    ``scores[i]`` and selection probability ``probabilities[i]``.
-    ``candidates`` derives the per-candidate view from them. A record of
-    a decision on a fresh target shares all four tuples with the
-    context's memo, which nothing mutates.
+    The candidates are stored as two parallel columns in canonical id
+    order: ``action_ids[i]`` has distance ``distances[i]``. A record of a
+    decision on a fresh target shares both tuples with the context's
+    memo, which nothing mutates. Their scores and selection probabilities
+    are a function of the distances, so they are not stored: ``scores``,
+    ``probabilities`` and ``candidates`` derive them through the kernels
+    on every read, the same floats `step` drew with. A record of a
+    negative or non-finite distance, which `step` never builds, has no
+    meaningful scores.
 
     ``source`` is required: the node, or the external origin, that the
     chosen action is launched from. ``via_edges`` defaults to no edge.
@@ -99,8 +104,6 @@ class DecisionRecord(NamedTuple):
     target: str
     action_ids: tuple[str, ...]
     distances: tuple[float, ...]
-    scores: tuple[float, ...]
-    probabilities: tuple[float, ...]
     chosen: str
     chosen_name: str
     probability: float
@@ -109,10 +112,22 @@ class DecisionRecord(NamedTuple):
     via_edges: tuple[str, ...] = ()
 
     @property
+    def scores(self) -> tuple[float, ...]:
+        """``scores[i]`` is the score of ``action_ids[i]``."""
+        return tuple(_kernels.scores_from_distances(self.distances))
+
+    @property
+    def probabilities(self) -> tuple[float, ...]:
+        """``probabilities[i]`` is the selection probability of
+        ``action_ids[i]``."""
+        return tuple(_kernels.probabilities_from_scores(self.scores))
+
+    @property
     def candidates(self) -> tuple[CandidateScore, ...]:
-        """The columns zipped into one CandidateScore per candidate."""
-        return tuple(map(CandidateScore, self.action_ids, self.distances,
-                         self.scores, self.probabilities))
+        """One CandidateScore per candidate, the scores derived once."""
+        s = _kernels.scores_from_distances(self.distances)
+        return tuple(map(CandidateScore, self.action_ids, self.distances, s,
+                         _kernels.probabilities_from_scores(s)))
 
 
 class DecisionContext:
@@ -137,15 +152,16 @@ class DecisionContext:
     - the fresh-node memo: the candidates of a node with no attempted or
       succeeded action depend only on the attacker's scaled profile, the
       node and the channel mask of its live edges, so each such scan is
-      kept, keyed by ``(scaled profile, node, live mask)``, as four
-      tuples, which may be empty: the ids and distances, and their
-      scores and probabilities. It is filled on first use in each
-      process and holds at most nodes x 2^channels entries per distinct
-      scaled profile. By `sys.getsizeof`, an entry costs about 80 bytes
-      per candidate: 8 for each of its four tuple slots and 24 for each
-      score and probability float; the ids and distances themselves are
-      shared with the database and the profile cache. On wide-4x2000
-      its 4 entries hold 6,554 candidates in about 525 kB.
+      kept, keyed by ``(scaled profile, node, live mask)``, as three
+      tuples, which may be empty, and a float: the ids and distances,
+      their scores, and the scores' `_kernels.sequential_sum`. It is
+      filled on first use in each process and holds at most
+      nodes x 2^channels entries per distinct scaled profile. By
+      `sys.getsizeof`, an entry costs about 48 bytes per candidate: 8
+      for each of its three tuple slots and 24 for each score float; the
+      ids and distances themselves are shared with the database and the
+      profile cache. On wide-4x2000 its 4 entries hold 6,554 candidates
+      in about 315 kB.
 
     Immutable after construction apart from the profile cache and the
     memo. What depends on an episode's history, such as each open
@@ -279,7 +295,7 @@ def _columns(state: AttackState, node: str) -> Columns:
     done once per run in the context. A fresh node's columns come from the
     context's memo, scanned, scored and stored on a miss, even when
     empty; those of a node with history carry None for their scores and
-    probabilities. The node must be known and not compromised.
+    total. The node must be known and not compromised.
     """
     live = _live_mask(state, node)
     attempted = state.attempted.get(node, ())
@@ -296,14 +312,9 @@ def _columns(state: AttackState, node: str) -> Columns:
     d = tuple(map(state._distances.__getitem__, ids))
     if not fresh:
         return ids, d, None, None
-    cols = state.ctx.fresh[key] = ids, d, *_assess(d)
-    return cols
-
-
-def _assess(d: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """The scores and probabilities of a candidate set's distances."""
     s = tuple(_kernels.scores_from_distances(d))
-    return s, tuple(_kernels.probabilities_from_scores(s))
+    cols = state.ctx.fresh[key] = ids, d, s, _kernels.sequential_sum(s)
+    return cols
 
 
 def _table(state: AttackState) -> dict:
@@ -446,11 +457,13 @@ def step(state: AttackState, rng) -> DecisionRecord | None:
     A failed action still counts as attempted, so targets exhaust. Any
     successful action compromises its target for knowledge purposes,
     whatever its reported effect. The record's columns are the target's
-    in the candidate table; their scores and probabilities are computed
-    here unless they came with the fresh-node memo's entry. A failure
-    replaces the columns with unscored columns that lack the action, or
-    drops an exhausted target; a compromise drops its target and
-    rederives only its neighbours' columns (see AttackState).
+    ids and distances in the candidate table. Every draw, fresh or
+    retried, goes through `_kernels.draw_from_scores`, with the scores
+    and their total computed here unless they came with the fresh-node
+    memo's entry. A failure replaces the columns with unscored columns
+    that lack the action, or drops an exhausted target; a compromise
+    drops its target and rederives only its neighbours' columns (see
+    AttackState).
     """
     target = select_target(state, rng)
     if target is None:
@@ -458,17 +471,18 @@ def step(state: AttackState, rng) -> DecisionRecord | None:
     filter_valid(state, target)
     ctx = state.ctx
     table = state._open
-    ids, d, s, p = table[target]
+    ids, d, s, total = table[target]
     if s is None:
-        s, p = _assess(d)
-    idx = _kernels.weighted_index(p, rng.random())
+        s = _kernels.scores_from_distances(d)
+        total = _kernels.sequential_sum(s)
+    idx, probability = _kernels.draw_from_scores(s, total, rng.random())
     chosen = ids[idx]
     action = ctx.db.by_id[chosen]
     success = rng.random() < action.success_probability
     via = viable_edges(state, target, chosen)
     # positional, in DecisionRecord's field order
     record = DecisionRecord(
-        target, ids, d, s, p, chosen, action.name or action.id, p[idx],
+        target, ids, d, chosen, action.name or action.id, probability,
         SUCCESS if success else FAILURE,
         ctx.system.edge_by_id[via[0]].from_node, via)
     # chosen was a candidate, so it was not yet attempted on the target

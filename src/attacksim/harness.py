@@ -317,9 +317,12 @@ def trace_to_dict(trace: EpisodeTrace) -> dict:
 def trace_from_dict(doc: dict) -> EpisodeTrace:
     """Rebuild a trace from its document form, in two passes: the type pass
     collects every missing or mistyped field; once every field has the
-    right type, `_trace_problems` checks the typed trace. So a document
-    with a type error reports only its type errors. Either pass raises
-    ValidationFailure("corrupt trace document", errors)."""
+    right type, `_trace_problems` checks the typed trace, with each
+    decision's scores and probabilities as the document lists them. So a
+    document with a type error reports only its type errors. Either pass
+    raises ValidationFailure("corrupt trace document", errors). The
+    records keep no score or probability: a trace that passes lists the
+    ones its distances give, which the records derive."""
     if not isinstance(doc, dict):
         raise ValidationFailure("trace document must be a JSON object")
     errors: list[str] = []
@@ -329,6 +332,7 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
     profile = string(doc.get("profile"), "profile", errors)
     status = string(doc.get("status"), "status", errors)
     records = []
+    listed = []  # each decision's (scores, probabilities), for the checks
     for i, r in enumerate(container(doc.get("decisions"), list, "decisions",
                                     errors)):
         owner = f"decision #{i}"
@@ -348,10 +352,10 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
                 column.append(number(c.get(key), 0.0, errors,
                                      "{}: candidate #{}: {}", owner, j, key))
         chosen = string(r.get("chosen"), f"{owner}: chosen", errors)
+        listed.append((s, p))
         records.append(DecisionRecord(
             target=string(r.get("target"), f"{owner}: target", errors),
             action_ids=tuple(ids), distances=tuple(d),
-            scores=tuple(s), probabilities=tuple(p),
             chosen=chosen,
             chosen_name=string(r.get("chosen_name", chosen),
                                f"{owner}: chosen_name", errors),
@@ -370,13 +374,13 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
     if not errors:
         trace = EpisodeTrace(index, profile, tuple(records), status,
                              CpsKnowledge(nodes, edges, owned))
-        errors = _trace_problems(trace)
+        errors = _trace_problems(trace, listed)
     if errors:
         raise ValidationFailure("corrupt trace document", errors)
     return trace
 
 
-def _trace_problems(trace: EpisodeTrace) -> list[str]:
+def _trace_problems(trace: EpisodeTrace, listed=None) -> list[str]:
     """The writer's rules that the typed `trace` breaks: an episode index
     not negative, a status and outcomes it writes, probabilities in
     [0, 1], no action listed twice among a decision's candidates, a chosen
@@ -387,7 +391,11 @@ def _trace_problems(trace: EpisodeTrace) -> list[str]:
     probabilities the kernels give from its distances, none negative. A
     trace that broke none must have the successful decisions' targets as
     its compromised nodes, and a successful last decision if its target
-    was reached."""
+    was reached.
+
+    `listed` gives each decision's (scores, probabilities) as a document
+    lists them; without it, they are the ones the records derive, as for
+    a trace the engine ran."""
     problems = []
     if trace.index < 0:
         problems.append("episode must not be negative")
@@ -402,7 +410,9 @@ def _trace_problems(trace: EpisodeTrace) -> list[str]:
         if rec.outcome not in (SUCCESS, FAILURE):
             problems.append(f"{owner}: outcome must be one of success, "
                             "failure")
-        ids, p = rec.action_ids, rec.probabilities
+        s, p = (listed[i] if listed is not None
+                else (rec.scores, rec.probabilities))
+        ids = rec.action_ids
         seen = set()
         for j, (aid, pj) in enumerate(zip(ids, p)):
             if not 0.0 <= pj <= 1.0:
@@ -437,9 +447,8 @@ def _trace_problems(trace: EpisodeTrace) -> list[str]:
         # which never sum to zero
         if len(problems) == clean and (
                 min(rec.distances) < 0.0
-                or list(rec.scores) != _kernels.scores_from_distances(
-                    rec.distances)
-                or list(p) != _kernels.probabilities_from_scores(rec.scores)):
+                or list(s) != _kernels.scores_from_distances(rec.distances)
+                or list(p) != _kernels.probabilities_from_scores(s)):
             problems.append(f"{owner}: scores and probabilities are not the "
                             "ones its distances give")
     problems.extend(f"decision #{i}: target is not among the known nodes"
@@ -510,14 +519,16 @@ def _quoted_list(items, indent: str) -> str:
 
 def _candidates_json(rec: DecisionRecord, head) -> str:
     """A decision's candidates as indent=2 lays them out, from five parts
-    a candidate, joined once; `head` gives each (id, distance) its head."""
+    a candidate, joined once; `head` gives each (id, distance) its head.
+    The scores and probabilities are derived here, once."""
     n = len(rec.action_ids)
     if not n:
         return "[]"
     parts = [None, None, _TO_PROBABILITY, None, _NEXT] * n
     parts[0::5] = map(head, zip(rec.action_ids, rec.distances))
-    parts[1::5] = map(repr, rec.scores)
-    parts[3::5] = map(repr, rec.probabilities)
+    s = _kernels.scores_from_distances(rec.distances)
+    parts[1::5] = map(repr, s)
+    parts[3::5] = map(repr, _kernels.probabilities_from_scores(s))
     parts[0] = "[\n" + parts[0]
     parts[-1] = _LAST
     return "".join(parts)
@@ -534,16 +545,19 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
     action id and distance, which recur across a trace's decisions, so
     when the distances are all floats, as the engine and
     `trace_from_dict` give them, each pair's head is built once per call.
-    A trace holding a non-finite number, which no loader accepts, raises
-    ValueError before the file is opened.
+    Each decision's scores and probabilities are derived from its
+    distances as it is written. A trace holding a non-finite number or a
+    negative distance, which no loader accepts, raises ValueError before
+    the file is opened; finite distances that are not negative give
+    finite scores and probabilities.
     """
     # a finite sum proves each value finite; else check value by value
-    if not all(isfinite(r.probability + sum(r.distances) + sum(r.scores)
-                        + sum(r.probabilities))
-               or all(map(isfinite, (r.probability, *r.distances, *r.scores,
-                                     *r.probabilities)))
+    if not all(isfinite(r.probability + sum(r.distances))
+               or all(map(isfinite, (r.probability, *r.distances)))
                for r in trace.records):
         raise ValueError(f"trace {trace.index} holds a non-finite number")
+    if any(min(r.distances, default=0.0) < 0.0 for r in trace.records):
+        raise ValueError(f"trace {trace.index} holds a negative distance")
     path = Path(path)
     k = trace.knowledge
     # 1 == 1.0, yet json spells them apart, so a trace holding a

@@ -1,11 +1,12 @@
 """The fresh-node memo's assessment against a fresh assessment.
 
-A fresh-node entry carries the scores and probabilities of its
-distances, filled once when the entry is stored. Every entry a lookup
-serves must hold the engine's scores and probabilities of its distances,
-and so must every record. A profile name whose values change between
-runs of one context must get its own entries, each holding the
-distances of the profile in its key.
+A fresh-node entry carries the scores of its distances and their total,
+filled once when the entry is stored. Every entry a lookup serves must
+hold the engine's scores of its distances and the total that divides
+them into the engine's probabilities, and every record must derive the
+engine's scores and probabilities from its distances. A profile name
+whose values change between runs of one context must get its own
+entries, each holding the distances of the profile in its key.
 """
 
 from random import Random
@@ -29,12 +30,19 @@ def assessed(dists):
     return s, tuple(engine.probabilities(s)) if s else ()
 
 
+def check_entry(entry):
+    """A memo entry's scores and total against a fresh assessment."""
+    _, dists, s, total = entry
+    assert (s, tuple(x / total for x in s)) == assessed(dists)
+
+
 class CheckedMemo(RecordingMemo):
     """The fresh-node memo, checking each entry a lookup serves."""
 
     def get(self, key, default=None):
         found = super().get(key, default)
-        assert found is None or found[2:] == assessed(found[1])
+        if found is not None:
+            check_entry(found)
         return found
 
 
@@ -72,7 +80,8 @@ def test_changed_profile_values_get_their_own_entries(seed):
     assert {key[0] for key in ctx.fresh} <= thetas
     # and holds that profile's distances, assessed
     beta = [p.criticality for p in db.schema]
-    for (theta, _, _), (ids, dists, s, p) in ctx.fresh.items():
+    for (theta, _, _), entry in ctx.fresh.items():
+        ids, dists = entry[:2]
         assert dists == tuple(
             distance(theta, ctx.action_profiles[a], beta) for a in ids)
-        assert (s, p) == assessed(dists)
+        check_entry(entry)

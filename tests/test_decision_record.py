@@ -36,9 +36,8 @@ from attacksim.model import (
 
 from genrand import random_instance
 
-FIELDS = ("target", "action_ids", "distances", "scores", "probabilities",
-          "chosen", "chosen_name", "probability", "outcome", "source",
-          "via_edges")
+FIELDS = ("target", "action_ids", "distances", "chosen", "chosen_name",
+          "probability", "outcome", "source", "via_edges")
 
 
 def load_cstr(cstr_paths):
@@ -75,8 +74,7 @@ def test_fields_keep_their_order_and_defaults():
 
 def test_record_without_a_source_is_rejected():
     with pytest.raises(TypeError, match="source"):
-        DecisionRecord("N", ("a",), (1.0,), (1.0,), (1.0,), "a", "A", 1.0,
-                       SUCCESS)
+        DecisionRecord("N", ("a",), (1.0,), "a", "A", 1.0, SUCCESS)
 
 
 def test_no_field_can_be_assigned(cstr_paths):

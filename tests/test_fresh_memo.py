@@ -4,12 +4,13 @@ assessment.
 A node with no attempted or succeeded action has candidates that depend
 only on the attacker's scaled profile, the node and the channels of its
 live edges, so DecisionContext keeps each such scan, empty or not, with
-its scores and probabilities. The memo is read wherever the engine
+its scores and their total. The memo is read wherever the engine
 derives a node's candidates, so each served entry is found by its key:
 for every fresh open node whose key was served, the entry must hold the
-oracle's candidates, a fresh single-pair distance for each, and the
-engine's scores and probabilities of those distances, and a decision on
-a fresh target must record the entry's tuples themselves. Episodes run
+oracle's candidates, a fresh single-pair distance for each, the
+engine's scores of those distances, and the total that divides them
+into the engine's probabilities, and a decision on a fresh target must
+record the entry's id and distance tuples themselves. Episodes run
 on generated instances, with direct knowledge edits between steps so the
 live channels vary. A profile name whose values change between runs of
 one context must get its own entries, two names with equal values must
@@ -97,16 +98,16 @@ def check_fresh_nodes(state):
     for nid, key in keys.items():
         if key not in ctx.fresh.served:
             continue
-        ids, dists, s, p = ctx.fresh[key]
+        ids, dists, s, total = ctx.fresh[key]
         assert ids == want[nid]
         assert dists == tuple(
             distance(state.theta, ctx.action_profiles[a], beta)
             for a in ids)
         if ids:
             assert s == tuple(engine.scores(dists))
-            assert p == tuple(engine.probabilities(s))
+            assert [x / total for x in s] == engine.probabilities(s)
         else:
-            assert s == p == ()
+            assert (s, total) == ((), 0.0)
         hits += bool(ids)
     ctx.fresh.served.clear()
     return hits, keys
@@ -127,8 +128,8 @@ def run_episode(ctx, attacker, rng, edit=0.25):
             break
         if rec.target in keys:
             entry = ctx.fresh[keys[rec.target]]
-            columns = rec.action_ids, rec.distances, rec.scores, rec.probabilities
-            assert all(map(operator.is_, entry, columns))
+            columns = rec.action_ids, rec.distances
+            assert all(map(operator.is_, entry[:2], columns))
         k = state.knowledge
         open_nodes = sorted(k.known_nodes - k.compromised_nodes)
         if open_nodes and rng.random() < edit:

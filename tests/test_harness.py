@@ -455,12 +455,11 @@ TEXT = st.text(st.characters(codec=None), max_size=6)
 
 @st.composite
 def decisions(draw):
-    candidates = draw(st.lists(st.tuples(TEXT, st.floats(), st.floats(),
-                                         st.floats()), max_size=4))
-    ids, d, s, p = tuple(zip(*candidates)) or ((),) * 4
+    candidates = draw(st.lists(st.tuples(TEXT, st.floats()), max_size=4))
+    ids, d = tuple(zip(*candidates)) or ((),) * 2
     return DecisionRecord(
-        target=draw(TEXT), action_ids=ids, distances=d, scores=s,
-        probabilities=p, chosen=draw(TEXT), chosen_name=draw(TEXT),
+        target=draw(TEXT), action_ids=ids, distances=d,
+        chosen=draw(TEXT), chosen_name=draw(TEXT),
         probability=draw(st.floats()), outcome=draw(TEXT),
         source=draw(TEXT), via_edges=tuple(draw(st.lists(TEXT, max_size=3))))
 
@@ -487,17 +486,18 @@ USB_DROP = {"action": "usb-drop", "distance": 1.0, "score": 1.0,
 def writer_trace(ids=("a1", "a2"), value=0.25, records=2, distances=None,
                  record_distances=None):
     """A trace of `records` decisions whose candidates are `ids`, every
-    number `value` unless `distances` gives every decision's distances or
-    `record_distances` gives one tuple of distances per decision (and so
-    the number of decisions); via_edges and compromised_nodes are empty."""
+    distance and probability `value` unless `distances` gives every
+    decision's distances or `record_distances` gives one tuple of
+    distances per decision (and so the number of decisions); via_edges
+    and compromised_nodes are empty."""
     n = len(ids)
     if record_distances is None:
         record_distances = ((value,) * n if distances is None
                             else distances,) * records
     return harness.EpisodeTrace(
         index=3, profile="p", records=tuple(DecisionRecord(
-            target="N1", action_ids=ids, distances=d, scores=(value,) * n,
-            probabilities=(value,) * n, chosen="a1", chosen_name="A one",
+            target="N1", action_ids=ids, distances=d,
+            chosen="a1", chosen_name="A one",
             probability=value, outcome="failure", source=EXTERNAL_ORIGIN)
             for d in record_distances),
         status=EXHAUSTED,
@@ -507,11 +507,15 @@ def writer_trace(ids=("a1", "a2"), value=0.25, records=2, distances=None,
 
 
 # wide-4x2000's size of decision: 2000 candidates, the second decision
-# keeping half of the first one's distances, zeros among both
+# keeping half of the first one's distances, zeros among both; negative
+# distances in the first pair, -0.0 as the only sign in the second
 WIDE_IDS = tuple(f"a{i}" for i in range(2000))
 WIDE_DISTANCES = (tuple(i % 7 / 3 for i in range(2000)),
                   tuple(i % 7 / 3 if i % 2 else -(i % 5 / 4)
                         for i in range(2000)))
+WIDE_UNSIGNED = (WIDE_DISTANCES[0],
+                 tuple(i % 7 / 3 if i % 2 else i % 5 / 4 or -0.0
+                       for i in range(2000)))
 
 
 class TestTraceSerialization:
@@ -560,26 +564,35 @@ class TestTraceSerialization:
     @example(trace=writer_trace(record_distances=((1.0, 0.5), (1, 0.5))))
     @example(trace=writer_trace(ids=("a1",), record_distances=((0.5,),) * 2))
     @example(trace=writer_trace(ids=WIDE_IDS, record_distances=WIDE_DISTANCES))
+    @example(trace=writer_trace(ids=WIDE_IDS, record_distances=WIDE_UNSIGNED))
     def test_writer_matches_json_dumps(self, tmp_path_factory, trace):
-        """A finite trace is written as json.dumps lays it out; one that
-        json can only spell with NaN or Infinity raises, writing nothing.
-        1e308 overflows a sum of the values but is finite itself. The
-        writer builds a candidate's text up to its score once per (action
-        id, distance) pair of a trace, yet an id whose distance is 0.0 in
-        one decision and -0.0 in another, or 1.0 and then 1, which compare
-        equal, keeps each decision's own spelling."""
+        """A trace of finite numbers and no negative distance is written as
+        json.dumps lays it out, its scores and probabilities derived from
+        its distances and all finite; one that json can only spell with
+        NaN or Infinity, or that has a negative distance, which no loader
+        accepts, raises, writing nothing. 1e308 overflows a sum of the
+        values but is finite itself. The writer builds a candidate's text
+        up to its score once per (action id, distance) pair of a trace,
+        yet an id whose distance is 0.0 in one decision and -0.0 in
+        another, or 1.0 and then 1, which compare equal, keeps each
+        decision's own spelling."""
         path = tmp_path_factory.getbasetemp() / "writer.json"
         path.unlink(missing_ok=True)
-        try:
+        numbers = [x for r in trace.records for x in (r.probability,
+                                                      *r.distances)]
+        if not all(map(math.isfinite, numbers)):
+            problem = "non-finite number"
+        elif any(x < 0.0 for r in trace.records for x in r.distances):
+            problem = "negative distance"
+        else:
             expected = json.dumps(trace_to_dict(trace), indent=2,
                                   allow_nan=False)
-        except ValueError:
-            with pytest.raises(ValueError, match="non-finite number"):
-                save_trace(trace, path)
-            assert not path.exists()
-        else:
             save_trace(trace, path)
             assert path.read_bytes() == expected.encode("ascii")
+            return
+        with pytest.raises(ValueError, match=problem):
+            save_trace(trace, path)
+        assert not path.exists()
 
     def test_corrupt_trace_rejected(self):
         with pytest.raises(ValidationFailure, match="corrupt"):
