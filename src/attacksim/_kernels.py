@@ -5,9 +5,9 @@ probability normalization, and cumulative weighted selection. Their
 summation order is part of the determinism contract: seeded reports and
 traces depend on these exact floats.
 
-Arguments are plain sequences and results are new lists or numbers
-(`draw_from_scores` returns an index and a probability). All functions
-assume validated inputs; argument checking lives in the engine layer.
+Arguments are plain sequences and results are new lists or numbers.
+All functions assume validated inputs; argument checking lives in the
+engine layer.
 """
 
 from math import sqrt
@@ -70,28 +70,19 @@ def sequential_sum(x):
     return total
 
 
-def draw_from_scores(s, total, u):
-    """The index that uniform draw `u` selects from the probabilities
-    s_i / total, and that probability, where `total` is
-    `sequential_sum(s)`. The walk adds the same floats in the same order as
-    ``weighted_index(probabilities_from_scores(s), u)``, so it selects the
-    same index, yet divides only up to it."""
-    acc = 0.0
-    last = len(s) - 1
-    for i in range(last):
-        q = s[i] / total
-        acc += q
-        if u < acc:
-            return i, q
-    return last, s[last] / total
+def weighted_index(w, u, total=1.0):
+    """Index into the probabilities w_i / total selected by uniform draw
+    `u`: the first index whose cumulative sum exceeds `u`, else the last.
 
-
-def weighted_index(p, u):
-    """Index into probability vector `p` selected by uniform draw `u`."""
+    With `total` 1.0, `w` is itself the probability vector (``x / 1.0 == x``
+    in IEEE 754). With ``total = sequential_sum(w)`` the walk adds the same
+    floats in the same order as it would over
+    ``probabilities_from_scores(w)``, so it selects the same index, yet
+    divides only up to it."""
     acc = 0.0
-    last = len(p) - 1
+    last = len(w) - 1
     for i in range(last):
-        acc += p[i]
+        acc += w[i] / total
         if u < acc:
             return i
     return last

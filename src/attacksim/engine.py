@@ -27,8 +27,9 @@ profile, node and live channel mask, filled on a miss even when empty:
 every episode starts with such scans, and the same keys recur. A fresh
 node's assessment depends on its distances alone, so the memo's entry
 holds its scores and their total too, computed once per run and process
-when the entry is filled. A draw divides each score by the total only
-up to the drawn index, so no probability vector is built.
+when the entry is filled. A draw, `_kernels.weighted_index` over the
+scores and their total, divides each score by the total only up to the
+drawn index, so no probability vector is built.
 
 Neither a retry, the decision after a failed attempt on the same
 target, nor a retarget, the draw after a compromise or an exhausted
@@ -154,7 +155,8 @@ class DecisionContext:
       node and the channel mask of its live edges, so each such scan is
       kept, keyed by ``(scaled profile, node, live mask)``, as three
       tuples, which may be empty, and a float: the ids and distances,
-      their scores, and the scores' `_kernels.sequential_sum`. It is
+      their scores, and the scores' `_kernels.sequential_sum`, the total
+      that `step` passes to `_kernels.weighted_index`. It is
       filled on first use in each process and holds at most
       nodes x 2^channels entries per distinct scaled profile. By
       `sys.getsizeof`, an entry costs about 48 bytes per candidate: 8
@@ -425,14 +427,12 @@ def probabilities(score_values: Sequence[float]) -> list[float]:
     """Selection probabilities from scores."""
     if len(score_values) == 0:
         raise ValueError("empty score vector")
-    total = 0.0
     for s in score_values:
         if not isfinite(s):
             raise ValueError(f"non-finite score {s}")
         if s < 0:
             raise ValueError(f"negative score {s}")
-        total += s
-    if total == 0.0:
+    if _kernels.sequential_sum(score_values) == 0.0:
         raise ValueError("scores sum to zero")
     return _kernels.probabilities_from_scores(score_values)
 
@@ -458,12 +458,12 @@ def step(state: AttackState, rng) -> DecisionRecord | None:
     successful action compromises its target for knowledge purposes,
     whatever its reported effect. The record's columns are the target's
     ids and distances in the candidate table. Every draw, fresh or
-    retried, goes through `_kernels.draw_from_scores`, with the scores
-    and their total computed here unless they came with the fresh-node
-    memo's entry. A failure replaces the columns with unscored columns
-    that lack the action, or drops an exhausted target; a compromise
-    drops its target and rederives only its neighbours' columns (see
-    AttackState).
+    retried, is `_kernels.weighted_index` over the scores and their
+    total, computed here unless they came with the fresh-node memo's
+    entry; the record keeps the drawn score over the total. A failure
+    replaces the columns with unscored columns that lack the action, or
+    drops an exhausted target; a compromise drops its target and
+    rederives only its neighbours' columns (see AttackState).
     """
     target = select_target(state, rng)
     if target is None:
@@ -475,14 +475,14 @@ def step(state: AttackState, rng) -> DecisionRecord | None:
     if s is None:
         s = _kernels.scores_from_distances(d)
         total = _kernels.sequential_sum(s)
-    idx, probability = _kernels.draw_from_scores(s, total, rng.random())
+    idx = _kernels.weighted_index(s, rng.random(), total)
     chosen = ids[idx]
     action = ctx.db.by_id[chosen]
     success = rng.random() < action.success_probability
     via = viable_edges(state, target, chosen)
     # positional, in DecisionRecord's field order
     record = DecisionRecord(
-        target, ids, d, chosen, action.name or action.id, probability,
+        target, ids, d, chosen, action.name or action.id, s[idx] / total,
         SUCCESS if success else FAILURE,
         ctx.system.edge_by_id[via[0]].from_node, via)
     # chosen was a candidate, so it was not yet attempted on the target

@@ -380,7 +380,7 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
     return trace
 
 
-def _trace_problems(trace: EpisodeTrace, listed=None) -> list[str]:
+def _trace_problems(trace: EpisodeTrace, listed) -> list[str]:
     """The writer's rules that the typed `trace` breaks: an episode index
     not negative, a status and outcomes it writes, probabilities in
     [0, 1], no action listed twice among a decision's candidates, a chosen
@@ -394,8 +394,7 @@ def _trace_problems(trace: EpisodeTrace, listed=None) -> list[str]:
     was reached.
 
     `listed` gives each decision's (scores, probabilities) as a document
-    lists them; without it, they are the ones the records derive, as for
-    a trace the engine ran."""
+    lists them, in decision order."""
     problems = []
     if trace.index < 0:
         problems.append("episode must not be negative")
@@ -410,8 +409,7 @@ def _trace_problems(trace: EpisodeTrace, listed=None) -> list[str]:
         if rec.outcome not in (SUCCESS, FAILURE):
             problems.append(f"{owner}: outcome must be one of success, "
                             "failure")
-        s, p = (listed[i] if listed is not None
-                else (rec.scores, rec.probabilities))
+        s, p = listed[i]
         ids = rec.action_ids
         seen = set()
         for j, (aid, pj) in enumerate(zip(ids, p)):

@@ -58,8 +58,9 @@ def _element_text(elem) -> str:
 def import_capec(path: str | Path) -> list[ActionSkeleton]:
     """One skeleton per attack pattern in a CAPEC catalog export.
 
-    Related CWE ids are carried into the references. An unexpected schema
-    namespace downgrades to a warning and best-effort extraction.
+    Related CWE ids are carried into the references. A pattern whose ID
+    is missing, empty or blank is skipped. An unexpected schema namespace
+    downgrades to a warning and best-effort extraction.
     """
     path = str(path)
     try:
@@ -75,7 +76,7 @@ def import_capec(path: str | Path) -> list[ActionSkeleton]:
     skeletons: list[ActionSkeleton] = []
     for pattern in root.iter(q("Attack_Pattern")):
         pid = pattern.get("ID")
-        if pid is None:
+        if not pid or pid.isspace():
             continue
         capec_id = f"CAPEC-{pid}"
         refs = [capec_id]

@@ -704,7 +704,8 @@ class TestTraceSerialization:
                                    max_steps=30)))
         for run in runs:
             for trace in run_monte_carlo(*run)[1]:
-                assert harness._trace_problems(trace) == []
+                listed = [(r.scores, r.probabilities) for r in trace.records]
+                assert harness._trace_problems(trace, listed) == []
                 doc = json.loads(json.dumps(trace_to_dict(trace)))
                 assert trace_from_dict(doc) == trace
 

@@ -127,7 +127,10 @@ class TestImportCapec:
                         'xmlns="http://capec.mitre.org/capec-3">'
                         '<Attack_Patterns>'
                         '<Attack_Pattern Name="anonymous"/>'
+                        '<Attack_Pattern ID="" Name="empty"/>'
                         '<Attack_Pattern ID="1" Name="x"/>'
+                        '<Attack_Pattern ID="  " Name="blank"/>'
+                        '<Attack_Pattern ID="" Name="empty again"/>'
                         '</Attack_Patterns></Attack_Pattern_Catalog>')
         assert [sk.id for sk in import_capec(path)] == ["CAPEC-1"]
 

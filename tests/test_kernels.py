@@ -1,14 +1,24 @@
 """Reference cases for the decision-math kernels."""
 
+import importlib.util
 import math
+from pathlib import Path
+from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from attacksim import _kernels
 from attacksim.actions import load_action_db
+from attacksim.cli import load_inputs
 from attacksim.engine import DecisionContext, distance
+from attacksim.harness import SimConfig, run_monte_carlo
 from attacksim.model import load_system
-from attacksim.profiles import load_profiles
+from attacksim.profiles import ProfileSet, load_profiles
+
+from genrand import random_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_distances_basic():
@@ -78,17 +88,75 @@ def draws(p):
 
 @settings(max_examples=300, deadline=None)
 @given(s=SCORE_VECTORS, extra=st.floats(0.0, 1.0, exclude_max=True))
-def test_draw_from_scores_equals_the_composition_it_replaces(s, extra):
+def test_weighted_index_over_a_total_equals_the_walk_over_probabilities(
+        s, extra):
     """The walk over s_i / total selects the index that weighted_index
-    selects over probabilities_from_scores(s), at the same probability,
-    bit for bit."""
+    selects over probabilities_from_scores(s), and s_i / total there is
+    that index's probability, bit for bit."""
     p = _kernels.probabilities_from_scores(s)
     total = _kernels.sequential_sum(s)
     for u in (*draws(p), extra):
         want = _kernels.weighted_index(p, u)
-        got, q = _kernels.draw_from_scores(s, total, u)
+        got = _kernels.weighted_index(s, u, total)
         assert got == want
-        assert q.hex() == p[want].hex()
+        assert (s[got] / total).hex() == p[want].hex()
+
+
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """Counts calls to `_kernels.weighted_index`, rebound to a counting
+    wrapper for the test; the callers read the module attribute."""
+    calls = []
+    real = _kernels.weighted_index
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "weighted_index", counting)
+    return calls
+
+
+def small_wide(tmp_path):
+    """A 300-action instance of perfbench's wide shape, built by its
+    generator (imported from its file, a private copy, and only read)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances", ROOT / "perfbench" / "instances.py")
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    instances.SHAPES["wide"] = dict(instances.SHAPES["wide"], actions=300)
+    paths = instances.write_instance(instances.generate("wide", 0),
+                                     tmp_path / "wide")
+    return load_inputs(paths["system"], paths["actions"], paths["profiles"])
+
+
+def test_every_decision_draws_through_weighted_index(draw_calls, tmp_path):
+    """In a serial run with a static profile, each decision is one
+    weighted_index call, retries and retargets included."""
+    runs = [(*small_wide(tmp_path), SimConfig(6, seed=2, profile="attacker",
+                                              max_steps=16))]
+    for seed in range(20):
+        system, db, attacker = random_instance(Random(seed), max_actions=40)
+        runs.append((system, db,
+                     ProfileSet(db.schema, {attacker.name: attacker}),
+                     SimConfig(10, seed=seed, profile=attacker.name)))
+    for run in runs:
+        draw_calls.clear()
+        _, traces = run_monte_carlo(*run)
+        decisions = sum(t.steps for t in traces)
+        assert decisions > 0
+        assert len(draw_calls) == decisions
+
+
+def test_a_pmf_run_draws_each_profile_through_weighted_index(draw_calls,
+                                                             cstr_paths):
+    """Sampling the fixture's PMF adds one weighted_index call per
+    episode to the one per decision."""
+    system, db, profiles = load_inputs(cstr_paths["system"],
+                                       cstr_paths["actions"],
+                                       cstr_paths["profiles"])
+    _, traces = run_monte_carlo(system, db, profiles, SimConfig(100, seed=5))
+    assert len(draw_calls) == sum(t.steps for t in traces) + len(traces)
 
 
 def test_sequential_sum_is_not_compensated():
