@@ -13,6 +13,12 @@
 #       same files at --jobs 1 and 2. Every trace it writes, of about 1600
 #       candidates a decision, goes through `traces`, so the reader checks
 #       the scores and probabilities the writer derived from the distances
+#   bash .github/cli_checks.sh seeded
+#       the fixture's seeded run, with the args and each --jobs value
+#       recorded in tests/data/seeded_output_sha256.json, must write
+#       exactly the recorded files; it uses only the standard library, so
+#       it runs without the test dependencies, and exits 1 when a file
+#       differs, is missing or is extra
 #
 # Exits non-zero on the first failed check.
 set -euo pipefail
@@ -40,8 +46,35 @@ wide() {
   traces "$out"/jobs*/trace_*.json
 }
 
+seeded() {
+  python - "$RUNNER_TEMP" <<'EOF'
+import hashlib, json, subprocess, sys
+from pathlib import Path
+
+golden = json.loads(Path("tests/data/seeded_output_sha256.json")
+                    .read_text(encoding="utf-8"))["fixture"]
+data = Path("src/attacksim/data")
+inputs = [str(data / f"cstr_{name}.json")
+          for name in ("system", "actions", "profiles")]
+failed = False
+for jobs in golden["jobs"]:
+    out = Path(sys.argv[1]) / f"seeded-jobs{jobs}"
+    subprocess.run([sys.executable, "-m", "attacksim", "simulate", *inputs,
+                    *golden["args"], "--jobs", str(jobs), "--out", str(out)],
+                   check=True, stdout=subprocess.DEVNULL)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    bad = sorted(n for n in got.keys() | golden["sha256"].keys()
+                 if got.get(n) != golden["sha256"].get(n))
+    print(f"--jobs {jobs}: {len(got)} files, {len(bad)} differ", *bad)
+    failed = failed or bool(bad)
+sys.exit(failed)
+EOF
+}
+
 case "${1-}" in
   traces) shift; traces "$@" ;;
   wide) wide ;;
-  *) echo "usage: $0 traces FILE... | wide" >&2; exit 2 ;;
+  seeded) seeded ;;
+  *) echo "usage: $0 traces FILE... | wide | seeded" >&2; exit 2 ;;
 esac

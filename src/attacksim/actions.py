@@ -34,7 +34,6 @@ from attacksim.profiles import (
     AttackerProfile,
     ProfileSchema,
     ProfileValue,
-    finite_problems,
     profile_values,
     slot_scalers,
     validate_profile,
@@ -140,7 +139,7 @@ class ActionDatabase:
         v = [] if self._columns_clean() else self._action_problems()
         try:
             # only a span between finite bounds: a NaN or an infinity is
-            # its action's problem (finite_problems), wherever it sits,
+            # its action's problem (validate_profile), wherever it sits,
             # and an empty database has the bounds (inf, -inf)
             v.extend(f"property {name!r}: max - min of the action values "
                      "must be finite"
@@ -149,7 +148,7 @@ class ActionDatabase:
                      and not isfinite(hi - lo))
         except (KeyError, TypeError, ValueError, OverflowError):
             # a missing, non-numeric or out-of-float-range value, which
-            # validate_profile or finite_problems reports
+            # validate_profile reports
             pass
         v.extend(self._find_cycles())
         return v
@@ -214,7 +213,6 @@ class ActionDatabase:
                 v.append(f"duplicate action id {a.id!r}")
             seen.add(a.id)
             v.extend(validate_profile(schema, a.profile, "action {!r}", a.id))
-            v.extend(finite_problems(schema, a.profile, "action {!r}", a.id))
             for key in a.target_criteria.requirements:
                 if not key:
                     v.append(f"action {a.id!r}: empty criteria key")
@@ -288,8 +286,7 @@ class ActionDatabase:
         range's max - min overflow."""
         owner = f"attacker profile {attacker.name!r}"
         values = attacker.values
-        errs = (validate_profile(self.schema, values, owner=owner)
-                + finite_problems(self.schema, values, owner=owner))
+        errs = validate_profile(self.schema, values, owner=owner)
         ranges: dict[str, tuple[float, float]] = {}
         if not errs:
             for name, (lo, hi) in self.unbounded_ranges.items():

@@ -9,6 +9,7 @@ the profile and channels.
 
 from __future__ import annotations
 
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -95,12 +96,27 @@ def import_capec(path: str | Path) -> list[ActionSkeleton]:
     return skeletons
 
 
-def _cpe_vendor_product(cpe_uri: str) -> tuple[str, str] | None:
-    # cpe:2.3:part:vendor:product:version:...
-    parts = cpe_uri.split(":")
-    if len(parts) < 5 or parts[0] != "cpe":
+# the first five fields of a CPE 2.3 formatted string,
+# cpe:2.3:part:vendor:product:version:...; a backslash quotes the next
+# character (NISTIR 7695 6.2), so only an unquoted colon ends a field; a
+# backslash that ends the string quotes nothing and is kept
+_CPE_FIELD = r"((?:[^\\:]|\\(?:.|\Z))*)"
+_CPE_HEAD = re.compile(
+    rf"cpe:{_CPE_FIELD}:{_CPE_FIELD}:{_CPE_FIELD}:{_CPE_FIELD}(?::|\Z)", re.S)
+_CPE_QUOTE = re.compile(r"\\(.)", re.S)
+
+
+def _cpe_vendor_product(cpe_uri: str
+                        ) -> tuple[str | None, str | None] | None:
+    """The vendor and product of a CPE 2.3 formatted string, each with its
+    quoting backslashes dropped, or None for the logical value ANY (`*`)
+    or NA (`-`), which is read from the raw field. None for a string that
+    is not a CPE of at least five fields."""
+    head = _CPE_HEAD.match(cpe_uri)
+    if head is None:
         return None
-    return parts[3], parts[4]
+    return tuple(None if raw in ("*", "-") else _CPE_QUOTE.sub(r"\1", raw)
+                 for raw in head.group(3, 4))
 
 
 def _object(obj: dict, key: str, owner: str, errors: list[str]) -> dict:
@@ -167,9 +183,9 @@ def _skeleton_from_cve(cve_id: str, description: str, cwe_ids: list[str],
         if vp is None:
             continue
         vendor, product = vp
-        if vendor not in ("*", "-") and vendor not in vendors:
+        if vendor is not None and vendor not in vendors:
             vendors.append(vendor)
-        if product not in ("*", "-") and product not in products:
+        if product is not None and product not in products:
             products.append(product)
     if vendors:
         criteria["vendor"] = tuple(vendors)

@@ -272,10 +272,12 @@ def validate_profile(schema: ProfileSchema,
     when the keys differ from `name_set`. A set kind without
     allowed_values, and a bounded-range property without both bounds,
     are reported by the schema's own validation; here the first rejects
-    every label and the second takes any number. A number is not checked
-    for being finite: NaN, an infinity or an int past the float range
-    passes here and is reported by `finite_problems`, which
-    `ActionDatabase` runs after this check for every action and attacker.
+    every label and the second takes any number. A number that passes
+    these checks but no scaling can use (NaN, an infinity or an int past
+    the float range) is reported as ``property {name!r} must be a finite
+    number``, the loaders' wording; these finite problems come last, in
+    schema order. A profile read from a document never has one, since
+    `profile_values` rejects them; a profile built in code can.
 
     Each problem is prefixed with the owner's name. With `args` the name
     is ``owner.format(*args)``, formatted only when there is a problem, as
@@ -283,6 +285,7 @@ def validate_profile(schema: ProfileSchema,
     and all.
     """
     v: list[str] = []
+    late: list[str] = []
     names = schema.name_set
     if values.keys() != names:
         keys = set(values)
@@ -304,6 +307,9 @@ def validate_profile(schema: ProfileSchema,
         elif bounds is not None and not bounds[0] <= val <= bounds[1]:
             v.append(f"property {name!r} value {val} "
                      f"outside bounds [{bounds[0]}, {bounds[1]}]")
+        elif not _finite(val):
+            late.append(f"property {name!r} must be a finite number")
+    v += late
     if not v:
         return v
     name = owner.format(*args) if args else owner
@@ -315,32 +321,6 @@ def _finite(value) -> bool:
         return isfinite(value)
     except OverflowError:  # an int past the float range
         return False
-
-
-def finite_problems(schema: ProfileSchema,
-                    values: Mapping[str, ProfileValue],
-                    owner: str = "profile", *args) -> list[str]:
-    """The numbers `validate_profile` accepts that no scaling can use: NaN,
-    an infinity or an int past the float range, in a numeric slot whose
-    value is a number within its bounds. Each is reported as ``property
-    {name!r} must be a finite number``, the loaders' wording, after the
-    owner's name, which is formatted as in `validate_profile`.
-
-    A profile read from a document never has one, since `profile_values`
-    rejects them; a profile or action built through the API can.
-    """
-    v: list[str] = []
-    for name, labels, bounds in schema.checks:
-        val = values.get(name)
-        if (labels is None and isinstance(val, (int, float))
-                and not isinstance(val, bool)
-                and (bounds is None or bounds[0] <= val <= bounds[1])
-                and not _finite(val)):
-            v.append(f"property {name!r} must be a finite number")
-    if not v:
-        return v
-    name = owner.format(*args) if args else owner
-    return [f"{name}: {problem}" for problem in v]
 
 
 def _keep(label: ProfileValue) -> ProfileValue:

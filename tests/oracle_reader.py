@@ -5,12 +5,10 @@ checked each field inline and `ActionDatabase.validate` tested its rules
 as columns: each field goes through `errors.entry`, `string`,
 `string_list`, `number` or `container`, and the database is checked action
 by action. The tests require the loader to give the same actions, value
-types included, and the same error lists, in the same order. The one rule
-added since is the finite-number check (`profiles.finite_problems`), run
-here where the loader runs it, after each action's `validate_profile`;
-with it, a range whose max - min overflows is reported only when both
-bounds are finite, so a NaN or an infinity is reported once, as its
-action's non-finite number.
+types included, and the same error lists, in the same order. A range
+whose max - min overflows is reported only when both bounds are finite,
+so a NaN or an infinity is reported once, as its action's non-finite
+number.
 """
 
 from math import isfinite
@@ -33,7 +31,6 @@ from attacksim.errors import (
 )
 from attacksim.profiles import (
     UNBOUNDED_RANGE,
-    finite_problems,
     validate_profile,
 )
 
@@ -96,7 +93,6 @@ def validate(db: ActionDatabase) -> list[str]:
             v.append(f"duplicate action id {a.id!r}")
         seen.add(a.id)
         v.extend(validate_profile(db.schema, a.profile, f"action {a.id!r}"))
-        v.extend(finite_problems(db.schema, a.profile, f"action {a.id!r}"))
         for key in a.target_criteria.requirements:
             if not key:
                 v.append(f"action {a.id!r}: empty criteria key")

@@ -210,6 +210,34 @@ class TestImportCveFeed:
         assert skeleton.suggested_criteria == {}
         assert skeleton.references == ("CVE-1", SHORT_CPE)
 
+    @pytest.mark.parametrize("uri, criteria", [
+        pytest.param(r"cpe:2.3:a:microsoft:visual_c\+\+:2019:*:*:*:*:*:*:*",
+                     {"vendor": ("microsoft",), "product": ("visual_c++",)},
+                     id="quoted-plus"),
+        pytest.param(r"cpe:2.3:a:foo\:bar:baz:1.0:*:*:*:*:*:*:*",
+                     {"vendor": ("foo:bar",), "product": ("baz",)},
+                     id="quoted-colon"),
+        pytest.param(r"cpe:2.3:a:a\\:prod:*:*:*:*:*:*:*:*",
+                     {"vendor": ("a\\",), "product": ("prod",)},
+                     id="quoted-backslash"),
+        pytest.param(r"cpe:2.3:a:\-:*:*:*:*:*:*:*:*:*",
+                     {"vendor": ("-",)}, id="quoted-hyphen-is-a-value"),
+    ])
+    def test_cpe_quoting_backslashes_dropped(self, tmp_path, uri, criteria):
+        """A backslash quotes the next character of a CPE 2.3 formatted
+        string (NISTIR 7695 6.2): a quoted colon does not end a field, the
+        logical values ANY and NA are read before unquoting, and the
+        suggestion is the unquoted value. The reference keeps the raw
+        string."""
+        path = tmp_path / "feed.json"
+        path.write_text(json.dumps({"CVE_Items": [{
+            "cve": {"CVE_data_meta": {"ID": "CVE-1"}},
+            "configurations": {"nodes": [
+                {"cpe_match": [{"cpe23Uri": uri}]}]}}]}))
+        [skeleton] = import_cve_feed(path)
+        assert skeleton.suggested_criteria == criteria
+        assert skeleton.references == ("CVE-1", uri)
+
     def test_nvd_2_0_item_without_id_skipped(self, tmp_path):
         path = tmp_path / "feed.json"
         path.write_text(json.dumps({"vulnerabilities": [

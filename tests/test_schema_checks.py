@@ -3,10 +3,11 @@
 The expected lists were recorded from the checks as they stood before
 `validate_profile` read its schema's check table, so they pin every
 message and its order. `reference_validate_profile` is that earlier
-function, kept here as the oracle for generated schemas.
+function, kept here as the oracle for generated schemas, with the one
+rule added since, the non-finite numbers, appended after its problems.
 """
 
-from math import inf, nan
+from math import inf, isfinite, nan
 from types import MappingProxyType
 
 import pytest
@@ -18,6 +19,7 @@ from attacksim.profiles import (
     BOUNDED_RANGE,
     KINDS,
     ORDERED_SET,
+    UNBOUNDED_RANGE,
     UNORDERED_SET,
     ProfileSchema,
     PropertySchema,
@@ -53,7 +55,27 @@ def reference_validate_profile(schema, values, owner="profile"):
                   and not prop.lower <= val <= prop.upper):
                 v.append(f"{owner}: property {prop.name!r} value {val} "
                          f"outside bounds [{prop.lower}, {prop.upper}]")
+    # a number that passed the checks above but no scaling can use: NaN,
+    # an infinity or an int past the float range
+    for prop in schema:
+        val = values.get(prop.name)
+        if (prop.kind not in (UNORDERED_SET, ORDERED_SET)
+                and isinstance(val, (int, float))
+                and not isinstance(val, bool)
+                and (prop.kind != BOUNDED_RANGE or prop.lower is None
+                     or prop.upper is None
+                     or prop.lower <= val <= prop.upper)
+                and not _finite(val)):
+            v.append(f"{owner}: property {prop.name!r} must be a finite "
+                     "number")
     return v
+
+
+def _finite(val):
+    try:
+        return isfinite(val)
+    except OverflowError:
+        return False
 
 
 # every kind; the bounds mix an int and a float so both spellings show
@@ -79,6 +101,11 @@ TWICE = ProfileSchema([
 OTHER_KIND = ProfileSchema([PropertySchema("X", "no-such-kind",
                                            allowed_values=("a",),
                                            lower=0.0, upper=1.0)])
+# a number slot before a label slot
+NUMBER_FIRST = ProfileSchema([
+    PropertySchema("F", UNBOUNDED_RANGE),
+    PropertySchema("T", ORDERED_SET, allowed_values=("a",)),
+])
 
 
 _DROP = object()
@@ -98,7 +125,26 @@ PROFILE_CASES = {
     "valid": (FULL, GOOD, []),
     "bounds-inclusive": (FULL, _with(Knowledge=0.0), []),
     "upper-bound-inclusive": (FULL, _with(Knowledge=10, Finances=-1e300), []),
-    "infinite-unbounded": (FULL, _with(Finances=inf), []),
+    "infinite-unbounded": (
+        FULL, _with(Finances=inf),
+        ["p: property 'Finances' must be a finite number"]),
+    "minus-infinite-unbounded": (
+        FULL, _with(Finances=-inf),
+        ["p: property 'Finances' must be a finite number"]),
+    "nan-unbounded": (
+        FULL, _with(Finances=nan),
+        ["p: property 'Finances' must be a finite number"]),
+    "int-beyond-float-unbounded": (
+        FULL, _with(Finances=10**400),
+        ["p: property 'Finances' must be a finite number"]),
+    "bounds-then-finite": (
+        FULL, _with(Knowledge=11, Finances=inf),
+        ["p: property 'Knowledge' value 11 outside bounds [0, 10.0]",
+         "p: property 'Finances' must be a finite number"]),
+    "finite-problems-come-last": (
+        NUMBER_FIRST, {"F": nan, "T": "b"},
+        ["p: property 'T' has unknown label 'b'",
+         "p: property 'F' must be a finite number"]),
     "missing-and-extra": (
         FULL, {"Access": "Direct", "Knowledge": 5, "Zeta": 1, "Extra": "x"},
         ["p: missing property 'Finances'", "p: missing property 'Tools'",
@@ -180,6 +226,8 @@ PROFILE_CASES = {
     "unknown-kind-reads-a-number": (
         OTHER_KIND, {"X": "a"}, ["p: property 'X' needs a number"]),
     "unknown-kind-has-no-bounds": (OTHER_KIND, {"X": 5}, []),
+    "unknown-kind-infinite": (
+        OTHER_KIND, {"X": inf}, ["p: property 'X' must be a finite number"]),
 }
 
 
@@ -217,6 +265,7 @@ def properties(draw):
 VALUES = (LABELS | st.text(max_size=2) | st.integers(-5, 5)
           | st.floats(allow_nan=True, allow_infinity=True) | st.booleans()
           | st.none())
+NON_FINITE = st.sampled_from([nan, inf, -inf, 10**400])
 
 
 @st.composite
@@ -230,6 +279,11 @@ def schemas_and_values(draw):
             values[prop.name] = draw(st.sampled_from(prop.allowed_values))
         elif prop.kind == BOUNDED_RANGE and draw(st.booleans()):
             values[prop.name] = draw(st.floats(-4, 4) | st.integers(-4, 4))
+        # every number kind, unbounded-range and unknown kinds above all,
+        # takes a non-finite number on purpose, not only by chance
+        elif prop.kind not in (UNORDERED_SET, ORDERED_SET) and draw(
+                st.booleans()):
+            values[prop.name] = draw(NON_FINITE)
         else:
             values[prop.name] = draw(VALUES)
     for name in draw(st.lists(st.sampled_from(sorted(values) or ["a"]),
