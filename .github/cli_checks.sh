@@ -10,9 +10,11 @@
 #       a 2000-action database through the CLI's load path: the benchmark's
 #       wide instance, written by perfbench/instances.py (only read here,
 #       never edited), must validate, and its seeded run must write the
-#       same files at --jobs 1 and 2. Every trace it writes, of about 1600
-#       candidates a decision, goes through `traces`, so the reader checks
-#       the scores and probabilities the writer derived from the distances
+#       same files at --jobs 1 and 2, and again at --jobs 1 in a process
+#       that has just run the fixture's seeded simulate. Every trace it
+#       writes, of about 1600 candidates a decision, goes through
+#       `traces`, so the reader checks the scores and probabilities the
+#       writer derived from the distances
 #   bash .github/cli_checks.sh seeded
 #       the fixture's seeded run, with the args and each --jobs value
 #       recorded in tests/data/seeded_output_sha256.json, must write
@@ -43,6 +45,28 @@ wide() {
       --out "$out/jobs$jobs"
   done
   diff -r "$out/jobs1" "$out/jobs2"
+  # one process runs the fixture's seeded simulate and then the wide one
+  # again at --jobs 1: the second must write jobs1's files, so no writer
+  # state carries from one run to the next in a process
+  python - "$out/shared" "${inputs[@]}" > /dev/null <<'EOF'
+import json, sys
+from pathlib import Path
+from attacksim.cli import main
+
+out, inputs = sys.argv[1], sys.argv[2:]
+golden = json.loads(Path("tests/data/seeded_output_sha256.json")
+                    .read_text(encoding="utf-8"))["fixture"]
+fixture = [f"src/attacksim/data/cstr_{name}.json"
+           for name in ("system", "actions", "profiles")]
+for argv in ([*fixture, *golden["args"], "--out", f"{out}-fixture"],
+             [*inputs, "--profile", "attacker", "--episodes", "8",
+              "--max-steps", "16", "--seed", "42", "--jobs", "1",
+              "--out", out]):
+    code = main(["simulate", *argv])
+    if code:
+        sys.exit(code)
+EOF
+  diff -r "$out/jobs1" "$out/shared"
   traces "$out"/jobs*/trace_*.json
 }
 

@@ -492,19 +492,33 @@ def _candidate_head(key) -> str:
     return _CANDIDATE_HEAD % (_quote(key[0]), key[1])
 
 
+_HEADS_CAP = 1 << 14
+
+
 class _Heads(dict):
     """Each candidate head looked up, kept once per (action id, distance)
     pair. ``0.0 == -0.0``, but their reprs differ, so a head with a zero
     distance is never kept. Likewise ``1 == 1.0``, so only float distances
-    may be looked up."""
+    may be looked up. The process keeps one table, `_heads`, which every
+    `save_trace` call reads and fills. A table holding `_HEADS_CAP`
+    (2**14) heads is emptied before it keeps another, so it never holds
+    more: about 3.3 MB at about 200 B an entry (by tracemalloc, for ids
+    of a few characters)."""
 
     __slots__ = ()
 
     def __missing__(self, key):
         head = _candidate_head(key)
         if key[1]:
+            if len(self) >= _HEADS_CAP:
+                self.clear()
             self[key] = head
         return head
+
+
+# a head depends on its key alone, so what one trace leaves in the table
+# serves the next and changes no byte of it
+_heads = _Heads()
 
 
 def _quoted_list(items, indent: str) -> str:
@@ -540,9 +554,12 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
     three writes: its head up to the candidates, its candidates' text and
     the rest. Strings go through json's C escaper and numbers through
     ``repr``. A candidate's text up to its score depends only on its
-    action id and distance, which recur across a trace's decisions, so
-    when the distances are all floats, as the engine and
-    `trace_from_dict` give them, each pair's head is built once per call.
+    action id and distance, which recur across a trace's decisions and
+    across the traces of a run, drawn from the same attackers, so when
+    the distances are all floats, as the engine and `trace_from_dict`
+    give them, each pair's head is built once per process, in one table
+    that every call shares and that is emptied when it holds 2**14 heads
+    (``_HEADS_CAP``; about 3.3 MB for ids of a few characters).
     Each decision's scores and probabilities are derived from its
     distances as it is written. A trace holding a non-finite number or a
     negative distance, which no loader accepts, raises ValueError before
@@ -561,7 +578,7 @@ def save_trace(trace: EpisodeTrace, path: str | Path):
     # 1 == 1.0, yet json spells them apart, so a trace holding a
     # non-float distance builds each head on its own
     distances = chain.from_iterable(r.distances for r in trace.records)
-    head = (_Heads().__getitem__ if set(map(type, distances)) <= {float}
+    head = (_heads.__getitem__ if set(map(type, distances)) <= {float}
             else _candidate_head)
     with path.open("w", encoding="utf-8") as f:
         f.write(_TRACE_HEAD % (trace.index, _quote(trace.profile),

@@ -104,19 +104,23 @@ _CPE_FIELD = r"((?:[^\\:]|\\(?:.|\Z))*)"
 _CPE_HEAD = re.compile(
     rf"cpe:{_CPE_FIELD}:{_CPE_FIELD}:{_CPE_FIELD}:{_CPE_FIELD}(?::|\Z)", re.S)
 _CPE_QUOTE = re.compile(r"\\(.)", re.S)
+_CPE_WILDCARD = re.compile(r"[*?]")
 
 
 def _cpe_vendor_product(cpe_uri: str
                         ) -> tuple[str | None, str | None] | None:
     """The vendor and product of a CPE 2.3 formatted string, each with its
-    quoting backslashes dropped, or None for the logical value ANY (`*`)
-    or NA (`-`), which is read from the raw field. None for a string that
-    is not a CPE of at least five fields."""
+    quoting backslashes dropped, or None for the logical value NA (`-`)
+    or a value holding an unquoted `*` or `?` (NISTIR 7695 6.2: ANY, or a
+    wildcard no criteria can express), both read from the raw field. None
+    for a string that is not a CPE of at least five fields."""
     head = _CPE_HEAD.match(cpe_uri)
     if head is None:
         return None
-    return tuple(None if raw in ("*", "-") else _CPE_QUOTE.sub(r"\1", raw)
-                 for raw in head.group(3, 4))
+    return tuple(
+        None if raw == "-" or _CPE_WILDCARD.search(_CPE_QUOTE.sub("", raw))
+        else _CPE_QUOTE.sub(r"\1", raw)
+        for raw in head.group(3, 4))
 
 
 def _object(obj: dict, key: str, owner: str, errors: list[str]) -> dict:

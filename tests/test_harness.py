@@ -1,9 +1,11 @@
 import functools
+import importlib.util
 import json
 import math
 import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import get_context
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -63,6 +65,8 @@ from attacksim.profiles import (
 
 from analytic_fixture import analytic_fixture
 from genrand import random_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def load_cstr(cstr_paths):
@@ -572,10 +576,11 @@ class TestTraceSerialization:
         NaN or Infinity, or that has a negative distance, which no loader
         accepts, raises, writing nothing. 1e308 overflows a sum of the
         values but is finite itself. The writer builds a candidate's text
-        up to its score once per (action id, distance) pair of a trace,
-        yet an id whose distance is 0.0 in one decision and -0.0 in
-        another, or 1.0 and then 1, which compare equal, keeps each
-        decision's own spelling."""
+        up to its score once per (action id, distance) pair, in one table
+        that every call of the process shares, so the examples also meet
+        heads that earlier ones left; yet an id whose distance is 0.0 in
+        one decision and -0.0 in another, or 1.0 and then 1, which
+        compare equal, keeps each decision's own spelling."""
         path = tmp_path_factory.getbasetemp() / "writer.json"
         path.unlink(missing_ok=True)
         numbers = [x for r in trace.records for x in (r.probability,
@@ -708,6 +713,109 @@ class TestTraceSerialization:
                 assert harness._trace_problems(trace, listed) == []
                 doc = json.loads(json.dumps(trace_to_dict(trace)))
                 assert trace_from_dict(doc) == trace
+
+
+@pytest.fixture
+def heads(monkeypatch):
+    """An empty candidate-head table in place of the process's own."""
+    table = harness._Heads()
+    monkeypatch.setattr(harness, "_heads", table)
+    return table
+
+
+@pytest.fixture(scope="module")
+def grid(tmp_path_factory):
+    """The loaded (system, db, profiles) of perfbench's grid-25x250
+    instance, as its benchmark generates it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances", ROOT / "perfbench" / "instances.py")
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    paths = instances.write_instance(instances.generate("grid", 0),
+                                     tmp_path_factory.mktemp("grid"))
+    profiles = load_profiles(paths["profiles"])
+    return (load_system(paths["system"]),
+            load_action_db(paths["actions"], profiles.schema), profiles)
+
+
+class TestSharedHeads:
+    """Every save_trace call of a process reads and fills one table of
+    candidate heads, and no call's bytes depend on what earlier calls
+    left in it."""
+
+    @pytest.mark.parametrize("first, second", [
+        ((1.0, 0.5), (1, 0.5)),
+        ((1, 0.5), (1.0, 0.5)),
+        ((0.0, 0.5), (-0.0, 0.5)),
+        ((-0.0, 0.5), (0.0, 0.5)),
+    ])
+    def test_equal_distances_keep_their_spelling_across_calls(
+            self, heads, tmp_path, first, second):
+        """1 == 1.0 and 0.0 == -0.0, yet a later trace is not spelled with
+        the head an earlier one left."""
+        for i, distances in enumerate((first, second)):
+            trace = writer_trace(distances=distances)
+            path = tmp_path / f"t{i}.json"
+            save_trace(trace, path)
+            assert path.read_bytes() == json.dumps(
+                trace_to_dict(trace), indent=2).encode("ascii")
+        assert ("a2", 0.5) in heads
+
+    def test_order_of_writes_changes_no_byte(self, cstr_paths, heads,
+                                             tmp_path):
+        system, db, profiles = load_cstr(cstr_paths)
+        _, traces = run_monte_carlo(system, db, profiles,
+                                    SimConfig(50, seed=22))
+        path = tmp_path / "trace.json"
+        written = {}
+        for trace in traces:
+            save_trace(trace, path)
+            written[trace.index] = path.read_bytes()
+        for trace in reversed(traces):
+            save_trace(trace, path)
+            assert path.read_bytes() == written[trace.index]
+
+    def test_a_full_table_is_emptied_and_changes_no_byte(
+            self, cstr_paths, heads, monkeypatch, tmp_path):
+        cap = 5
+        monkeypatch.setattr(harness, "_HEADS_CAP", cap)
+        system, db, profiles = load_cstr(cstr_paths)
+        _, traces = run_monte_carlo(system, db, profiles,
+                                    SimConfig(50, seed=22))
+        pairs = {key for t in traces for r in t.records
+                 for key in zip(r.action_ids, r.distances) if key[1]}
+        assert len(pairs) > cap
+        path = tmp_path / "trace.json"
+        for trace in traces:
+            save_trace(trace, path)
+            assert len(heads) <= cap
+            assert path.read_bytes() == json.dumps(
+                trace_to_dict(trace), indent=2).encode("ascii")
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_grid_export_builds_each_head_once(self, grid, heads,
+                                               monkeypatch, tmp_path, seed):
+        """A grid-25x250 batch exports its first 10 traces, whose 236
+        distinct (action id, distance) pairs recur across them: from an
+        empty table each pair's head is built once for the export, not
+        once per trace that holds it."""
+        system, db, profiles = grid
+        _, traces = run_monte_carlo(
+            system, db, profiles,
+            SimConfig(120, seed, profile="attacker", max_steps=16))
+        calls = []
+        build = harness._candidate_head
+
+        def counting(key):
+            calls.append(key)
+            return build(key)
+
+        monkeypatch.setattr(harness, "_candidate_head", counting)
+        for trace in traces[:10]:
+            save_trace(trace, tmp_path / f"trace_{trace.index}.json")
+        pairs = {key for t in traces[:10] for r in t.records
+                 for key in zip(r.action_ids, r.distances)}
+        assert len(calls) == len(pairs) == 236
 
 
 class TestReportExport:

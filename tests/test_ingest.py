@@ -222,12 +222,25 @@ class TestImportCveFeed:
                      id="quoted-backslash"),
         pytest.param(r"cpe:2.3:a:\-:*:*:*:*:*:*:*:*:*",
                      {"vendor": ("-",)}, id="quoted-hyphen-is-a-value"),
+        pytest.param(r"cpe:2.3:a:acme:rio_*:1:*:*:*:*:*:*:*",
+                     {"vendor": ("acme",)}, id="unquoted-star-is-a-wildcard"),
+        pytest.param(r"cpe:2.3:a:?cme:rio:1:*:*:*:*:*:*:*",
+                     {"product": ("rio",)},
+                     id="unquoted-question-mark-is-a-wildcard"),
+        pytest.param(r"cpe:2.3:a:acme:rio\*:1:*:*:*:*:*:*:*",
+                     {"vendor": ("acme",), "product": ("rio*",)},
+                     id="quoted-star-is-a-value"),
+        pytest.param(r"cpe:2.3:a:a\\*:rio:1:*:*:*:*:*:*:*",
+                     {"product": ("rio",)},
+                     id="star-after-quoted-backslash-is-a-wildcard"),
     ])
     def test_cpe_quoting_backslashes_dropped(self, tmp_path, uri, criteria):
         """A backslash quotes the next character of a CPE 2.3 formatted
         string (NISTIR 7695 6.2): a quoted colon does not end a field, the
         logical values ANY and NA are read before unquoting, and the
-        suggestion is the unquoted value. The reference keeps the raw
+        suggestion is the unquoted value. An unquoted `*` or `?` inside a
+        value is a wildcard, so that value gives no suggestion, while a
+        quoted one is a literal character. The reference keeps the raw
         string."""
         path = tmp_path / "feed.json"
         path.write_text(json.dumps({"CVE_Items": [{
