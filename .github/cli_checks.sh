@@ -15,6 +15,15 @@
 #       writes, of about 1600 candidates a decision, goes through
 #       `traces`, so the reader checks the scores and probabilities the
 #       writer derived from the distances
+#   bash .github/cli_checks.sh scale
+#       a 100-node / 2000-action grid, perfbench/instances.py's grid
+#       generator (only read here, never edited) with its shape widened
+#       in the writing process to 100 nodes in layers of 10, 5 entry
+#       edges and 2000 actions, must validate, and its seeded run of 16
+#       episodes must write the same files at --jobs 1 and 2; its traces
+#       go through `traces`. Unlike the fixture's and wide's runs, it
+#       fills fresh-node memo entries that no decision draws from, so
+#       only the decisions that draw from an entry score it
 #   bash .github/cli_checks.sh seeded
 #       the fixture's seeded run, with the args and each --jobs value
 #       recorded in tests/data/seeded_output_sha256.json, must write
@@ -70,6 +79,30 @@ EOF
   traces "$out"/jobs*/trace_*.json
 }
 
+scale() {
+  local out="$RUNNER_TEMP/scale"
+  python - "$out/instance" <<'EOF'
+import sys
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import instances
+
+grid = instances.SHAPES["grid"]
+instances.SHAPES["grid"] = dict(nodes=100, width=10, entries=5, actions=2000,
+                                success=grid["success"])
+instances.write_instance(instances.generate("grid", 0), Path(sys.argv[1]))
+EOF
+  local inputs=("$out/instance/system.json" "$out/instance/actions.json"
+                "$out/instance/profiles.json")
+  test "$(python -m attacksim validate "${inputs[@]}")" = OK
+  for jobs in 1 2; do
+    python -m attacksim simulate "${inputs[@]}" --profile attacker \
+      --episodes 16 --seed 42 --traces 2 --jobs $jobs --out "$out/jobs$jobs"
+  done
+  diff -r "$out/jobs1" "$out/jobs2"
+  traces "$out"/jobs*/trace_*.json
+}
+
 seeded() {
   python - "$RUNNER_TEMP" <<'EOF'
 import hashlib, json, subprocess, sys
@@ -99,6 +132,7 @@ EOF
 case "${1-}" in
   traces) shift; traces "$@" ;;
   wide) wide ;;
+  scale) scale ;;
   seeded) seeded ;;
-  *) echo "usage: $0 traces FILE... | wide | seeded" >&2; exit 2 ;;
+  *) echo "usage: $0 traces FILE... | wide | scale | seeded" >&2; exit 2 ;;
 esac

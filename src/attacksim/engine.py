@@ -21,25 +21,28 @@ can draw before its first episode (the database checks each profile:
 `ActionDatabase.attacker_ranges`).
 
 One function, `_columns`, derives a node's candidate ids and distances,
-as tuples that nothing mutates. Those of a fresh node, one with no
-attempted or succeeded action, come from the context's memo by scaled
-profile, node and live channel mask, filled on a miss even when empty:
-every episode starts with such scans, and the same keys recur. A fresh
-node's assessment depends on its distances alone, so the memo's entry
-holds its scores and their total too, computed once per run and process
-when the entry is filled. A draw, `_kernels.weighted_index` over the
-scores and their total, divides each score by the total only up to the
-drawn index, so no probability vector is built.
+as tuples that nothing mutates, and scores nothing. Those of a fresh
+node, one with no attempted or succeeded action, come from the context's
+memo by scaled profile, node and live channel mask, filled on a miss
+even when empty: every episode starts with such scans, and the same keys
+recur. `step` is the only scorer: it scores the columns it draws from
+when they carry no scores yet, and writes the scores and their total
+into them. A fresh node's assessment depends on its distances alone, so
+a memo entry is scored once per run and process, by the first decision
+that draws from it, and an entry no decision draws from is never scored.
+A draw, `_kernels.weighted_index` over the scores and their total,
+divides each score by the total only up to the drawn index, so no
+probability vector is built.
 
 Neither a retry, the decision after a failed attempt on the same
 target, nor a retarget, the draw after a compromise or an exhausted
 target, rescans: the episode's AttackState keeps one table of the open
 nodes, the known, uncompromised nodes with a candidate, each with its
 columns, and `step` keeps it current. A failure replaces the target's
-columns with new tuples that lack the attempted action, or drops the
-target once none is left; a compromise drops the target and rederives
-only its neighbours. The draw is over the sorted keys, the same list a
-full scan gives, so the RNG use is unchanged.
+columns with new, unscored ones that lack the attempted action, or
+drops the target once none is left; a compromise drops the target and
+rederives only its neighbours. The draw is over the sorted keys, the
+same list a full scan gives, so the RNG use is unchanged.
 
 A decision's record, which `step` returns, is a NamedTuple, built
 positionally, that keeps its candidates as two columns, the table's ids
@@ -67,10 +70,10 @@ from attacksim.profiles import (
 SUCCESS = "success"
 FAILURE = "failure"
 
-# a node's candidate ids, in canonical id order, their distances, and
-# their scores and the scores' total, or None, None until `step` scores them
-Columns = tuple[tuple[str, ...], tuple[float, ...],
-                tuple[float, ...] | None, float | None]
+# a node's candidate columns, a 4-slot list: the ids, in canonical id
+# order, and their distances, as tuples that nothing mutates, then their
+# scores and the scores' total, None, None until `step` draws from them
+Columns = list
 
 
 class CandidateScore(NamedTuple):
@@ -92,7 +95,8 @@ class DecisionRecord(NamedTuple):
     order: ``action_ids[i]`` has distance ``distances[i]``. A record of a
     decision on a fresh target shares both tuples with the context's
     memo, which nothing mutates. Their scores and selection probabilities
-    are a function of the distances, so they are not stored: ``scores``,
+    are a function of the distances, so the record does not store them,
+    though the memo entry it drew from keeps the scores: ``scores``,
     ``probabilities`` and ``candidates`` derive them through the kernels
     on every read, the same floats `step` drew with. A record of a
     negative or non-finite distance, which `step` never builds, has no
@@ -153,17 +157,20 @@ class DecisionContext:
     - the fresh-node memo: the candidates of a node with no attempted or
       succeeded action depend only on the attacker's scaled profile, the
       node and the channel mask of its live edges, so each such scan is
-      kept, keyed by ``(scaled profile, node, live mask)``, as three
-      tuples, which may be empty, and a float: the ids and distances,
-      their scores, and the scores' `_kernels.sequential_sum`, the total
-      that `step` passes to `_kernels.weighted_index`. It is
-      filled on first use in each process and holds at most
-      nodes x 2^channels entries per distinct scaled profile. By
-      `sys.getsizeof`, an entry costs about 48 bytes per candidate: 8
-      for each of its three tuple slots and 24 for each score float; the
-      ids and distances themselves are shared with the database and the
-      profile cache. On wide-4x2000 its 4 entries hold 6,554 candidates
-      in about 315 kB.
+      kept, keyed by ``(scaled profile, node, live mask)``, as a 4-slot
+      `Columns` list: the ids and distances, two tuples that may be
+      empty, then None, None until the first decision that draws from
+      the entry writes in its scores and the scores'
+      `_kernels.sequential_sum`, the total that `step` passes to
+      `_kernels.weighted_index`. It is filled on first use in each
+      process and holds at most nodes x 2^channels entries per distinct
+      scaled profile. By `sys.getsizeof`, an entry costs about 16 bytes
+      per candidate until it is scored, 8 for each of its two tuple
+      slots, and about 48 after, another 8 for the score list's slot and
+      24 for each score float; the ids and distances themselves are
+      shared with the database and the profile cache. On wide-4x2000
+      its 4 entries hold 6,554 candidates, and every one is drawn from,
+      in about 320 kB.
 
     Immutable after construction apart from the profile cache and the
     memo. What depends on an episode's history, such as each open
@@ -291,13 +298,13 @@ def _live_mask(state: AttackState, target: str) -> int:
 
 
 def _columns(state: AttackState, node: str) -> Columns:
-    """The node's candidate columns, which nothing mutates.
+    """The node's candidate columns, unscored when derived: only `step`
+    writes in their scores and total.
 
     Only the dynamic predicates are checked here; criteria matching was
-    done once per run in the context. A fresh node's columns come from the
-    context's memo, scanned, scored and stored on a miss, even when
-    empty; those of a node with history carry None for their scores and
-    total. The node must be known and not compromised.
+    done once per run in the context. A fresh node's columns are the
+    context's memo entry itself, scanned and stored on a miss, even when
+    empty. The node must be known and not compromised.
     """
     live = _live_mask(state, node)
     attempted = state.attempted.get(node, ())
@@ -311,11 +318,9 @@ def _columns(state: AttackState, node: str) -> Columns:
     ids = tuple(aid for aid, mask, prereqs in state.ctx.actions_for[node]
                 if mask & live and aid not in attempted
                 and prereqs <= succeeded)
-    d = tuple(map(state._distances.__getitem__, ids))
-    if not fresh:
-        return ids, d, None, None
-    s = tuple(_kernels.scores_from_distances(d))
-    cols = state.ctx.fresh[key] = ids, d, s, _kernels.sequential_sum(s)
+    cols = [ids, tuple(map(state._distances.__getitem__, ids)), None, None]
+    if fresh:
+        state.ctx.fresh[key] = cols
     return cols
 
 
@@ -459,8 +464,10 @@ def step(state: AttackState, rng) -> DecisionRecord | None:
     whatever its reported effect. The record's columns are the target's
     ids and distances in the candidate table. Every draw, fresh or
     retried, is `_kernels.weighted_index` over the scores and their
-    total, computed here unless they came with the fresh-node memo's
-    entry; the record keeps the drawn score over the total. A failure
+    total. This is the engine's only scorer: columns that carry no scores
+    yet are scored here, and the scores and total are written into them,
+    so a fresh-node memo entry is scored by the first decision that draws
+    from it; the record keeps the drawn score over the total. A failure
     replaces the columns with unscored columns that lack the action, or
     drops an exhausted target; a compromise drops its target and
     rederives only its neighbours' columns (see AttackState).
@@ -471,10 +478,11 @@ def step(state: AttackState, rng) -> DecisionRecord | None:
     filter_valid(state, target)
     ctx = state.ctx
     table = state._open
-    ids, d, s, total = table[target]
+    cols = table[target]
+    ids, d, s, total = cols
     if s is None:
-        s = _kernels.scores_from_distances(d)
-        total = _kernels.sequential_sum(s)
+        s = cols[2] = _kernels.scores_from_distances(d)
+        total = cols[3] = _kernels.sequential_sum(s)
     idx = _kernels.weighted_index(s, rng.random(), total)
     chosen = ids[idx]
     action = ctx.db.by_id[chosen]
@@ -505,8 +513,8 @@ def step(state: AttackState, rng) -> DecisionRecord | None:
                 table[nid] = cols
     else:
         if len(ids) > 1:
-            table[target] = (ids[:idx] + ids[idx + 1:], d[:idx] + d[idx + 1:],
-                             None, None)
+            table[target] = [ids[:idx] + ids[idx + 1:], d[:idx] + d[idx + 1:],
+                             None, None]
         else:
             del table[target]
         state.current_target = target

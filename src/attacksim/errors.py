@@ -143,9 +143,12 @@ def string_list(value, owner: str, errors: list[str], *args) -> list[str]:
     `args` as in `container`: formatted into `owner` only on the error
     path.
     """
-    # a plain loop rather than all() over a generator: this runs for three
-    # fields of every action, and the generator made loading a 2000-action
-    # database about 1 ms (4%) slower
+    # a plain loop rather than all() over a generator: the action loader
+    # calls this only for a field that fails its inline check, but the
+    # trace reader calls it for every decision's via_edges, and the system
+    # loader for every edge's channels; when it ran for three fields of
+    # every action, the generator made loading a 2000-action database
+    # about 1 ms (4%) slower
     if isinstance(value, list):
         for x in value:
             if not (isinstance(x, str) and (x.isascii() or not _surrogate(x))):
@@ -163,9 +166,13 @@ def number(value, default, errors: list[str], owner: str, *args):
     Returns ``float(value)`` for an int or float that is not a bool.
     Anything else, including NaN and Infinity (which Python's json
     accepts), is collected as an error naming ``owner.format(*args)`` and
-    read as `default`. The name is formatted only on the error path: this
-    runs for every profile value, and formatting it eagerly more than
-    doubled what the helper adds to loading a 2000-action database.
+    read as `default`. The name is formatted only on the error path: the
+    action and profile loaders call this only for a value that fails
+    their inline check, but the trace reader calls it for three numbers
+    of every candidate, and the schema reader for each property's bounds
+    and criticality; when it ran for every profile value, formatting it
+    eagerly more than doubled what the helper added to loading a
+    2000-action database.
     """
     cls = value.__class__
     if cls is float or cls is int:

@@ -97,12 +97,14 @@ def import_capec(path: str | Path) -> list[ActionSkeleton]:
 
 
 # the first five fields of a CPE 2.3 formatted string,
-# cpe:2.3:part:vendor:product:version:...; a backslash quotes the next
+# cpe:2.3:part:vendor:product:version:..., whose second field must be 2.3:
+# a CPE 2.2 URI (cpe:/a:vendor:product) or another version is not read
+# by these rules; a backslash quotes the next
 # character (NISTIR 7695 6.2), so only an unquoted colon ends a field; a
 # backslash that ends the string quotes nothing and is kept
 _CPE_FIELD = r"((?:[^\\:]|\\(?:.|\Z))*)"
 _CPE_HEAD = re.compile(
-    rf"cpe:{_CPE_FIELD}:{_CPE_FIELD}:{_CPE_FIELD}:{_CPE_FIELD}(?::|\Z)", re.S)
+    rf"cpe:2\.3:{_CPE_FIELD}:{_CPE_FIELD}:{_CPE_FIELD}(?::|\Z)", re.S)
 _CPE_QUOTE = re.compile(r"\\(.)", re.S)
 _CPE_WILDCARD = re.compile(r"[*?]")
 
@@ -113,14 +115,15 @@ def _cpe_vendor_product(cpe_uri: str
     quoting backslashes dropped, or None for the logical value NA (`-`)
     or a value holding an unquoted `*` or `?` (NISTIR 7695 6.2: ANY, or a
     wildcard no criteria can express), both read from the raw field. None
-    for a string that is not a CPE of at least five fields."""
+    for a string that is not a CPE 2.3 formatted string of at least five
+    fields, such as a CPE 2.2 URI."""
     head = _CPE_HEAD.match(cpe_uri)
     if head is None:
         return None
     return tuple(
         None if raw == "-" or _CPE_WILDCARD.search(_CPE_QUOTE.sub("", raw))
         else _CPE_QUOTE.sub(r"\1", raw)
-        for raw in head.group(3, 4))
+        for raw in head.group(2, 3))
 
 
 def _object(obj: dict, key: str, owner: str, errors: list[str]) -> dict:

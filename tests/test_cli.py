@@ -292,6 +292,17 @@ class TestValidate:
         assert run_cli("validate", args[0], tmp_path / "none.json",
                        args[2]) == 3
 
+    def test_no_profiles_exits_one(self, cstr_args, tmp_path, capsys):
+        doc = json.loads(Path(cstr_args[2]).read_text())
+        doc["profiles"] = []
+        del doc["pmf"]
+        bad = tmp_path / "profiles.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", cstr_args[0], cstr_args[1], bad) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "profiles document defines no profiles",
+            "actions not validated: profiles document is invalid"]
+
     def test_invalid_actions_reported_per_line(self, cstr_args, tmp_path,
                                                capsys):
         doc = json.loads(Path(cstr_args[1]).read_text())

@@ -3,20 +3,22 @@ assessment.
 
 A node with no attempted or succeeded action has candidates that depend
 only on the attacker's scaled profile, the node and the channels of its
-live edges, so DecisionContext keeps each such scan, empty or not, with
-its scores and their total. The memo is read wherever the engine
-derives a node's candidates, so each served entry is found by its key:
-for every fresh open node whose key was served, the entry must hold the
-oracle's candidates, a fresh single-pair distance for each, the
-engine's scores of those distances, and the total that divides them
-into the engine's probabilities, and a decision on a fresh target must
-record the entry's id and distance tuples themselves. Episodes run
+live edges, so DecisionContext keeps each such scan, empty or not. The
+memo is read wherever the engine derives a node's candidates, so each
+served entry is found by its key: for every fresh open node whose key
+was served, the entry must hold the oracle's candidates and a fresh
+single-pair distance for each. Only `step` scores, so an entry holds
+scores exactly when a decision has drawn from it, and those are the
+engine's scores of its distances and the total that divides them into
+the engine's probabilities; an entry no decision drew from holds None,
+None. A decision on a fresh target must record the entry's id and
+distance tuples themselves, and leave the entry scored. Episodes run
 on generated instances, with direct knowledge edits between steps so the
 live channels vary. A profile name whose values change between runs of
 one context must get its own entries, two names with equal values must
 share them, a memo that never stores must give the same traces, and a
-pickled context must keep its entries. The score kernel runs once per
-entry, plus once per decision on a target with history.
+pickled context must keep its entries. The score kernel runs at most
+once per entry, plus once per decision on a target with history.
 """
 
 import operator
@@ -48,11 +50,13 @@ pytestmark = pytest.mark.hashseed
 
 class RecordingMemo(dict):
     """The fresh-node memo, recording the key of every entry a lookup
-    finds until the next check clears them."""
+    finds until the next check clears them, and, as `run_episode` marks
+    them, the key of every entry a decision has drawn from."""
 
     def __init__(self):
         super().__init__()
         self.served = set()
+        self.drawn = set()
 
     def get(self, key, default=None):
         found = super().get(key, default)
@@ -78,12 +82,35 @@ def is_fresh(state, nid):
     return not state.attempted.get(nid) and not state.succeeded.get(nid)
 
 
+def check_assessment(entry, drawn):
+    """A memo entry holds scores exactly when a decision has drawn from
+    it, and those are the engine's scores of its distances and the total
+    that divides them into the engine's probabilities."""
+    _, dists, s, total = entry
+    if not drawn:
+        assert (s, total) == (None, None)
+        return
+    assert s is not None, "a decision drew from an unscored entry"
+    assert list(s) == engine.scores(dists)
+    assert [x / total for x in s] == engine.probabilities(s)
+
+
+def check_scored_entries(ctx, records=()):
+    """`check_assessment` on every memo entry: drawn from if
+    `run_episode` marked its key, or if one of `records`, which the
+    caller keeps alive, holds its id tuple."""
+    drawn = {id(rec.action_ids) for rec in records}
+    for key, entry in ctx.fresh.items():
+        check_assessment(entry, key in ctx.fresh.drawn
+                         or id(entry[0]) in drawn)
+
+
 def check_fresh_nodes(state):
-    """Score every fresh open node; then each one whose memo key was
+    """Filter every fresh open node; then each one whose memo key was
     served since the last check must find the oracle's candidates with
-    fresh distances, scores and probabilities under it. Returns the
-    hits, served non-empty entries, and the memo key of every fresh open
-    node."""
+    fresh distances under it, scored exactly when drawn from. Returns
+    the hits, served non-empty entries, and the memo key of every fresh
+    open node."""
     ctx = state.ctx
     beta = [p.criticality for p in ctx.db.schema]
     k = state.knowledge
@@ -98,16 +125,12 @@ def check_fresh_nodes(state):
     for nid, key in keys.items():
         if key not in ctx.fresh.served:
             continue
-        ids, dists, s, total = ctx.fresh[key]
+        ids, dists = ctx.fresh[key][:2]
         assert ids == want[nid]
         assert dists == tuple(
             distance(state.theta, ctx.action_profiles[a], beta)
             for a in ids)
-        if ids:
-            assert s == tuple(engine.scores(dists))
-            assert [x / total for x in s] == engine.probabilities(s)
-        else:
-            assert (s, total) == ((), 0.0)
+        check_assessment(ctx.fresh[key], key in ctx.fresh.drawn)
         hits += bool(ids)
     ctx.fresh.served.clear()
     return hits, keys
@@ -115,7 +138,8 @@ def check_fresh_nodes(state):
 
 def run_episode(ctx, attacker, rng, edit=0.25):
     """One episode, checked before every step, with each record of a
-    decision on a fresh target checked against the memo's entry; with
+    decision on a fresh target checked against the memo's entry, which
+    the decision must leave scored and which is marked drawn from; with
     probability `edit` a step is followed by a direct knowledge edit.
     Returns the hits."""
     state = AttackState(ctx, attacker)
@@ -130,6 +154,8 @@ def run_episode(ctx, attacker, rng, edit=0.25):
             entry = ctx.fresh[keys[rec.target]]
             columns = rec.action_ids, rec.distances
             assert all(map(operator.is_, entry[:2], columns))
+            ctx.fresh.drawn.add(keys[rec.target])
+            check_assessment(entry, True)
         k = state.knowledge
         open_nodes = sorted(k.known_nodes - k.compromised_nodes)
         if open_nodes and rng.random() < edit:
@@ -159,6 +185,7 @@ def test_memo_hits_match_brute_force_oracle(seed):
     # the first episode fills the entries of the starting knowledge, so
     # every later episode starts on hits
     assert all(hits[1:]) or not has_open_candidate(ctx, attacker)
+    check_scored_entries(ctx)
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,6 +200,7 @@ def test_changed_profile_values_are_not_served_stale(seed):
         run_episode(ctx, profile, rng)
         assert AttackState(ctx, profile).theta == AttackState(
             DecisionContext(system, db), profile).theta
+        check_scored_entries(ctx)
 
 
 @settings(max_examples=50, deadline=None)
@@ -191,6 +219,7 @@ def test_equal_profiles_share_entries(seed):
         1 for n in k.known_nodes - k.compromised_nodes
         if brute_force_valid(state, n))
     assert set(ctx.fresh) == keys
+    check_scored_entries(ctx)
 
 
 @settings(max_examples=100, deadline=None)

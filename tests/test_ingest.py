@@ -233,6 +233,8 @@ class TestImportCveFeed:
         pytest.param(r"cpe:2.3:a:a\\*:rio:1:*:*:*:*:*:*:*",
                      {"product": ("rio",)},
                      id="star-after-quoted-backslash-is-a-wildcard"),
+        pytest.param("cpe:/a:acme:rio:1.0", {}, id="cpe-2.2-uri"),
+        pytest.param("cpe:2.2:a:acme:rio:1", {}, id="version-2.2-field"),
     ])
     def test_cpe_quoting_backslashes_dropped(self, tmp_path, uri, criteria):
         """A backslash quotes the next character of a CPE 2.3 formatted
@@ -240,7 +242,9 @@ class TestImportCveFeed:
         logical values ANY and NA are read before unquoting, and the
         suggestion is the unquoted value. An unquoted `*` or `?` inside a
         value is a wildcard, so that value gives no suggestion, while a
-        quoted one is a literal character. The reference keeps the raw
+        quoted one is a literal character. Only a string whose version
+        field is 2.3 is read by these rules: a CPE 2.2 URI or another
+        version gives no suggestion. The reference keeps the raw
         string."""
         path = tmp_path / "feed.json"
         path.write_text(json.dumps({"CVE_Items": [{

@@ -352,6 +352,24 @@ class TestProfilesDocument:
         with pytest.raises(ValidationFailure, match="missing property"):
             profile_set_from_dict(doc)
 
+    @pytest.mark.parametrize("pmf, also", [
+        pytest.param(None, [], id="no-pmf"),
+        pytest.param([], ["pmf must contain at least one profile"],
+                     id="empty-pmf"),
+    ])
+    def test_no_profiles_rejected(self, pmf, also):
+        doc = {
+            "schema": [{"name": "x", "kind": "bounded-range",
+                        "lower": 0, "upper": 1}],
+            "profiles": [],
+        }
+        if pmf is not None:
+            doc["pmf"] = pmf
+        with pytest.raises(ValidationFailure) as exc:
+            profile_set_from_dict(doc)
+        assert exc.value.errors == [
+            "profiles document defines no profiles", *also]
+
     def test_parse_error_reported_with_path(self, tmp_path):
         bad = tmp_path / "p.json"
         bad.write_text("{nope")
