@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CLI checks shared by the CI jobs. Run from the repository root, with
-# RUNNER_TEMP naming a scratch directory for the wide run's output:
+# RUNNER_TEMP naming a scratch directory for the runs' output:
 #
 #   bash .github/cli_checks.sh traces FILE...
 #       every trace FILE equals json.dumps(json.load(f), indent=2) of what
@@ -24,6 +24,11 @@
 #       go through `traces`. Unlike the fixture's and wide's runs, it
 #       fills fresh-node memo entries that no decision draws from, so
 #       only the decisions that draw from an entry score it
+#   bash .github/cli_checks.sh ingest
+#       the bundled CAPEC and NVD samples through `python -m attacksim
+#       ingest`, the real entry point, which loads the ingest module and
+#       its XML parser only for this command: it must exit 0 and print
+#       imported=6 annotated=0 skipped=0
 #   bash .github/cli_checks.sh seeded
 #       the fixture's seeded run, with the args and each --jobs value
 #       recorded in tests/data/seeded_output_sha256.json, must write
@@ -103,6 +108,15 @@ EOF
   traces "$out"/jobs*/trace_*.json
 }
 
+ingest() {
+  local out="$RUNNER_TEMP/ingest"
+  mkdir -p "$out"
+  local summary
+  summary="$(python -m attacksim ingest --capec tests/data/capec_sample.xml \
+    --cve tests/data/nvd_sample.json --out "$out/skeletons.json")"
+  test "$summary" = "imported=6 annotated=0 skipped=0"
+}
+
 seeded() {
   python - "$RUNNER_TEMP" <<'EOF'
 import hashlib, json, subprocess, sys
@@ -133,6 +147,7 @@ case "${1-}" in
   traces) shift; traces "$@" ;;
   wide) wide ;;
   scale) scale ;;
+  ingest) ingest ;;
   seeded) seeded ;;
-  *) echo "usage: $0 traces FILE... | wide | scale | seeded" >&2; exit 2 ;;
+  *) echo "usage: $0 traces FILE... | wide | scale | ingest | seeded" >&2; exit 2 ;;
 esac

@@ -25,14 +25,6 @@ from attacksim.harness import (
     run_monte_carlo,
     save_trace,
 )
-from attacksim.ingest import (
-    actions_fragment_to_dict,
-    dedupe_skeletons,
-    import_capec,
-    import_cve_feed,
-    merge_annotations,
-    skeletons_to_dict,
-)
 from attacksim.model import load_system
 from attacksim.profiles import load_profiles, schema_from_list
 
@@ -175,6 +167,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    # ingest, and with it the XML parser, loads only for this command
+    from attacksim.ingest import (
+        actions_fragment_to_dict,
+        dedupe_skeletons,
+        import_capec,
+        import_cve_feed,
+        merge_annotations,
+        skeletons_to_dict,
+    )
+
     if not args.capec and not args.cve:
         print("error: at least one --capec or --cve source file is required",
               file=sys.stderr)
