@@ -27,8 +27,16 @@
 #   bash .github/cli_checks.sh ingest
 #       the bundled CAPEC and NVD samples through `python -m attacksim
 #       ingest`, the real entry point, which loads the ingest module and
-#       its XML parser only for this command: it must exit 0 and print
-#       imported=6 annotated=0 skipped=0
+#       its XML parser only for this command: writing into a directory
+#       that does not exist yet, which ingest creates, it must exit 0 and
+#       print imported=6 annotated=0 skipped=0
+#   bash .github/cli_checks.sh imports
+#       tests/import_probe.py, which uses only the standard library, so
+#       it runs without the test dependencies: no process pool or XML
+#       parser after importing attacksim, `validate`, a serial `simulate`
+#       and `trace`; `--jobs 2` loads the pool and writes the serial run's
+#       report, and `ingest` loads the XML parser. Exits 1 when a rule
+#       breaks
 #   bash .github/cli_checks.sh seeded
 #       the fixture's seeded run, with the args and each --jobs value
 #       recorded in tests/data/seeded_output_sha256.json, must write
@@ -110,11 +118,14 @@ EOF
 
 ingest() {
   local out="$RUNNER_TEMP/ingest"
-  mkdir -p "$out"
   local summary
   summary="$(python -m attacksim ingest --capec tests/data/capec_sample.xml \
     --cve tests/data/nvd_sample.json --out "$out/skeletons.json")"
   test "$summary" = "imported=6 annotated=0 skipped=0"
+}
+
+imports() {
+  python tests/import_probe.py "$RUNNER_TEMP/imports"
 }
 
 seeded() {
@@ -148,6 +159,7 @@ case "${1-}" in
   wide) wide ;;
   scale) scale ;;
   ingest) ingest ;;
+  imports) imports ;;
   seeded) seeded ;;
-  *) echo "usage: $0 traces FILE... | wide | scale | ingest | seeded" >&2; exit 2 ;;
+  *) echo "usage: $0 traces FILE... | wide | scale | ingest | imports | seeded" >&2; exit 2 ;;
 esac

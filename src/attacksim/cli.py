@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="NVD CVE JSON feed (repeatable)")
     p.add_argument("--annotations", metavar="FILE",
                    help="profile annotations to merge (contains the schema)")
-    p.add_argument("--out", required=True, metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE",
+                   help="output file (its directory is created if missing)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("trace", help="render a saved episode trace")
@@ -204,7 +205,9 @@ def cmd_ingest(args) -> int:
     else:
         doc = skeletons_to_dict(skeletons)
         annotated, skipped = 0, 0
-    Path(args.out).write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     print(f"imported={len(skeletons)} annotated={annotated} skipped={skipped}")
     return EXIT_OK
 

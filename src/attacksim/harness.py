@@ -3,9 +3,10 @@
 Reproducibility contract: every episode owns a private random stream
 derived by hashing (master seed, episode index), so a run is fully
 determined by its seed and inputs regardless of worker count or
-scheduling. Aggregation folds traces in episode order. The process pool
-(`ProcessPoolExecutor`, and with it multiprocessing) loads only when a
-run uses more than one worker.
+scheduling. Aggregation folds traces in episode order. The process pool,
+and with it multiprocessing, is a local import in the branch that runs
+more than one worker, so a serial run never loads it; tests substitute
+the pool by patching `concurrent.futures`.
 
 Per-episode stream consumption order: one `random()` to sample the
 attacker profile (PMF mode only), then per decision: one `randrange` only
@@ -22,7 +23,6 @@ import io
 import json
 import os
 import statistics
-import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 from math import isfinite, sqrt
@@ -150,15 +150,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def __getattr__(name):
-    # `harness.ProcessPoolExecutor` imports the pool, and with it
-    # multiprocessing, on first access, so a serial run never loads it
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _episode_batch(ctx, profile_or_pmf, config, start, stop):
     return [
         _run_one(ctx, profile_or_pmf, config,
@@ -191,10 +182,9 @@ def run_monte_carlo(system: CpsSystem, db: ActionDatabase,
     else:
         bounds = [(n * j) // jobs for j in range(jobs + 1)]
         chunks = [(bounds[j], bounds[j + 1]) for j in range(jobs)]
-        # read off the module, so a class set on it runs, and the real
-        # pool loads here through __getattr__
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=jobs) as pool:
+        # the pool, and with it multiprocessing, loads only here
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_episode_batch, ctx, mode, config, a, b)
                 for a, b in chunks

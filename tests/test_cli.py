@@ -742,6 +742,13 @@ class TestIngest:
         doc = json.loads(out.read_text())
         assert len(doc["skeletons"]) == 3
 
+    def test_missing_output_directory_is_created(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "skeletons.json"
+        assert run_cli("ingest", "--capec", DATA / "capec_sample.xml",
+                       "--out", out) == 0
+        assert capsys.readouterr().out == "imported=3 annotated=0 skipped=0\n"
+        assert len(json.loads(out.read_text())["skeletons"]) == 3
+
     def test_unannotated_skeleton_reported_and_skipped(self, tmp_path,
                                                        capsys):
         doc = {**ANNOTATIONS, "annotations": {

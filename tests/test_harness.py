@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import importlib.util
 import json
@@ -266,7 +267,8 @@ class TestRunMonteCarlo:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         system, db, profiles = load_cstr(cstr_paths)
         serial = run_monte_carlo(system, db, profiles, SimConfig(60, seed=5))
 
@@ -317,7 +319,8 @@ class TestRunMonteCarlo:
         events = []
         real_context, real_run = harness.DecisionContext, harness._run_one
         real_theta = DecisionContext.attacker_theta
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            PicklingPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "DecisionContext", lambda *a: (
             events.append("context") or real_context(*a)))
@@ -349,8 +352,9 @@ class TestRunMonteCarlo:
 
         system, db, profiles = load_cstr(cstr_paths)
         serial = run_monte_carlo(system, db, profiles, SimConfig(400, seed=9))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
-            Pool, mp_context=get_context(method)))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            functools.partial(Pool, mp_context=get_context(method)))
         # with one CPU the run would stay serial and never use the pool
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         report, traces = run_monte_carlo(
