@@ -24,6 +24,14 @@
 #       go through `traces`. Unlike the fixture's and wide's runs, it
 #       fills fresh-node memo entries that no decision draws from, so
 #       only the decisions that draw from an entry score it
+#   bash .github/cli_checks.sh catalog
+#       a 20,000-action database, the size of a vulnerability catalog:
+#       perfbench/instances.py's wide generator (only read here, never
+#       edited) with its action count raised in the writing process, must
+#       validate, and its seeded run of 4 episodes of at most 8 decisions,
+#       with one trace, must write the same files at --jobs 1 and 2. Each
+#       run builds the decision context over all 20,000 actions, column
+#       by column, and each decision draws from about 16,000 candidates
 #   bash .github/cli_checks.sh ingest
 #       the bundled CAPEC and NVD samples through `python -m attacksim
 #       ingest`, the real entry point, which loads the ingest module and
@@ -116,6 +124,28 @@ EOF
   traces "$out"/jobs*/trace_*.json
 }
 
+catalog() {
+  local out="$RUNNER_TEMP/catalog"
+  python - "$out/instance" <<'EOF'
+import sys
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+import instances
+
+instances.SHAPES["wide"] = dict(instances.SHAPES["wide"], actions=20000)
+instances.write_instance(instances.generate("wide", 0), Path(sys.argv[1]))
+EOF
+  local inputs=("$out/instance/system.json" "$out/instance/actions.json"
+                "$out/instance/profiles.json")
+  test "$(python -m attacksim validate "${inputs[@]}")" = OK
+  for jobs in 1 2; do
+    python -m attacksim simulate "${inputs[@]}" --profile attacker \
+      --episodes 4 --max-steps 8 --seed 42 --traces 1 --jobs $jobs \
+      --out "$out/jobs$jobs"
+  done
+  diff -r "$out/jobs1" "$out/jobs2"
+}
+
 ingest() {
   local out="$RUNNER_TEMP/ingest"
   local summary
@@ -158,8 +188,9 @@ case "${1-}" in
   traces) shift; traces "$@" ;;
   wide) wide ;;
   scale) scale ;;
+  catalog) catalog ;;
   ingest) ingest ;;
   imports) imports ;;
   seeded) seeded ;;
-  *) echo "usage: $0 traces FILE... | wide | scale | ingest | imports | seeded" >&2; exit 2 ;;
+  *) echo "usage: $0 traces FILE... | wide | scale | catalog | ingest | imports | seeded" >&2; exit 2 ;;
 esac

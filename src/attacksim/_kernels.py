@@ -11,6 +11,7 @@ engine layer.
 """
 
 from math import sqrt
+from operator import itemgetter
 
 
 def profile_distances(theta, inv_beta_sq, gammas, unordered):
@@ -22,21 +23,28 @@ def profile_distances(theta, inv_beta_sq, gammas, unordered):
     slot's 1 / criticality^2. Slots flagged in `unordered` hold labels,
     which compare by equality and contribute a 0/1 difference term; the rest
     contribute theta[j] - gamma[j].
+
+    Slot by slot: each slot adds its term to every row's running sum in
+    one list comprehension over the slot's column, read from the rows by
+    `itemgetter`. Each sum still starts at 0.0 and gains its terms in
+    slot order, each term ``w * diff * diff`` as written, so every
+    distance is the float a row-by-row loop gives; an unordered slot's
+    two possible terms are computed once. The rows are not transposed
+    with ``zip(*gammas)``: that takes as long and allocates one
+    collector-tracked iterator per row, enough to start two or three
+    gen-0 collections at 2,000 rows.
     """
-    n = len(theta)
-    out = []
-    for gamma in gammas:
-        acc = 0.0
-        for j in range(n):
-            t = theta[j]
-            g = gamma[j]
-            if unordered[j]:
-                diff = 0.0 if t == g else 1.0
-            else:
-                diff = t - g
-            acc += inv_beta_sq[j] * diff * diff
-        out.append(sqrt(acc))
-    return out
+    acc = [0.0] * len(gammas)
+    for j, (t, w, u) in enumerate(zip(theta, inv_beta_sq, unordered)):
+        col = map(itemgetter(j), gammas)
+        if u:
+            same = w * 0.0 * 0.0
+            other = w * 1.0 * 1.0
+            acc = [a + (same if t == g else other)
+                   for a, g in zip(acc, col)]
+        else:
+            acc = [a + w * (d := t - g) * d for a, g in zip(acc, col)]
+    return list(map(sqrt, acc))
 
 
 def scores_from_distances(d):
@@ -72,7 +80,13 @@ def sequential_sum(x):
 
 def weighted_index(w, u, total=1.0):
     """Index into the probabilities w_i / total selected by uniform draw
-    `u`: the first index whose cumulative sum exceeds `u`, else the last.
+    `u`: the first index whose cumulative sum exceeds `u`, else the last
+    index with a positive weight.
+
+    The cumulative sum can round to just below 1.0 (ten 0.1s add up to
+    0.9999999999999999), so a draw close to 1.0 can pass every index;
+    it then falls to the last index that can be drawn, never to a
+    trailing weight of 0 (to index 0 when no weight is positive).
 
     With `total` 1.0, `w` is itself the probability vector (``x / 1.0 == x``
     in IEEE 754). With ``total = sequential_sum(w)`` the walk adds the same
@@ -85,4 +99,6 @@ def weighted_index(w, u, total=1.0):
         acc += w[i] / total
         if u < acc:
             return i
+    while last > 0 and not w[last] > 0.0:
+        last -= 1
     return last

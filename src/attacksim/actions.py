@@ -315,14 +315,14 @@ def scaled_action_profiles(db: ActionDatabase
     actions = db.actions
     profiles = [a.profile for a in actions]  # one field read per action
     try:
-        # slot by slot: one call per value and no frame per action
-        columns = [list(map(scale, [p[name] for p in profiles]))
+        # slot by slot: each scaler takes the whole column
+        columns = [scale(list(map(itemgetter(name), profiles)))
                    for name, scale in slots]
     except (KeyError, TypeError, ValueError):
         # raise the error of the first action that does not scale
         for a, p in zip(actions, profiles):
             try:
-                [scale(p[name]) for name, scale in slots]
+                [scale([p[name]]) for name, scale in slots]
             except ValueError as exc:
                 raise ValueError(f"action {a.id!r}: {exc}") from exc
         raise

@@ -54,6 +54,7 @@ decision path.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isfinite
 from typing import Mapping, NamedTuple, Sequence
 
@@ -172,6 +173,20 @@ class DecisionContext:
       its 4 entries hold 6,554 candidates, and every one is drawn from,
       in about 320 kB.
 
+    The build runs one column at a time, with no Python loop per
+    action: the scaled profiles slot by slot
+    (`actions.scaled_action_profiles`); the channel sets' bitmasks and
+    the criteria's indices as one `map` each over the actions, after
+    each distinct channel set and criteria object is handled once; each
+    node's rows as `itertools.compress` over the row list, selected by
+    its match of each distinct criteria; and an attacker's distances as
+    one list comprehension per slot (`_kernels.profile_distances`). The
+    build takes about 2.6 ms at 2,000 actions (wide-4x2000) and 37 ms at
+    20,000, and an attacker's distances 1.1 and 12 ms (medians on a
+    2-core VM, Python 3.11.7). The node selection reads every row once
+    per node, so at 400 nodes and 8,000 actions the build takes about
+    140 ms.
+
     Immutable after construction apart from the profile cache and the
     memo. What depends on an episode's history, such as each open
     node's candidates, lives in its AttackState.
@@ -188,36 +203,40 @@ class DecisionContext:
         self._thetas: dict[str, tuple[Mapping, tuple, dict[str, float]]] = {}
         self.fresh: dict[tuple, Columns] = {}
 
+        actions = db.actions
+        ids = [a.id for a in actions]
+        # each distinct channel set becomes a bitmask once, however many
+        # actions hold it
+        channels = [a.channels for a in actions]
+        masks = dict.fromkeys(channels)
         names = sorted({c for e in system.edges for c in e.channels}
-                       | {c for a in db.actions for c in a.channels})
+                       .union(*masks))
         bit = {c: 1 << i for i, c in enumerate(names)}
-        masks: dict[frozenset[str], int] = {}  # per distinct channel set
-        distinct: dict[frozenset, int] = {}  # criteria -> index in criteria
-        # id of a criteria object -> index in criteria: a loaded database
-        # shares each distinct criteria, so its content key is built once;
-        # the database holds every object, so no id is reused meanwhile
-        seen: dict[int, int] = {}
+        for cs in masks:
+            masks[cs] = sum(bit[c] for c in cs)
+        mask_col = list(map(masks.__getitem__, channels))
+        # each distinct criteria object gets its index in `criteria` once,
+        # keyed by content, so equal criteria share an index; the database
+        # holds every object, so no id is reused meanwhile
+        objects = [a.target_criteria for a in actions]
+        keys = list(map(id, objects))
+        index_of: dict[int, int] = {}
+        distinct: dict[frozenset, int] = {}
         criteria = []
-        rows = []  # (criteria index, row) per action, in canonical order
-        for a in db.actions:
-            mask = masks.get(a.channels)
-            if mask is None:
-                mask = masks[a.channels] = sum(bit[c] for c in a.channels)
-            c = a.target_criteria
-            i = seen.get(id(c))
-            if i is None:
-                key = frozenset(c.requirements.items())
-                if key not in distinct:
-                    distinct[key] = len(criteria)
-                    criteria.append(c)
-                i = seen[id(c)] = distinct[key]
-            rows.append((i, (a.id, mask, a.prerequisites)))
-        self.action_mask = {aid: mask for _, (aid, mask, _) in rows}
+        for key, c in dict(zip(keys, objects)).items():
+            content = frozenset(c.requirements.items())
+            if content not in distinct:
+                distinct[content] = len(criteria)
+                criteria.append(c)
+            index_of[key] = distinct[content]
+        index = list(map(index_of.__getitem__, keys))
+        rows = list(zip(ids, mask_col, [a.prerequisites for a in actions]))
+        self.action_mask = dict(zip(ids, mask_col))
         self.actions_for = {}
         for node in system.nodes:
             match = [criteria_match(c, node) for c in criteria]
             self.actions_for[node.id] = tuple(
-                row for i, row in rows if match[i])
+                compress(rows, map(match.__getitem__, index)))
         self.vectors_into = {
             node.id: tuple((e.id, e.from_node, sum(bit[c] for c in e.channels))
                            for e in system.edges_into(node.id)

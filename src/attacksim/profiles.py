@@ -165,25 +165,41 @@ class ProfilePmf:
         return v
 
 
-Scaler = Callable[[ProfileValue], ProfileValue]
+# a column scaler: one slot's raw values, in order -> their scaled values
+Scaler = Callable[[Sequence[ProfileValue]], Sequence[ProfileValue]]
 
 
 def _bounded_scaler(lower: float, upper: float, name: str) -> Scaler:
-    """Linear map of a bounded-range value onto [0, 1]. The bounds are
+    """Linear map of a bounded-range column onto [0, 1]. The bounds are
     checked on each call, so building the scaler raises nothing whatever
-    bounds a schema holds."""
-    def scale(epsilon):
-        if not lower < upper:
-            raise ValueError(f"{name}: lower bound must be below upper bound")
-        if not lower <= epsilon <= upper:
-            raise ValueError(
-                f"{name}: value {epsilon} outside bounds [{lower}, {upper}]")
-        return (epsilon - lower) / (upper - lower)
+    bounds a schema holds.
+
+    One check covers the whole column: its min and max within the bounds
+    and a finite sum, since min and max skip a NaN that is not first.
+    Only a column that fails it is walked value by value, to raise for
+    the first value outside the bounds (NaN and the infinities included);
+    a column of in-bounds values whose sum merely overflows passes that
+    walk. Each value is divided by the span ``upper - lower``, not
+    multiplied by its reciprocal, which rounds differently."""
+    def scale(col):
+        if not col:
+            return []
+        if not (lower < upper and lower <= min(col) and max(col) <= upper
+                and isfinite(sum(col, 0.0))):
+            if not lower < upper:
+                raise ValueError(
+                    f"{name}: lower bound must be below upper bound")
+            for epsilon in col:
+                if not lower <= epsilon <= upper:
+                    raise ValueError(f"{name}: value {epsilon} outside "
+                                     f"bounds [{lower}, {upper}]")
+        span = upper - lower
+        return [(epsilon - lower) / span for epsilon in col]
     return scale
 
 
 def _unbounded_scaler(population: Sequence[float], name: str) -> Scaler:
-    """Min/max map of an unbounded-range value onto [0, 1], clamped.
+    """Min/max map of an unbounded-range column onto [0, 1], clamped.
 
     Only the population's extremes matter, so a (min, max) pair is a
     population as good as every value of the property across the action
@@ -191,22 +207,23 @@ def _unbounded_scaler(population: Sequence[float], name: str) -> Scaler:
     population carries no ranking information: midpoint.
     """
     if not population:
-        def empty(epsilon):
-            raise ValueError(f"{name}: empty scaling population")
+        def empty(col):
+            if col:
+                raise ValueError(f"{name}: empty scaling population")
+            return []
         return empty
     lo = min(population)
     hi = max(population)
     if hi == lo:
-        return lambda epsilon: 0.5
+        return lambda col: [0.5] * len(col)
     span = hi - lo
 
-    def scale(epsilon):
+    def scale(col):
         # the value of min(1.0, max(0.0, x)) without the two calls: max
-        # keeps its first argument unless the second is greater, and min
-        # unless the second is smaller
-        x = (epsilon - lo) / span
-        x = x if x > 0.0 else 0.0
-        return x if x < 1.0 else 1.0
+        # keeps its first argument unless the second is greater (a NaN is
+        # not), and min unless the second is smaller
+        return [(x if x < 1.0 else 1.0) if (x := (epsilon - lo) / span) > 0.0
+                else 0.0 for epsilon in col]
     return scale
 
 
@@ -218,30 +235,31 @@ def _ordered_set_scaler(allowed_values: Sequence[str], name: str) -> Scaler:
     for i, label in enumerate(allowed_values):  # the first index, as .index
         index.setdefault(label, 0.5 if k == 1 else i / (k - 1))
 
-    def scale(label):
-        scaled = index.get(label)
-        if scaled is None:
-            raise ValueError(f"{name}: unknown label {label!r}")
-        return scaled
+    def scale(col):
+        try:
+            return list(map(index.__getitem__, col))
+        except KeyError as exc:  # the first unknown label, in column order
+            raise ValueError(
+                f"{name}: unknown label {exc.args[0]!r}") from None
     return scale
 
 
 def scale_bounded(epsilon: float, lower: float, upper: float,
                   name: str = "property") -> float:
     """Linear map of a bounded-range value onto [0, 1]."""
-    return _bounded_scaler(lower, upper, name)(epsilon)
+    return _bounded_scaler(lower, upper, name)([epsilon])[0]
 
 
 def scale_unbounded(epsilon: float, population: Sequence[float],
                     name: str = "property") -> float:
     """Min/max map of an unbounded-range value onto [0, 1], clamped."""
-    return _unbounded_scaler(population, name)(epsilon)
+    return _unbounded_scaler(population, name)([epsilon])[0]
 
 
 def scale_ordered_set(label: str, allowed_values: Sequence[str],
                       name: str = "property") -> float:
     """Linear ordered-set mapping: label index over the label list."""
-    return _ordered_set_scaler(allowed_values, name)(label)
+    return _ordered_set_scaler(allowed_values, name)([label])[0]
 
 
 def match_unordered(a: str, b: str,
@@ -323,8 +341,8 @@ def _finite(value) -> bool:
         return False
 
 
-def _keep(label: ProfileValue) -> ProfileValue:
-    return label
+def _keep(col: Sequence[ProfileValue]) -> Sequence[ProfileValue]:
+    return col
 
 
 def _slot_scaler(prop: PropertySchema, population: Sequence[float]) -> Scaler:
@@ -340,14 +358,24 @@ def _slot_scaler(prop: PropertySchema, population: Sequence[float]) -> Scaler:
 def slot_scalers(schema: ProfileSchema,
                  ranges: Mapping[str, tuple[float, float]],
                  ) -> tuple[Scaler, ...]:
-    """One raw value -> scaled value function per schema slot, in schema
-    order: a float in [0, 1], or the label itself for an unordered-set
-    slot, which compares by equality.
+    """One column scaler per schema slot, in schema order: each takes a
+    list of the slot's raw values and returns a list of their scaled
+    values, in order: floats in [0, 1], or for an unordered-set slot the
+    column itself, whose labels compare by equality. A column of one
+    value scales one value (`scale_profile`).
+
+    Each kind scales its column in one pass of C-level work or one list
+    comprehension: an ordered-set column is one dict lookup per label
+    through `map`, a bounded-range column one bounds check over the
+    whole column and then one comprehension, an unbounded-range column
+    one comprehension with the clamp inlined. Every float equals the one
+    the per-kind rule in the module docstring gives for that value alone.
 
     `ranges` maps each unbounded property to the (min, max) it scales
     against: the action database's for an action, and that range extended
     with the attacker's own value for an attacker. Building the functions
-    raises nothing; each raises ValueError for a value it cannot scale.
+    raises nothing; each raises ValueError for the first value of its
+    column it cannot scale, worded as for that value alone.
     """
     return tuple(_slot_scaler(prop, ranges.get(prop.name, ()))
                  for prop in schema)
@@ -357,9 +385,10 @@ def scale_profile(schema: ProfileSchema,
                   values: Mapping[str, ProfileValue],
                   ranges: Mapping[str, tuple[float, float]],
                   ) -> tuple[ProfileValue, ...]:
-    """Scale a raw profile into schema order with `slot_scalers`."""
-    return tuple(scale(values[prop.name]) for prop, scale
-                 in zip(schema, slot_scalers(schema, ranges)))
+    """Scale a raw profile into schema order with `slot_scalers`, each
+    slot a column of one value."""
+    return tuple(scale([values[name]])[0] for name, scale
+                 in zip(schema.names, slot_scalers(schema, ranges)))
 
 
 def pmf_probabilities(pmf: ProfilePmf) -> list[float]:

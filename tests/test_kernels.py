@@ -51,6 +51,33 @@ def test_weighted_index_cumulative_walk():
     assert _kernels.weighted_index(p, 0.999999) == 2
 
 
+def test_weighted_index_never_falls_through_to_a_zero_weight():
+    """Ten 0.1s add up to 0.9999999999999999, so the largest draw below
+    1.0 passes every index; it lands on the last positive weight, not on
+    the trailing zeros."""
+    u = math.nextafter(1.0, 0.0)
+    assert _kernels.sequential_sum([0.1] * 10) == u
+    assert _kernels.weighted_index([0.1] * 10 + [0.0], u) == 9
+    assert _kernels.weighted_index([0.1] * 10 + [0.0, 0.0, 0.0], u) == 9
+    w = [1.0] * 10 + [0.0]
+    assert _kernels.weighted_index(w, u, 10.0) == 9
+    # a positive last weight still takes the largest draw
+    assert _kernels.weighted_index([0.1] * 11, u, 1.1) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       st.integers(0, 3), st.floats(0.0, 1.0, exclude_max=True))
+def test_weighted_index_draws_only_positive_weights(weights, zeros, u):
+    """Whatever the draw, a positive weight is drawn whenever there is one:
+    never a zero weight, at the end or elsewhere."""
+    w = weights + [0.0] * zeros
+    for draw in (u, math.nextafter(1.0, 0.0)):
+        i = _kernels.weighted_index(w, draw, _kernels.sequential_sum(w)
+                                    or 1.0)
+        assert w[i] > 0.0 or not any(x > 0.0 for x in w)
+
+
 def test_cached_distances_match_single_pair_distance(cstr_paths):
     profiles = load_profiles(cstr_paths["profiles"])
     db = load_action_db(cstr_paths["actions"], profiles.schema)

@@ -1,9 +1,11 @@
 import json
+import math
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from attacksim import _kernels
 from attacksim.actions import Action, ActionDatabase
 from attacksim.errors import ValidationFailure
 from attacksim.profiles import (
@@ -169,6 +171,25 @@ class TestPmf:
         pmf = self._pmf([0.0, 1.0, 0.0])
         rng = Random(5)
         assert all(sample_profile(pmf, rng).name == "P1" for _ in range(50))
+
+    def test_zero_likelihood_profile_is_never_drawn(self):
+        """Five likelihoods of 0.3 normalize to five probabilities just
+        under 0.2, whose sum is 0.9999999999999999, so the largest draw
+        below 1.0 passes them all; it must land on the last positive
+        profile, not the zero one, and read one draw."""
+
+        class Stub:
+            calls = 0
+
+            def random(self):
+                Stub.calls += 1
+                return math.nextafter(1.0, 0.0)
+
+        pmf = self._pmf([0.3] * 5 + [0.0])
+        assert _kernels.sequential_sum(
+            pmf_probabilities(pmf)[:5]) == math.nextafter(1.0, 0.0)
+        assert sample_profile(pmf, Stub()).name == "P4"
+        assert Stub.calls == 1
 
     def test_sampling_deterministic_for_fixed_seed(self):
         pmf = self._pmf([0.3, 0.5, 0.2])

@@ -3,17 +3,21 @@
 The reference below scales value by value, re-deriving everything (the
 label's index, the population's min and max) on every call, as the
 per-kind rules read in profiles.py's module docstring. The scalers
-precompute what does not depend on the value, so each scaled float must
-still equal the reference's bit for bit, and each value that cannot be
-scaled must raise the reference's ValueError, naming the same action.
+precompute what does not depend on the value and scale a whole column at
+once, so each scaled float must still equal the reference's bit for bit,
+and each value that cannot be scaled must raise the reference's
+ValueError, naming the same action; a NaN or an infinity in a bounded
+column is one such value.
 """
 
+from math import inf, nan
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from attacksim.actions import (
+    Action,
     ActionDatabase,
     load_action_db,
     scaled_action_profiles,
@@ -180,3 +184,45 @@ def test_unscalable_value_names_the_reference_action(seed, bad):
         scaled_action_profiles(db)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("action ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9), value=st.sampled_from((nan, inf, -inf)),
+       bad=st.integers(1, 3))
+def test_non_finite_bounded_value_names_the_reference_action(seed, value,
+                                                             bad):
+    """NaN, +inf or -inf in one to three random actions' random bounded
+    slots: the reference rejects each as outside the bounds, so the
+    scalers must raise its error, naming its action and slot. min and max
+    skip a NaN that is not first in a column, so a column check made of
+    them alone would scale it."""
+    rng, db = random_every_kind_db(seed)
+    slots = [p for p in db.schema if p.kind == BOUNDED_RANGE]
+    actions = list(db.actions)
+    for _ in range(bad):
+        i = rng.randrange(len(actions))
+        actions[i] = actions[i]._replace(profile={
+            **actions[i].profile, rng.choice(slots).name: value})
+    db = ActionDatabase(actions, db.schema)
+    with pytest.raises(ValueError) as want:
+        ref_profiles(db)
+    with pytest.raises(ValueError) as got:
+        scaled_action_profiles(db)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("action ")
+
+
+@pytest.mark.parametrize("value", [nan, inf, -inf])
+def test_non_finite_value_after_the_first_action_is_rejected(value):
+    """The value sits in the middle of its column, where min and max do
+    not see a NaN."""
+    schema = ProfileSchema([PropertySchema("b", BOUNDED_RANGE, lower=0.0,
+                                           upper=10.0)])
+    db = ActionDatabase([Action(f"A{i}", profile={"b": v}) for i, v
+                         in enumerate((5.0, 2.0, value, 7.0))], schema)
+    with pytest.raises(ValueError) as want:
+        ref_profiles(db)
+    with pytest.raises(ValueError) as got:
+        scaled_action_profiles(db)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("action 'A2': b: value ")
