@@ -31,7 +31,8 @@
 #       validate, and its seeded run of 4 episodes of at most 8 decisions,
 #       with one trace, must write the same files at --jobs 1 and 2. Each
 #       run builds the decision context over all 20,000 actions, column
-#       by column, and each decision draws from about 16,000 candidates
+#       by column, and each decision draws from about 16,000 candidates;
+#       its traces, about 23 MB each, go through `traces`
 #   bash .github/cli_checks.sh ingest
 #       the bundled CAPEC and NVD samples through `python -m attacksim
 #       ingest`, the real entry point, which loads the ingest module and
@@ -144,6 +145,7 @@ EOF
       --out "$out/jobs$jobs"
   done
   diff -r "$out/jobs1" "$out/jobs2"
+  traces "$out"/jobs*/trace_*.json
 }
 
 ingest() {

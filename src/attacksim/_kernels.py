@@ -11,32 +11,27 @@ engine layer.
 """
 
 from math import sqrt
-from operator import itemgetter
 
 
-def profile_distances(theta, inv_beta_sq, gammas, unordered):
-    """Weighted n-dimensional distance from `theta` to each profile in
-    `gammas`, one float per profile, in order.
+def profile_distances(theta, inv_beta_sq, columns, unordered, rows):
+    """Weighted n-dimensional distance from `theta` to each of `rows`
+    profiles, one float per profile, in order.
 
-    `theta` and each entry of `gammas` hold n slot values in schema order,
-    as `profiles.scale_profile` returns them; `inv_beta_sq[j]` is the
-    slot's 1 / criticality^2. Slots flagged in `unordered` hold labels,
-    which compare by equality and contribute a 0/1 difference term; the rest
-    contribute theta[j] - gamma[j].
+    `theta` holds n slot values in schema order (`profiles.scale_profile`)
+    and `columns` one list of `rows` values per slot
+    (`actions.scaled_action_profiles`); `inv_beta_sq[j]` is the slot's
+    1 / criticality^2. Slots flagged in `unordered` hold labels, which
+    compare by equality and contribute a 0/1 difference term; the rest
+    contribute theta[j] - gamma[j]. With no slot, every distance is 0.0.
 
-    Slot by slot: each slot adds its term to every row's running sum in
-    one list comprehension over the slot's column, read from the rows by
-    `itemgetter`. Each sum still starts at 0.0 and gains its terms in
-    slot order, each term ``w * diff * diff`` as written, so every
-    distance is the float a row-by-row loop gives; an unordered slot's
-    two possible terms are computed once. The rows are not transposed
-    with ``zip(*gammas)``: that takes as long and allocates one
-    collector-tracked iterator per row, enough to start two or three
-    gen-0 collections at 2,000 rows.
+    Each slot adds its term to every row's running sum in one list
+    comprehension over its column. Each sum still starts at 0.0 and
+    gains its terms in slot order, each term ``w * diff * diff`` as
+    written, so every distance is the float a row-by-row loop gives; an
+    unordered slot's two possible terms are computed once.
     """
-    acc = [0.0] * len(gammas)
-    for j, (t, w, u) in enumerate(zip(theta, inv_beta_sq, unordered)):
-        col = map(itemgetter(j), gammas)
+    acc = [0.0] * rows
+    for t, w, u, col in zip(theta, inv_beta_sq, unordered, columns):
         if u:
             same = w * 0.0 * 0.0
             other = w * 1.0 * 1.0

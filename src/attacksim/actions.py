@@ -12,7 +12,7 @@ profiles against it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import inf, isfinite
 from operator import contains, itemgetter
 from pathlib import Path
@@ -267,13 +267,15 @@ class ActionDatabase:
     def unbounded_ranges(self) -> dict[str, tuple[float, float]]:
         """(min, max) of each unbounded property over the actions' values,
         computed once; (inf, -inf), which any value extends to (value,
-        value), when the database is empty."""
+        value), when the database is empty. A profile without the
+        property raises KeyError before a `__missing__` can fill it in."""
         ranges: dict[str, tuple[float, float]] = {}
         profiles = [a.profile for a in self.actions]
         for prop in self.schema:
             if prop.kind == UNBOUNDED_RANGE:
-                vals = list(map(float, map(itemgetter(prop.name),
-                                            profiles)))
+                if not all(map(contains, profiles, repeat(prop.name))):
+                    raise KeyError(prop.name)
+                vals = list(map(float, map(itemgetter(prop.name), profiles)))
                 ranges[prop.name] = (min(vals, default=inf),
                                      max(vals, default=-inf))
         return ranges
@@ -302,9 +304,10 @@ class ActionDatabase:
 
 
 def scaled_action_profiles(db: ActionDatabase
-                           ) -> dict[str, tuple[ProfileValue, ...]]:
-    """Scale every action profile with one set of slot scalers; pure and
-    deterministic.
+                           ) -> list[list[ProfileValue]]:
+    """Scale every action profile with one set of slot scalers into
+    columns: one list per slot, in schema order, of each action's scaled
+    value in id order; pure and deterministic.
 
     Unbounded properties scale against the database-wide (min, max), so a
     new action inside that range leaves other actions' scaled values
@@ -316,8 +319,8 @@ def scaled_action_profiles(db: ActionDatabase
     profiles = [a.profile for a in actions]  # one field read per action
     try:
         # slot by slot: each scaler takes the whole column
-        columns = [scale(list(map(itemgetter(name), profiles)))
-                   for name, scale in slots]
+        return [scale(list(map(itemgetter(name), profiles)))
+                for name, scale in slots]
     except (KeyError, TypeError, ValueError):
         # raise the error of the first action that does not scale
         for a, p in zip(actions, profiles):
@@ -326,8 +329,6 @@ def scaled_action_profiles(db: ActionDatabase
             except ValueError as exc:
                 raise ValueError(f"action {a.id!r}: {exc}") from exc
         raise
-    rows = zip(*columns) if columns else [()] * len(actions)
-    return dict(zip([a.id for a in actions], rows))
 
 
 def criteria_from_dict(raw, owner: str, errors: list[str]) -> TargetCriteria:

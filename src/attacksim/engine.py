@@ -142,8 +142,9 @@ class DecisionContext:
     Built and validated once per run, in the parent process, and passed
     as is to every worker:
 
-    - the scaled action profiles, by action id in canonical order, and
-      the per-slot distance weights 1 / criticality^2;
+    - the scaled action profiles as columns, one list per slot holding
+      each action's value in canonical id order, and the per-slot
+      distance weights 1 / criticality^2;
     - the starting knowledge, so the system is validated once per run;
     - per node, the actions whose target criteria match it, in canonical
       id order, as ``(id, channel bitmask, prerequisites)`` rows; each
@@ -174,18 +175,18 @@ class DecisionContext:
       in about 320 kB.
 
     The build runs one column at a time, with no Python loop per
-    action: the scaled profiles slot by slot
+    action: the scaled profiles slot by slot, kept as those columns
     (`actions.scaled_action_profiles`); the channel sets' bitmasks and
     the criteria's indices as one `map` each over the actions, after
     each distinct channel set and criteria object is handled once; each
     node's rows as `itertools.compress` over the row list, selected by
     its match of each distinct criteria; and an attacker's distances as
-    one list comprehension per slot (`_kernels.profile_distances`). The
-    build takes about 2.6 ms at 2,000 actions (wide-4x2000) and 37 ms at
-    20,000, and an attacker's distances 1.1 and 12 ms (medians on a
-    2-core VM, Python 3.11.7). The node selection reads every row once
-    per node, so at 400 nodes and 8,000 actions the build takes about
-    140 ms.
+    one list comprehension over each slot's column
+    (`_kernels.profile_distances`). The build takes about 1.9 ms at
+    2,000 actions (wide-4x2000) and 30 ms at 20,000, and an attacker's
+    distances 1.0 and 11 ms (medians on a 2-core VM, Python 3.11.7).
+    The node selection reads every row once per node, so at 400 nodes
+    and 8,000 actions the build takes about 140 ms.
 
     Immutable after construction apart from the profile cache and the
     memo. What depends on an episode's history, such as each open
@@ -253,10 +254,10 @@ class DecisionContext:
             return cached[1], cached[2]
         theta = scale_profile(self.db.schema, attacker.values,
                               self.db.attacker_ranges(attacker))
-        profiles = self.action_profiles
-        dist = dict(zip(profiles, _kernels.profile_distances(
-            theta, self.inv_beta_sq, list(profiles.values()),
-            self.unordered_mask)))
+        ids = [a.id for a in self.db.actions]
+        dist = dict(zip(ids, _kernels.profile_distances(
+            theta, self.inv_beta_sq, self.action_profiles,
+            self.unordered_mask, len(ids))))
         self._thetas[attacker.name] = (attacker.values, theta, dist)
         return theta, dist
 
@@ -430,8 +431,8 @@ def distance(theta, gamma, beta: Sequence[float]) -> float:
         if not t_str and not (isfinite(t) and isfinite(g)):
             raise ValueError(f"slot {j}: non-finite value")
         unordered.append(t_str)
-    return _kernels.profile_distances(tvals, inv_beta_sq, [gvals],
-                                      unordered)[0]
+    return _kernels.profile_distances(tvals, inv_beta_sq,
+                                      [[g] for g in gvals], unordered, 1)[0]
 
 
 def scores(distances: Sequence[float]) -> list[float]:

@@ -16,7 +16,6 @@ from random import Random
 from types import SimpleNamespace
 
 from attacksim import engine
-from attacksim.actions import scaled_action_profiles
 from attacksim.engine import FAILURE, SUCCESS, DecisionRecord
 from attacksim.harness import (
     EXHAUSTED,
@@ -28,6 +27,7 @@ from attacksim.harness import (
 from attacksim.model import initial_knowledge, reveal_on_compromise
 from attacksim.profiles import ProfilePmf, sample_profile, scale_profile
 
+from oracle_context import reference_context
 from oracle_filter import brute_force_valid
 
 
@@ -52,7 +52,7 @@ def run_episode(system, db, mode, seed, index, max_steps=None):
                 else mode)
     theta = scale_profile(db.schema, attacker.values,
                           db.attacker_ranges(attacker))
-    gammas = scaled_action_profiles(db)
+    gammas = reference_context(system, db)["action_profiles"]
     beta = [p.criticality for p in db.schema]
     state = SimpleNamespace(system=system, db=db,
                             knowledge=initial_knowledge(system),

@@ -242,20 +242,19 @@ class TestScaledActionProfiles:
         db = ActionDatabase(
             [make_action("A1", 5, 7.0), make_action("A2", 5, 7.0)],
             small_schema())
+        # one column per slot, one value per action in id order
         scaled = scaled_action_profiles(db)
-        assert scaled["A1"] == scaled["A2"]
+        assert [col[0] for col in scaled] == [col[1] for col in scaled]
 
     def test_bounded_midpoint(self):
         db = ActionDatabase([make_action("A1", knowledge=5)], small_schema())
-        assert scaled_action_profiles(db)["A1"][0] == 0.5
+        assert scaled_action_profiles(db)[0] == [0.5]
 
     def test_unbounded_scales_to_local_extremes(self):
         db = ActionDatabase(
             [make_action("A1", finances=1e3), make_action("A2", finances=1e6)],
             small_schema())
-        scaled = scaled_action_profiles(db)
-        assert scaled["A1"][1] == 0.0
-        assert scaled["A2"][1] == 1.0
+        assert scaled_action_profiles(db)[1] == [0.0, 1.0]
 
     def test_deterministic(self):
         db = ActionDatabase(
@@ -270,8 +269,7 @@ class TestScaledActionProfiles:
                              small_schema())
         s1 = scaled_action_profiles(db1)
         s2 = scaled_action_profiles(db2)
-        assert s1["A1"] == s2["A1"]
-        assert s1["A2"] == s2["A2"]
+        assert [col[:2] for col in s2] == s1
 
     def test_scaling_error_names_action(self):
         db = ActionDatabase([make_action("A1", knowledge=42)], small_schema())

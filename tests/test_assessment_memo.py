@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from attacksim import engine
 from attacksim.engine import AttackState, DecisionContext, distance
 from attacksim.harness import SimConfig, _episode_batch
-from attacksim.profiles import AttackerProfile
+from attacksim.profiles import AttackerProfile, scale_profile
 
 from genrand import random_instance, random_value
 from test_fresh_memo import (
@@ -75,5 +75,7 @@ def test_changed_profile_values_get_their_own_entries(seed):
     for (theta, _, _), entry in ctx.fresh.items():
         ids, dists = entry[:2]
         assert dists == tuple(
-            distance(theta, ctx.action_profiles[a], beta) for a in ids)
+            distance(theta, scale_profile(db.schema, db.by_id[a].profile,
+                                          db.unbounded_ranges), beta)
+            for a in ids)
     check_scored_entries(ctx)

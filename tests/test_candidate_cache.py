@@ -35,7 +35,12 @@ from attacksim.model import (
     Node,
     reveal_on_compromise,
 )
-from attacksim.profiles import AttackerProfile, ProfileSchema, PropertySchema
+from attacksim.profiles import (
+    AttackerProfile,
+    ProfileSchema,
+    PropertySchema,
+    scale_profile,
+)
 
 from genrand import random_instance
 from oracle_filter import brute_force_valid
@@ -136,7 +141,9 @@ def run_checked_episode(state, rng, beta):
             break
         assert rec.action_ids == before[rec.target]
         assert rec.distances == tuple(
-            distance(state.theta, ctx.action_profiles[a], beta)
+            distance(state.theta, scale_profile(
+                ctx.db.schema, ctx.db.by_id[a].profile,
+                ctx.db.unbounded_ranges), beta)
             for a in rec.action_ids)
         if rng.random() < 0.25:
             edit_state(state, rng)

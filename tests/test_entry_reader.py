@@ -355,6 +355,19 @@ def test_defaultdict_profile_is_not_changed():
     assert "Tools" not in db.actions[2].profile
 
 
+def test_defaultdict_profile_without_an_unbounded_slot_is_not_changed():
+    # the unbounded range reads every action's value: a missing one is
+    # the action's problem, and never a 0.0 in the range
+    db = database((0, {"profile": with_value(Finances=1.0)}),
+                  (1, {"profile": with_value(Finances=3.0)}),
+                  (2, {"profile": lambda p: defaultdict(
+                      float, without("Finances")(p))}), n=3)
+    assert db.validate() == ["action 'A2': missing property 'Finances'"]
+    assert "Finances" not in db.actions[2].profile
+    with pytest.raises(KeyError):
+        db.unbounded_ranges
+
+
 # non-finite numbers in profiles built through the API
 
 def fixture_db(cstr_paths):

@@ -40,7 +40,7 @@ from attacksim.engine import (
 )
 from attacksim.harness import SimConfig, _episode_batch, resolve_mode, trace_to_dict
 from attacksim.model import load_system, reveal_on_compromise
-from attacksim.profiles import AttackerProfile, load_profiles
+from attacksim.profiles import AttackerProfile, load_profiles, scale_profile
 
 from genrand import random_instance, random_value
 from oracle_filter import brute_force_valid
@@ -128,7 +128,9 @@ def check_fresh_nodes(state):
         ids, dists = ctx.fresh[key][:2]
         assert ids == want[nid]
         assert dists == tuple(
-            distance(state.theta, ctx.action_profiles[a], beta)
+            distance(state.theta, scale_profile(
+                ctx.db.schema, ctx.db.by_id[a].profile,
+                ctx.db.unbounded_ranges), beta)
             for a in ids)
         check_assessment(ctx.fresh[key], key in ctx.fresh.drawn)
         hits += bool(ids)

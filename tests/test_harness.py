@@ -62,6 +62,7 @@ from attacksim.profiles import (
     PropertySchema,
     load_profiles,
     sample_profile,
+    scale_profile,
 )
 
 from analytic_fixture import analytic_fixture
@@ -151,8 +152,9 @@ class TestRunEpisode:
             theta, _ = ctx.attacker_theta(profiles.profiles[trace.profile])
             for rec in trace.records:
                 ids = rec.action_ids
-                d = [distance(theta, ctx.action_profiles[a], beta)
-                     for a in ids]
+                d = [distance(theta, scale_profile(
+                         db.schema, db.by_id[a].profile,
+                         db.unbounded_ranges), beta) for a in ids]
                 s = scores(d)
                 p = probabilities(s)
                 assert rec.candidates == tuple(
@@ -172,7 +174,8 @@ def _scripted_replay(system, db, profiles, seed):
         if target is None:
             break
         cands = filter_valid(state, target)
-        d = [distance(state.theta, state.ctx.action_profiles[a], beta)
+        d = [distance(state.theta, scale_profile(
+             db.schema, db.by_id[a].profile, db.unbounded_ranges), beta)
              for a in cands]
         p = probabilities(scores(d))
         chosen = sample_action(cands, p, rng)

@@ -9,30 +9,72 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attacksim import _kernels
-from attacksim.actions import load_action_db
+from attacksim.actions import ActionDatabase, load_action_db
 from attacksim.cli import load_inputs
 from attacksim.engine import DecisionContext, distance
-from attacksim.harness import SimConfig, run_monte_carlo
+from attacksim.harness import SimConfig, run_monte_carlo, trace_to_dict
 from attacksim.model import load_system
-from attacksim.profiles import ProfileSet, load_profiles
+from attacksim.profiles import (
+    AttackerProfile,
+    ProfilePmf,
+    ProfileSchema,
+    ProfileSet,
+    load_profiles,
+    scale_profile,
+)
 
 from genrand import random_instance
+import oracle_context
+import oracle_engine
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_distances_basic():
-    # single row, 3-4-5 triangle
-    got = _kernels.profile_distances([0.0, 0.0], [1.0, 1.0], [(0.6, 0.8)],
-                                     [False, False])
+    # single row, 3-4-5 triangle; one column per slot
+    got = _kernels.profile_distances([0.0, 0.0], [1.0, 1.0], [[0.6], [0.8]],
+                                     [False, False], 1)
     assert got == [1.0]
 
 
 def test_unordered_slots_compare_by_label():
     theta = ["Direct", 0.5]
-    gammas = [("Direct", 0.5), ("Wireless", 0.5)]  # row 0 matches, row 1 not
-    got = _kernels.profile_distances(theta, [1.0, 1.0], gammas, [True, False])
+    columns = [["Direct", "Wireless"], [0.5, 0.5]]  # row 0 matches, row 1 not
+    got = _kernels.profile_distances(theta, [1.0, 1.0], columns,
+                                     [True, False], 2)
     assert got == [0.0, 1.0]
+
+
+def test_no_slot_gives_every_row_distance_zero():
+    assert _kernels.profile_distances([], [], [], [], 3) == [0.0] * 3
+    assert distance((), (), []) == 0.0
+
+
+# slot columns as `scaled_action_profiles` gives them: a label column
+# compares by equality, a number column holds floats in [0, 1]
+SLOT = st.one_of(
+    st.tuples(st.just(True), st.sampled_from("abc"),
+              st.lists(st.sampled_from("abc"), min_size=20, max_size=20)),
+    st.tuples(st.just(False), st.floats(0.0, 1.0),
+              st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slots=st.lists(st.tuples(SLOT, st.floats(0.05, 1.0)), max_size=6),
+       rows=st.integers(0, 20))
+def test_columns_equal_the_row_by_row_reference(slots, rows):
+    """Every distance is the float `oracle_context.distance_row` sums for
+    its row alone, compared as `float.hex`."""
+    unordered = [u for (u, _, _), _ in slots]
+    theta = [t for (_, t, _), _ in slots]
+    columns = [col[:rows] for (_, _, col), _ in slots]
+    inv_beta_sq = [1.0 / (b * b) for _, b in slots]
+    got = _kernels.profile_distances(theta, inv_beta_sq, columns, unordered,
+                                     rows)
+    want = [oracle_context.distance_row(theta, [col[i] for col in columns],
+                                        inv_beta_sq, unordered)
+            for i in range(rows)]
+    assert [d.hex() for d in got] == [d.hex() for d in want]
 
 
 def test_scores_degenerate_cases():
@@ -86,8 +128,48 @@ def test_cached_distances_match_single_pair_distance(cstr_paths):
     for attacker in profiles.profiles.values():
         theta, cached = ctx.attacker_theta(attacker)
         assert list(cached) == [a.id for a in db.actions]
-        for aid, gamma in ctx.action_profiles.items():
-            assert cached[aid] == distance(theta, gamma, betas)
+        for a in db.actions:
+            gamma = scale_profile(db.schema, a.profile, db.unbounded_ranges)
+            assert cached[a.id] == distance(theta, gamma, betas)
+
+
+def test_zero_slot_context_gives_every_action_distance_zero(cstr_paths):
+    """A schema built in code with no property validates, and every action
+    is at distance 0.0 from the attacker, so the draws are uniform; the
+    traces equal the reference engine's."""
+    system = load_system(cstr_paths["system"])
+    fixture = load_action_db(cstr_paths["actions"],
+                             load_profiles(cstr_paths["profiles"]).schema)
+    schema = ProfileSchema([])
+    db = ActionDatabase([a._replace(profile={}) for a in fixture.actions],
+                        schema)
+    assert db.validate() == []
+    attacker = AttackerProfile("a", {})
+    theta, dist = DecisionContext(system, db).attacker_theta(attacker)
+    assert theta == ()
+    assert dist == dict.fromkeys([a.id for a in db.actions], 0.0)
+    profiles = ProfileSet(schema, {"a": attacker},
+                          ProfilePmf(((attacker, 1.0),)))
+    config = SimConfig(20, seed=4, profile="a")
+    _, traces = run_monte_carlo(system, db, profiles, config)
+    assert any(t.records for t in traces)
+    for rec in (r for t in traces for r in t.records):
+        assert set(rec.distances) == {0.0}
+        assert len(set(rec.probabilities)) == 1
+    want = oracle_engine.run_episodes(system, db, attacker, config)
+    assert list(map(trace_to_dict, traces)) == list(map(trace_to_dict, want))
+
+
+def test_empty_database_context_has_no_distance(cstr_paths):
+    system = load_system(cstr_paths["system"])
+    profiles = load_profiles(cstr_paths["profiles"])
+    ctx = DecisionContext(system, ActionDatabase([], profiles.schema))
+    assert ctx.action_profiles == [[] for _ in profiles.schema]
+    assert ctx.actions_for == {n.id: () for n in system.nodes}
+    for attacker in profiles.profiles.values():
+        theta, dist = ctx.attacker_theta(attacker)
+        assert len(theta) == len(profiles.schema)
+        assert dist == {}
 
 
 # score vectors as `scores_from_distances` gives them and beyond: one

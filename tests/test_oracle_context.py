@@ -35,8 +35,9 @@ def exact(values):
 def check_context(system, db, attackers):
     ctx = DecisionContext(system, db)
     ref = oracle_context.reference_context(system, db)
-    assert {aid: exact(p) for aid, p in ctx.action_profiles.items()} == {
-        aid: exact(p) for aid, p in ref["action_profiles"].items()}
+    rows = list(ref["action_profiles"].values())
+    assert [exact(col) for col in ctx.action_profiles] == [
+        exact(row[j] for row in rows) for j in range(len(db.schema))]
     assert ctx.inv_beta_sq == ref["inv_beta_sq"]
     assert ctx.unordered_mask == ref["unordered_mask"]
     assert ctx.action_mask == ref["action_mask"]

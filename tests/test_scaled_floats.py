@@ -99,6 +99,14 @@ def ref_profiles(db):
     return out
 
 
+def rows(db):
+    """`scaled_action_profiles`' columns as rows by action id, the
+    reference's layout."""
+    columns = scaled_action_profiles(db)
+    return {a.id: tuple(col[i] for col in columns)
+            for i, a in enumerate(db.actions)}
+
+
 def exact(profiles):
     """Floats as hex, so -0.0 and 0.0 differ; labels as they are."""
     return {aid: tuple(v.hex() if isinstance(v, float) else v for v in p)
@@ -135,7 +143,7 @@ def random_every_kind_db(seed):
 @given(seed=st.integers(0, 10**9))
 def test_generated_profiles_equal_reference_floats(seed):
     rng, db = random_every_kind_db(seed)
-    assert exact(scaled_action_profiles(db)) == exact(ref_profiles(db))
+    assert exact(rows(db)) == exact(ref_profiles(db))
     attacker = {p.name: random_value(rng, p) for p in db.schema}
     ranges = db.attacker_ranges(AttackerProfile("a", attacker))
     pops = {name: [lo, hi] for name, (lo, hi) in ranges.items()}
@@ -146,12 +154,13 @@ def test_generated_profiles_equal_reference_floats(seed):
 def test_fixture_profiles_equal_reference_floats(cstr_paths):
     schema = load_profiles(cstr_paths["profiles"]).schema
     db = load_action_db(cstr_paths["actions"], schema)
-    assert exact(scaled_action_profiles(db)) == exact(ref_profiles(db))
+    assert exact(rows(db)) == exact(ref_profiles(db))
 
 
 def test_empty_database_scales_to_nothing():
     schema = every_kind_schema(Random(5))
-    assert scaled_action_profiles(ActionDatabase([], schema)) == {}
+    assert scaled_action_profiles(ActionDatabase([], schema)) == [
+        [] for _ in schema]
 
 
 def unscalable(rng, prop):
