@@ -32,7 +32,12 @@
 #       with one trace, must write the same files at --jobs 1 and 2. Each
 #       run builds the decision context over all 20,000 actions, column
 #       by column, and each decision draws from about 16,000 candidates;
-#       its traces, about 23 MB each, go through `traces`
+#       its traces, about 23 MB each, go through `traces`. Then
+#       tests/load_memory_probe.py, which uses only the standard library,
+#       loads the same 20,000 actions and exits 1 when the load's
+#       tracemalloc peak exceeds the parse of its file alone by more than
+#       2%: the loader drops each entry of the document it parsed once its
+#       action is built, so the load never holds more than the document
 #   bash .github/cli_checks.sh ingest
 #       the bundled CAPEC and NVD samples through `python -m attacksim
 #       ingest`, the real entry point, which loads the ingest module and
@@ -146,6 +151,7 @@ EOF
   done
   diff -r "$out/jobs1" "$out/jobs2"
   traces "$out"/jobs*/trace_*.json
+  python tests/load_memory_probe.py 20000 "$out/probe"
 }
 
 ingest() {

@@ -3,10 +3,11 @@ propagation channels, and prerequisites.
 
 Actions and their target criteria are immutable NamedTuples, built
 positionally by the loader, which keeps one object per distinct channel
-set, prerequisite set and criteria of a document; their scaled profiles
-are computed once per run and shared by every episode. The database
-computes each unbounded property's (min, max) once, and checks attacker
-profiles against it.
+set, prerequisite set, criteria, profile label and effect of a document,
+and drops each entry of a file's document once its action is built;
+their scaled profiles are computed once per run and shared by every
+episode. The database computes each unbounded property's (min, max)
+once, and checks attacker profiles against it.
 """
 
 from __future__ import annotations
@@ -311,23 +312,34 @@ def scaled_action_profiles(db: ActionDatabase
 
     Unbounded properties scale against the database-wide (min, max), so a
     new action inside that range leaves other actions' scaled values
-    untouched.
+    untouched. A profile is never changed: a slot is read only where it
+    is present, which a plain dict, having no `__missing__`, tests by
+    raising KeyError. Raises ValueError naming the first action, in id
+    order, that lacks a slot or holds a value that does not scale.
     """
     slots = tuple(zip(db.schema.names,
                       slot_scalers(db.schema, db.unbounded_ranges)))
     actions = db.actions
     profiles = [a.profile for a in actions]  # one field read per action
     try:
+        if not set(map(type, profiles)) <= {dict}:
+            for name, _ in slots:
+                if not all(map(contains, profiles, repeat(name))):
+                    raise KeyError(name)
         # slot by slot: each scaler takes the whole column
         return [scale(list(map(itemgetter(name), profiles)))
                 for name, scale in slots]
     except (KeyError, TypeError, ValueError):
         # raise the error of the first action that does not scale
         for a, p in zip(actions, profiles):
-            try:
-                [scale([p[name]]) for name, scale in slots]
-            except ValueError as exc:
-                raise ValueError(f"action {a.id!r}: {exc}") from exc
+            for name, scale in slots:
+                if name not in p:
+                    raise ValueError(f"action {a.id!r}: missing property "
+                                     f"{name!r}") from None
+                try:
+                    scale([p[name]])
+                except ValueError as exc:
+                    raise ValueError(f"action {a.id!r}: {exc}") from exc
         raise
 
 
@@ -364,11 +376,16 @@ def action_from_dict(ad: dict, errors: list[str], index: int,
     a channel or prerequisite set equal to one built before is that
     object (looked up by the list's tuple, then by the set, so lists in
     any order share one set), every empty one is one shared
-    ``frozenset()``, and a criteria with the same requirements in the
-    same order (keyed by ``tuple(requirements.items())``) is the same
-    `TargetCriteria`. A new value joins the table. The caller keeps one
-    table per document and drops it with the load, so no value outlives
-    it in the table; None means a fresh table.
+    ``frozenset()``, a criteria with the same requirements in the same
+    order (keyed by ``tuple(requirements.items())``) is the same
+    `TargetCriteria`, and a profile label or an effect equal to a string
+    read before is that string. Only strings are shared among the
+    values, never numbers, since ``0.0 == -0.0``. A new value joins the
+    table. The caller keeps one table per document and drops it with the
+    load, so no value outlives it in the table; None means a fresh table.
+
+    `ad` belongs to the caller and is never changed; the action holds
+    its id, name, description and reference strings, and its numbers.
 
     This runs for every entry of a database, so each field is checked here
     first: an ASCII string, a list of them, a finite float (an int is read
@@ -415,9 +432,11 @@ def action_from_dict(ad: dict, errors: list[str], index: int,
         profile = dict(raw)
         for k, v in raw.items():
             cls = v.__class__
-            if cls is int and -_INT_FLOATS <= v <= _INT_FLOATS:
+            if cls is str:
+                profile[k] = shared.setdefault(v, v)
+            elif cls is int and -_INT_FLOATS <= v <= _INT_FLOATS:
                 profile[k] = float(v)
-            elif not (cls is str or cls is float and v - v == 0.0):
+            elif not (cls is float and v - v == 0.0):
                 profile = None
                 break
     if profile is None:
@@ -447,7 +466,9 @@ def action_from_dict(ad: dict, errors: list[str], index: int,
         success = number(success, 1.0, errors,
                          "action {!r}: success_probability", aid)
     effect = get("effect", EFFECT_COMPROMISE)
-    if not (effect.__class__ is str and effect.isascii()):
+    if effect.__class__ is str and effect.isascii():
+        effect = shared.setdefault(effect, effect)
+    else:
         effect = string(effect, "action {!r}: effect", errors, aid)
     # a string list is looked up by its tuple, which no criteria key
     # equals unless both are empty, so an empty list takes _NO_IDS
@@ -472,19 +493,16 @@ def _shared_set(strings: tuple[str, ...], shared: dict) -> frozenset[str]:
 
 
 def action_db_from_dict(doc: dict, schema: ProfileSchema) -> ActionDatabase:
+    """Build and fully validate an action database from its document.
+
+    The caller keeps the document, which is never changed: the entries
+    are read from a shallow copy of its `actions` list. The database
+    shares with it each string it holds, and one object per distinct
+    value of the load (see `action_from_dict`).
+    """
     errors = document(doc, {"actions"}, "action document")
-    actions: list[Action] = []
-    shared: dict = {}  # this document's distinct values, see action_from_dict
-    for i, ad in enumerate(container(doc.get("actions", []), list,
-                                     "actions", errors)):
-        action = action_from_dict(ad, errors, i, shared)
-        if action is not None:
-            actions.append(action)
-    db = ActionDatabase(actions, schema)
-    errors.extend(db.validate())
-    if errors:
-        raise ValidationFailure("invalid action database", errors)
-    return db
+    return _build_db(list(container(doc.get("actions", []), list, "actions",
+                                    errors)), errors, schema)
 
 
 def load_action_db(path: str | Path, schema: ProfileSchema) -> ActionDatabase:
@@ -493,8 +511,34 @@ def load_action_db(path: str | Path, schema: ProfileSchema) -> ActionDatabase:
     The property schema comes from the profiles document; the action file
     itself carries only the actions. All validation failures are collected
     and reported together.
+
+    The parsed document belongs to the load alone, so each entry is
+    dropped as soon as its action is built. An action is smaller than
+    its entry, so the load never holds more than the parsed document.
     """
-    return action_db_from_dict(read_json(path), schema)
+    doc = read_json(path)
+    errors = document(doc, {"actions"}, "action document")
+    return _build_db(container(doc.pop("actions", []), list, "actions",
+                               errors), errors, schema)
+
+
+def _build_db(entries: list, errors: list[str],
+              schema: ProfileSchema) -> ActionDatabase:
+    """The database of a document's `actions` list, which this empties:
+    each slot is dropped once its action is built. `errors` holds the
+    document's own problems, and collects every further one."""
+    actions: list[Action] = []
+    shared: dict = {}  # this document's distinct values, see action_from_dict
+    for i in range(len(entries)):
+        ad, entries[i] = entries[i], None
+        action = action_from_dict(ad, errors, i, shared)
+        if action is not None:
+            actions.append(action)
+    db = ActionDatabase(actions, schema)
+    errors.extend(db.validate())
+    if errors:
+        raise ValidationFailure("invalid action database", errors)
+    return db
 
 
 def action_to_dict(a: Action) -> dict:

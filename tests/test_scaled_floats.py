@@ -235,3 +235,66 @@ def test_non_finite_value_after_the_first_action_is_rejected(value):
         scaled_action_profiles(db)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("action 'A2': b: value ")
+
+
+# a profile built in code may fill in a slot it lacks when that slot is
+# read; the scalers must name the missing slot and leave the profile as
+# it was
+
+SLOTS = ProfileSchema([
+    PropertySchema("Access", UNORDERED_SET, allowed_values=("Direct",)),
+    PropertySchema("Tools", ORDERED_SET, allowed_values=("Low", "High")),
+    PropertySchema("Knowledge", BOUNDED_RANGE, lower=0.0, upper=10.0),
+])
+VALUES = {"Access": "Direct", "Tools": "High", "Knowledge": 4.0}
+
+
+def defaultdict_db(name, broken=None):
+    """Three actions; A1's profile a defaultdict(float) without `name`,
+    and each of `broken`'s actions given its (slot, value)."""
+    from collections import defaultdict
+
+    profiles = [dict(VALUES) for _ in range(3)]
+    profiles[1] = defaultdict(
+        float, {k: v for k, v in VALUES.items() if k != name})
+    for i, (slot, value) in (broken or {}).items():
+        profiles[i][slot] = value
+    return ActionDatabase([Action(f"A{i}", profile=p)
+                           for i, p in enumerate(profiles)], SLOTS)
+
+
+@pytest.mark.parametrize("name", ["Knowledge", "Tools"])
+def test_defaultdict_profile_without_a_slot_is_not_changed(name):
+    # Knowledge is bounded, where a filled-in 0.0 would scale; Tools is
+    # ordered, where it would be an unknown label
+    db = defaultdict_db(name)
+    with pytest.raises(ValueError) as got:
+        scaled_action_profiles(db)
+    assert str(got.value) == f"action 'A1': missing property {name!r}"
+    assert name not in db.actions[1].profile
+    assert db.validate() == [f"action 'A1': missing property {name!r}"]
+
+
+@pytest.mark.parametrize("name", ["Knowledge", "Tools"])
+def test_first_action_that_does_not_scale_is_named(name):
+    # a later action's bad value sends the scalers to the per-action
+    # path, which names A1's missing slot and still reads none
+    db = defaultdict_db(name, {2: ("Knowledge", 42.0)})
+    with pytest.raises(ValueError) as got:
+        scaled_action_profiles(db)
+    assert str(got.value) == f"action 'A1': missing property {name!r}"
+    assert name not in db.actions[1].profile
+    # an earlier action's bad value is named first
+    db = defaultdict_db(name, {0: ("Tools", "zz")})
+    with pytest.raises(ValueError, match="^action 'A0': Tools: unknown label"):
+        scaled_action_profiles(db)
+    assert name not in db.actions[1].profile
+
+
+def test_plain_dict_without_a_slot_names_it():
+    db = ActionDatabase([Action("A0", profile=dict(VALUES)),
+                         Action("A1", profile={"Access": "Direct",
+                                               "Tools": "Low"})], SLOTS)
+    with pytest.raises(ValueError,
+                       match="^action 'A1': missing property 'Knowledge'$"):
+        scaled_action_profiles(db)

@@ -1,17 +1,19 @@
 """One object per distinct value in a loaded action database.
 
 `actions.action_from_dict` returns the load's own object for a channel
-set, a prerequisite set or a target criteria equal to one already built
-from the same document. These tests pin that sharing on the benchmark's
-wide instance (2000 actions, a few distinct values), that it stays within
-one load, and that nothing downstream sees it: a database built in code
-without sharing gives the same per-node actions, and a pickled context
-keeps it.
+set, a prerequisite set, a target criteria, a profile label or an effect
+equal to one already built from the same document. These tests pin that
+sharing on the benchmark's wide instance (2000 actions, a few distinct
+values), that it stays within one load and leaves numbers alone, and that
+nothing downstream sees it: a database built in code without sharing
+gives the same per-node actions, and a pickled context keeps it.
 """
 
 import importlib.util
+import json
 import pickle
 from collections import defaultdict
+from math import copysign
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,23 @@ def test_one_load_keeps_one_object_per_value(wide, schema):
     assert all(type(a.target_criteria) is TargetCriteria for a in db.actions)
 
 
+def labels(db):
+    """Every profile value of `db` that is a string, action by action."""
+    return [v for a in db.actions for v in a.profile.values()
+            if type(v) is str]
+
+
+def test_one_load_keeps_one_object_per_label_and_effect(wide, schema):
+    db = load_action_db(wide["actions"], schema)
+    per_label = objects_per_value(labels(db))
+    effects = objects_per_value(a.effect for a in db.actions)
+    # Access takes three labels, Motivation and Tools three more
+    assert len(labels(db)) == 3 * 2000 and len(per_label) == 6
+    assert all(len(ids) == 1 for ids in per_label.values())
+    assert effects.keys() == {"compromise"}
+    assert len(effects["compromise"]) == 1
+
+
 def test_two_loads_share_no_channel_set_or_criteria(wide, schema):
     first = load_action_db(wide["actions"], schema)
     second = load_action_db(wide["actions"], schema)
@@ -78,6 +97,15 @@ def test_two_loads_share_no_channel_set_or_criteria(wide, schema):
     for a, b in zip(first.actions, second.actions):
         assert a.channels is not b.channels
         assert a.target_criteria is not b.target_criteria
+
+
+def test_two_loads_share_no_label_or_effect(wide, schema):
+    first = load_action_db(wide["actions"], schema)
+    second = load_action_db(wide["actions"], schema)
+    assert labels(first) == labels(second)
+    assert not {id(v) for v in labels(first)} & {id(v)
+                                                 for v in labels(second)}
+    assert first.actions[0].effect is not second.actions[0].effect
 
 
 SCHEMA = ProfileSchema([PropertySchema("Access", "unordered-set",
@@ -114,6 +142,33 @@ def test_criteria_in_another_order_stay_distinct():
     assert list(a0.requirements) == ["os", "zone"]
     assert list(a1.requirements) == ["zone", "os"]
     assert a3 is a4 and a3.requirements == {}
+
+
+def test_labels_and_effects_share_within_one_document():
+    # parsed, so that each string of the document is an object of its own
+    db = action_db_from_dict(json.loads(json.dumps({"actions": [
+        entry("A0", effect="disrupt"),
+        entry("A1", effect="disrupt"),
+        entry("A2", effect="compromise"),
+        entry("A3")]})), SCHEMA)
+    a0, a1, a2, a3 = db.actions
+    assert a0.profile["Access"] is a1.profile["Access"] is a3.profile["Access"]
+    assert a0.effect is a1.effect == "disrupt"
+    assert a2.effect == a3.effect == "compromise"
+
+
+def test_numbers_are_never_shared():
+    # 0.0 == -0.0, so a table of numbers would give one the other's sign
+    schema = ProfileSchema([PropertySchema("Knowledge", "bounded-range",
+                                           lower=-1.0, upper=1.0)])
+    db = action_db_from_dict({"actions": [
+        {"id": f"A{i}", "profile": {"Knowledge": v},
+         "success_probability": v}
+        for i, v in enumerate((0.0, -0.0, 0.0, -0.0))]}, schema)
+    signs = [copysign(1.0, a.profile["Knowledge"]) for a in db.actions]
+    assert signs == [1.0, -1.0, 1.0, -1.0]
+    assert [copysign(1.0, a.success_probability)
+            for a in db.actions] == signs
 
 
 def test_no_table_means_a_fresh_one():
